@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 namespace jsoncdn::http {
 namespace {
 
@@ -56,6 +60,27 @@ struct ClassifyCase {
   const char* header;
   ContentClass expected;
 };
+
+// Prints a case as its text with every run of non-alphanumerics folded to
+// '_' ("application/json; charset=utf-8" -> application_json_charset_utf_8).
+// gtest_discover_tests builds the ctest name from this, so names are
+// readable and stable across builds instead of a byte dump of the pointer.
+std::string identifier(const char* text) {
+  std::string out;
+  for (const char* c = text; *c != '\0'; ++c) {
+    if (std::isalnum(static_cast<unsigned char>(*c)) != 0) {
+      out.push_back(*c);
+    } else if (!out.empty() && out.back() != '_') {
+      out.push_back('_');
+    }
+  }
+  if (!out.empty() && out.back() == '_') out.pop_back();
+  return out.empty() ? "empty" : out;
+}
+
+void PrintTo(const ClassifyCase& c, std::ostream* os) {
+  *os << identifier(c.header);
+}
 
 class ClassifyContentTest : public ::testing::TestWithParam<ClassifyCase> {};
 

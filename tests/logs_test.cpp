@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -167,7 +168,10 @@ TEST(LogWriterReader, ReadsCrlfStreamsAndFinalRowWithoutNewline) {
 class LogFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "jsoncdn_logs_file_test.log";
+    // One file per test process, so parallel ctest cases never share it.
+    path_ = ::testing::TempDir() + "jsoncdn_logs_file_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".log";
     std::ofstream out(path_);
     LogWriter writer(out);
     for (int i = 0; i < 25; ++i) {

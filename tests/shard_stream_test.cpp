@@ -9,6 +9,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "logs/table.h"
 #include "shard/reader.h"
@@ -44,8 +45,15 @@ SynthOptions workload() {
 class StreamEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
+    // One file per test process: ctest runs each case as its own process,
+    // and a shared path would let one case truncate a store another case
+    // has mapped (SIGBUS in the reader).
     file_ = (std::filesystem::temp_directory_path() /
-             "jsoncdn_shard_stream_test.jlog")
+             ("jsoncdn_shard_stream_test_" +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()) +
+              "_" + std::to_string(::getpid()) + ".jlog"))
                 .string();
     ShardWriterOptions writer_options;
     writer_options.chunk_rows = kChunkRows;
