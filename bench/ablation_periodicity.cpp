@@ -2,6 +2,7 @@
 // x = 100 and reports no change beyond it) and sampling interval (the paper
 // uses 1 s, citing network jitter). Scores precision/recall against planted
 // ground truth: periodic flows with jitter/dropout vs Poisson flows.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <vector>

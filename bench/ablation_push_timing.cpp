@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
   workload::WorkloadGenerator train_gen(scenario(801, n_clients));
   const auto train = train_gen.generate();
   cdn::CdnNetwork train_net(train_gen.catalog().objects(), {});
-  const auto train_json = train_net.run(train.events).json_only();
+  const auto train_logs = train_net.run(train.events);
+  const auto train_rows = train_logs.json_rows();
+  const logs::TableView train_json(train_logs, train_rows);
 
   workload::WorkloadGenerator replay_gen(scenario(802, n_clients));
   const auto replay = replay_gen.generate();

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cdn::CdnNetwork network(generator.catalog().objects(), {});
   const auto dataset = network.run(workload.events);
 
-  const auto report = core::analyze_costs(dataset);
+  const auto report = core::analyze_costs(logs::TableView(dataset));
   std::fputs(core::render_costs(report).c_str(), stdout);
   std::printf("\n");
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const auto old_workload = old_generator.generate();
   cdn::CdnNetwork old_network(old_generator.catalog().objects(), {});
   const auto old_dataset = old_network.run(old_workload.events);
-  const auto old_report = core::analyze_costs(old_dataset);
+  const auto old_report = core::analyze_costs(logs::TableView(old_dataset));
   const auto* old_json = old_report.find(http::ContentClass::kJson);
   if (json != nullptr && old_json != nullptr) {
     std::printf("\n");

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numbers>
+#include <numeric>
 #include <span>
 #include <string>
 #include <thread>
@@ -197,10 +198,10 @@ BENCHMARK(BM_LogLineRoundTrip);
 // Synthetic dataset dense enough to pass the paper's flow filter: a mix of
 // periodic objects (the expensive full-permutation path) and Poisson objects
 // (the cheap early-exit path), mirroring the real workload's skew.
-logs::Dataset make_periodicity_dataset(std::size_t periodic_objects,
-                                       std::size_t poisson_objects) {
+logs::LogTable make_periodicity_dataset(std::size_t periodic_objects,
+                                        std::size_t poisson_objects) {
   stats::Rng rng(2024);
-  logs::Dataset ds;
+  logs::LogTable ds;
   const std::size_t clients = 12;
   const std::size_t requests = 24;
   auto add_flow = [&](const std::string& url, std::size_t c,
@@ -214,7 +215,7 @@ logs::Dataset make_periodicity_dataset(std::size_t periodic_objects,
     record.content_type = "application/json";
     record.response_bytes = 2048;
     record.cache_status = logs::CacheStatus::kNotCacheable;
-    ds.add(std::move(record));
+    ds.append(record);
   };
   for (std::size_t o = 0; o < periodic_objects; ++o) {
     const std::string url =
@@ -246,10 +247,10 @@ logs::Dataset make_periodicity_dataset(std::size_t periodic_objects,
 
 // Per-client request sequences with Zipf-ish repeat structure so the ngram
 // model has something to learn.
-logs::Dataset make_ngram_dataset(std::size_t n_clients,
-                                 std::size_t requests_per_client) {
+logs::LogTable make_ngram_dataset(std::size_t n_clients,
+                                  std::size_t requests_per_client) {
   stats::Rng rng(7);
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (std::size_t c = 0; c < n_clients; ++c) {
     double t = rng.uniform(0.0, 10.0);
     std::int64_t page = rng.uniform_int(0, 49);
@@ -267,7 +268,7 @@ logs::Dataset make_ngram_dataset(std::size_t n_clients,
       record.domain = "api.bench.example";
       record.content_type = "application/json";
       record.response_bytes = 1024;
-      ds.add(std::move(record));
+      ds.append(record);
     }
   }
   ds.sort_by_time();
@@ -288,7 +289,8 @@ void report_parallel_speedup() {
     auto run_with = [&](std::size_t threads) {
       config.threads = threads;
       bench::Timer timer;
-      const auto report = core::analyze_periodicity(ds, config);
+      const auto report =
+          core::analyze_periodicity(logs::TableView(ds), config);
       const double elapsed = timer.seconds();
       if (report.objects.empty()) bench::note("warning: no flows analyzed");
       return elapsed;
@@ -306,7 +308,7 @@ void report_parallel_speedup() {
     auto run_with = [&](std::size_t threads) {
       config.threads = threads;
       bench::Timer timer;
-      const auto accuracy = core::evaluate_ngram(ds, config);
+      const auto accuracy = core::evaluate_ngram(logs::TableView(ds), config);
       const double elapsed = timer.seconds();
       if (accuracy.predictions == 0) bench::note("warning: no predictions");
       return elapsed;
@@ -320,16 +322,30 @@ void report_parallel_speedup() {
 
 // ---- Streaming vs batch (throughput + analysis-state memory) --------------
 
-// Approximate resident footprint of a materialized dataset: the record
-// structs plus their heap-allocated string payloads.
-std::size_t dataset_bytes(const logs::Dataset& ds) {
-  std::size_t bytes = ds.size() * sizeof(logs::LogRecord);
-  for (const auto& r : ds.records()) {
-    bytes += r.client_id.capacity() + r.user_agent.capacity() +
-             r.url.capacity() + r.domain.capacity() +
-             r.content_type.capacity();
+// Appends every row of `from` to `to` with timestamps shifted by `shift`.
+void append_shifted(logs::LogTable& to, const logs::LogTable& from,
+                    double shift) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const auto r = static_cast<logs::LogTable::RowIndex>(i);
+    to.append_fields(from.timestamp(r) + shift, from.client_id(r),
+                     from.user_agent(r), from.method(r), from.url(r),
+                     from.domain(r), from.content_type(r), from.status(r),
+                     from.response_bytes(r), from.request_bytes(r),
+                     from.cache_status(r), from.edge_id(r));
   }
-  return bytes;
+}
+
+// Exact number of distinct values of a symbol column over `rows`.
+std::size_t distinct_symbols(std::span<const logs::LogTable::RowIndex> rows,
+                             std::span<const logs::LogTable::Symbol> column,
+                             std::size_t dictionary_size) {
+  std::vector<char> seen(dictionary_size, 0);
+  std::size_t distinct = 0;
+  for (const auto row : rows) {
+    distinct += seen[column[row]] == 0 ? 1 : 0;
+    seen[column[row]] = 1;
+  }
+  return distinct;
 }
 
 void report_streaming_vs_batch() {
@@ -340,45 +356,46 @@ void report_streaming_vs_batch() {
   const double span =
       base.time_range().second - base.time_range().first + 1.0;
   bench::note("base workload: " + std::to_string(base.size()) + " records");
+  std::vector<logs::LogTable::RowIndex> chunk_rows(base.size());
+  std::iota(chunk_rows.begin(), chunk_rows.end(), logs::LogTable::RowIndex{0});
 
   for (const std::size_t scale : {std::size_t{1}, std::size_t{10},
                                   std::size_t{100}}) {
-    // Streaming: chunks generated on the fly, so peak memory is the sketch
-    // state plus one chunk — the production shape.
+    // Streaming: chunks generated on the fly into one reused scratch table,
+    // so peak memory is the sketch state plus one chunk — the production
+    // shape.
     stream::StreamingConfig config;
     config.threads = 4;
     stream::StreamingStudy study(config);
-    std::vector<logs::LogRecord> chunk;
+    logs::LogTable chunk;
     bench::Timer stream_timer;
     for (std::size_t rep = 0; rep < scale; ++rep) {
-      chunk = base.records();
-      for (auto& r : chunk) r.timestamp += span * static_cast<double>(rep);
-      study.ingest(chunk);
+      chunk.clear_rows();
+      append_shifted(chunk, base, span * static_cast<double>(rep));
+      study.ingest(chunk, chunk_rows);
     }
     const auto summary = study.summary();
     const double stream_seconds = stream_timer.seconds();
 
-    // Batch: materialize the scaled dataset, then run the exact analyses
-    // the summary mirrors.
-    logs::Dataset scaled;
+    // Batch: materialize the scaled table, then run the exact analyses the
+    // summary mirrors.
+    logs::LogTable scaled;
     scaled.reserve(base.size() * scale);
-    for (std::size_t rep = 0; rep < scale; ++rep) {
-      for (auto r : base.records()) {
-        r.timestamp += span * static_cast<double>(rep);
-        scaled.add(std::move(r));
-      }
-    }
+    for (std::size_t rep = 0; rep < scale; ++rep)
+      append_shifted(scaled, base, span * static_cast<double>(rep));
     bench::Timer batch_timer;
-    const auto json = scaled.json_only();
+    const auto json_rows = scaled.json_rows();
+    const logs::TableView json(scaled, json_rows);
     benchmark::DoNotOptimize(core::characterize_methods(json, 4));
     benchmark::DoNotOptimize(core::characterize_cacheability(json, 4));
     benchmark::DoNotOptimize(core::characterize_source(json, 4));
-    benchmark::DoNotOptimize(core::compare_sizes(scaled, 4));
-    benchmark::DoNotOptimize(json.distinct_objects());
-    benchmark::DoNotOptimize(json.distinct_clients());
+    benchmark::DoNotOptimize(core::compare_sizes(logs::TableView(scaled), 4));
+    benchmark::DoNotOptimize(distinct_symbols(json_rows, scaled.url_syms(),
+                                              scaled.urls().size()));
     const double batch_seconds = batch_timer.seconds();
-    const std::size_t batch_bytes = dataset_bytes(scaled) +
-                                    dataset_bytes(json);
+    const std::size_t batch_bytes =
+        scaled.memory_bytes() +
+        json_rows.size() * sizeof(logs::LogTable::RowIndex);
 
     const auto records = static_cast<double>(summary.total_records);
     std::printf(
@@ -390,16 +407,15 @@ void report_streaming_vs_batch() {
   }
   bench::note(
       "streaming state is the sketch footprint (flat in the record count); "
-      "batch state is the materialized datasets the exact analyses need");
+      "batch state is the materialized table the exact analyses need");
 }
 
 // ---- Columnar ingest & group-by throughput --------------------------------
 
-// End-to-end comparison of the row pipeline (TSV -> Dataset -> string-keyed
-// flow grouping -> analyses) against the columnar one (zero-copy TSV ->
-// LogTable -> symbol-keyed grouping -> the same analyses), plus the .jlog
-// binary load. Emits machine-readable ratios to BENCH_ingest.json so CI can
-// gate on regressions with machine-independent numbers.
+// End-to-end columnar pipeline (file -> LogTable -> symbol-keyed grouping ->
+// analyses) from the TSV text through the zero-copy ingest, and from the
+// .jlog binary columns. Emits machine-readable ratios to BENCH_ingest.json
+// so CI can gate on regressions with machine-independent numbers.
 
 // Synthetic log shaped like the paper's traffic: a periodic polling core
 // (which the flow filter keeps and the detector works on), a long random
@@ -471,7 +487,7 @@ struct PipelineTiming {
   double groupby_s = 0.0;  // object + client flow extraction
   double analyze_s = 0.0;  // characterization + periodicity
   std::size_t store_bytes = 0;
-  std::size_t flows = 0;  // sanity: both pipelines must agree
+  std::size_t flows = 0;  // sanity: every pipeline must agree
   [[nodiscard]] double total_s() const {
     return ingest_s + groupby_s + analyze_s;
   }
@@ -482,33 +498,6 @@ core::PeriodicityConfig ingest_bench_periodicity(std::size_t threads) {
   config.detector.permutations = 10;  // enough work, bounded wall clock
   config.threads = threads;
   return config;
-}
-
-PipelineTiming run_row_pipeline(const std::string& path, std::size_t threads) {
-  PipelineTiming t;
-  bench::Timer timer;
-  auto ds = logs::ingest_log_file(path, logs::IngestOptions{});
-  ds.sort_by_time();
-  t.ingest_s = timer.seconds();
-
-  const auto json = ds.json_only();
-  timer.reset();
-  const auto object_flows = logs::extract_object_flows(json);
-  const auto client_flows = logs::extract_client_flows(json);
-  t.groupby_s = timer.seconds();
-  t.flows = object_flows.size() + client_flows.size();
-
-  timer.reset();
-  benchmark::DoNotOptimize(core::characterize_source(json, threads));
-  benchmark::DoNotOptimize(core::characterize_methods(json, threads));
-  benchmark::DoNotOptimize(core::characterize_cacheability(json, threads));
-  benchmark::DoNotOptimize(core::compare_sizes(ds, threads));
-  benchmark::DoNotOptimize(core::characterize_status(ds, threads));
-  benchmark::DoNotOptimize(
-      core::analyze_periodicity(json, ingest_bench_periodicity(threads)));
-  t.analyze_s = timer.seconds();
-  t.store_bytes = dataset_bytes(ds) + dataset_bytes(json);
-  return t;
 }
 
 PipelineTiming run_columnar_pipeline(const std::string& path,
@@ -545,31 +534,19 @@ PipelineTiming run_columnar_pipeline(const std::string& path,
 
 struct IngestBenchReport {
   std::size_t records = 0;
-  PipelineTiming row1, col1, jlog1;  // 1 thread
-  PipelineTiming rowN, colN;         // n_threads
+  PipelineTiming col1, jlog1;  // 1 thread
+  PipelineTiming colN;         // n_threads
   std::size_t n_threads = 4;
 
-  // Headline: the columnar store end-to-end (.jlog load + symbol-keyed
-  // group-by + analyses) against the TSV row pipeline. Parsing text happens
-  // once, at sidecar-write time; every analysis run after that starts from
-  // the binary columns.
+  // Headline: the pipeline from the .jlog binary columns against the same
+  // pipeline from the TSV text through the zero-copy ingest. Parsing text
+  // happens once, at sidecar-write time; every analysis run after that
+  // starts from the binary columns.
   [[nodiscard]] double speedup_total() const {
-    return row1.total_s() / jlog1.total_s();
-  }
-  // Same pipelines but both starting from the TSV text — isolates what
-  // zero-copy tokenization + interning buy before the sidecar exists.
-  [[nodiscard]] double speedup_total_tsv() const {
-    return row1.total_s() / col1.total_s();
+    return col1.total_s() / jlog1.total_s();
   }
   [[nodiscard]] double speedup_ingest() const {
-    return row1.ingest_s / jlog1.ingest_s;
-  }
-  [[nodiscard]] double speedup_groupby() const {
-    return row1.groupby_s / col1.groupby_s;
-  }
-  [[nodiscard]] double memory_reduction() const {
-    return 1.0 - static_cast<double>(col1.store_bytes) /
-                     static_cast<double>(row1.store_bytes);
+    return col1.ingest_s / jlog1.ingest_s;
   }
 };
 
@@ -584,8 +561,8 @@ void print_pipeline(const char* name, const PipelineTiming& t) {
 IngestBenchReport report_ingest_throughput(std::size_t records) {
   bench::print_header(
       "columnar ingest",
-      "TSV row pipeline vs zero-copy columnar vs .jlog binary, " +
-          std::to_string(records) + " records");
+      "zero-copy TSV vs .jlog binary, " + std::to_string(records) +
+          " records");
   IngestBenchReport report;
   report.records = records;
   const std::string log_path = "/tmp/jsoncdn_bench_ingest.log";
@@ -597,28 +574,20 @@ IngestBenchReport report_ingest_throughput(std::size_t records) {
   // Warm the page cache so the comparison measures parsing, not disk.
   (void)logs::read_log_table(log_path, logs::IngestOptions{});
 
-  report.row1 = run_row_pipeline(log_path, 1);
   report.col1 = run_columnar_pipeline(log_path, 1, /*from_jlog=*/false);
   report.jlog1 = run_columnar_pipeline(jlog_path, 1, /*from_jlog=*/true);
-  report.rowN = run_row_pipeline(log_path, report.n_threads);
   report.colN = run_columnar_pipeline(log_path, report.n_threads,
                                       /*from_jlog=*/false);
-  if (report.row1.flows != report.col1.flows ||
-      report.col1.flows != report.jlog1.flows) {
+  if (report.col1.flows != report.jlog1.flows ||
+      report.col1.flows != report.colN.flows) {
     bench::note("warning: pipelines disagree on flow counts");
   }
 
-  print_pipeline("row (1 thread)", report.row1);
-  print_pipeline("columnar (1 thread)", report.col1);
+  print_pipeline("TSV (1 thread)", report.col1);
   print_pipeline(".jlog (1 thread)", report.jlog1);
-  print_pipeline("row (4 threads)", report.rowN);
-  print_pipeline("columnar (4 threads)", report.colN);
-  std::printf(
-      "  end-to-end speedup %.2fx (.jlog store; %.2fx from TSV)   "
-      "ingest %.2fx   group-by %.2fx   store reduction %.1f%%\n",
-      report.speedup_total(), report.speedup_total_tsv(),
-      report.speedup_ingest(), report.speedup_groupby(),
-      100.0 * report.memory_reduction());
+  print_pipeline("TSV (4 threads)", report.colN);
+  std::printf("  .jlog over TSV: end-to-end %.2fx   ingest %.2fx\n",
+              report.speedup_total(), report.speedup_ingest());
   std::remove(log_path.c_str());
   std::remove(jlog_path.c_str());
   return report;
@@ -631,26 +600,17 @@ void write_ingest_json(const IngestBenchReport& r, const std::string& path) {
       buf, sizeof(buf),
       "{\n"
       "  \"records\": %zu,\n"
-      "  \"row_1t\": {\"ingest_s\": %.4f, \"groupby_s\": %.4f, "
-      "\"analyze_s\": %.4f, \"total_s\": %.4f, \"store_bytes\": %zu},\n"
       "  \"columnar_1t\": {\"ingest_s\": %.4f, \"groupby_s\": %.4f, "
       "\"analyze_s\": %.4f, \"total_s\": %.4f, \"store_bytes\": %zu},\n"
       "  \"jlog_1t\": {\"ingest_s\": %.4f, \"total_s\": %.4f},\n"
-      "  \"row_4t_total_s\": %.4f,\n"
       "  \"columnar_4t_total_s\": %.4f,\n"
       "  \"speedup_total\": %.4f,\n"
-      "  \"speedup_total_tsv\": %.4f,\n"
-      "  \"speedup_ingest\": %.4f,\n"
-      "  \"speedup_groupby\": %.4f,\n"
-      "  \"memory_reduction\": %.4f\n"
+      "  \"speedup_ingest\": %.4f\n"
       "}\n",
-      r.records, r.row1.ingest_s, r.row1.groupby_s, r.row1.analyze_s,
-      r.row1.total_s(), r.row1.store_bytes, r.col1.ingest_s,
-      r.col1.groupby_s, r.col1.analyze_s, r.col1.total_s(),
-      r.col1.store_bytes, r.jlog1.ingest_s, r.jlog1.total_s(),
-      r.rowN.total_s(), r.colN.total_s(), r.speedup_total(),
-      r.speedup_total_tsv(), r.speedup_ingest(), r.speedup_groupby(),
-      r.memory_reduction());
+      r.records, r.col1.ingest_s, r.col1.groupby_s, r.col1.analyze_s,
+      r.col1.total_s(), r.col1.store_bytes, r.jlog1.ingest_s,
+      r.jlog1.total_s(), r.colN.total_s(), r.speedup_total(),
+      r.speedup_ingest());
   out << buf;
   bench::note("wrote " + path);
 }
@@ -709,10 +669,7 @@ bool check_against_baseline(const IngestBenchReport& r,
     return false;
   }
   check("speedup_total", r.speedup_total());
-  check("speedup_total_tsv", r.speedup_total_tsv());
   check("speedup_ingest", r.speedup_ingest());
-  check("speedup_groupby", r.speedup_groupby());
-  check("memory_reduction", r.memory_reduction());
   return ok;
 }
 

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   workload::WorkloadGenerator generator(workload::long_term_scenario(scale));
   const auto workload = generator.generate();
   cdn::CdnNetwork network(generator.catalog().objects(), {});
-  const auto json = network.run(workload.events).json_only();
+  const auto edge_log = network.run(workload.events);
+  const auto json = edge_log.select(edge_log.json_rows());
   std::printf("  dataset: %zu JSON records, %zu clients\n\n", json.size(),
               json.distinct_clients());
 
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
       core::NgramEvalConfig config;
       config.context_len = n;
       config.clustered = clustered;
-      rows.push_back(core::evaluate_ngram(json, config));
+      rows.push_back(core::evaluate_ngram(logs::TableView(json), config));
     }
   }
   std::fputs(core::render_ngram_table(rows).c_str(), stdout);

@@ -14,7 +14,7 @@
 #include "cdn/network.h"
 #include "core/anomaly.h"
 #include "core/prefetch.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "stats/rng.h"
 #include "workload/generator.h"
 
@@ -65,16 +65,18 @@ int main() {
             [](const auto& x, const auto& y) { return x.time < y.time; });
 
   cdn::CdnNetwork train_network(train_generator.catalog().objects(), {});
-  const auto train_json = train_network.run(train_workload.events).json_only();
+  const auto train_log = train_network.run(train_workload.events);
+  const auto train_rows = train_log.json_rows();
+  const logs::TableView train_json(train_log, train_rows);
 
   cdn::CdnNetwork network(generator.catalog().objects(), {});
-  const auto dataset = network.run(workload.events);
-  const auto json = dataset.json_only();
+  const auto edge_log = network.run(workload.events);
+  const auto json_rows = edge_log.json_rows();
+  const logs::TableView json(edge_log, json_rows);
 
   // --- Train on day 1, score every day-2 client flow. ----------------------
   const auto model = core::train_prefetch_model(train_json, /*context_len=*/1);
   const auto flows = logs::extract_client_flows(json, /*min_requests=*/10);
-  const auto& records = json.records();
 
   struct Scored {
     std::string client;
@@ -85,7 +87,7 @@ int main() {
     std::vector<std::string> tokens;
     tokens.reserve(flow.record_indices.size());
     for (const auto idx : flow.record_indices)
-      tokens.push_back(records[idx].url);
+      tokens.emplace_back(edge_log.url(json[idx]));
     scored.push_back({flow.client, core::score_sequence(model, tokens)});
   }
   std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {

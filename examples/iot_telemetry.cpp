@@ -38,9 +38,10 @@ int main(int argc, char** argv) {
   workload::WorkloadGenerator generator(config);
   const auto workload = generator.generate();
   cdn::CdnNetwork network(generator.catalog().objects(), {});
-  const auto dataset = network.run(workload.events);
-  const auto json = dataset.json_only();
-  std::cout << "generated " << dataset.size() << " log records ("
+  const auto edge_log = network.run(workload.events);
+  const auto json_rows = edge_log.json_rows();
+  const logs::TableView json(edge_log, json_rows);
+  std::cout << "generated " << edge_log.size() << " log records ("
             << json.size() << " JSON), ground truth: "
             << workload.truth.periodic_flows.size() << " periodic flows, "
             << workload.truth.periodic_events << " periodic requests\n\n";
@@ -105,11 +106,12 @@ int main(int argc, char** argv) {
   }
   std::vector<cdn::SchedulerJob> jobs;
   jobs.reserve(json.size());
-  for (const auto& record : json.records()) {
+  for (const auto row : json_rows) {
     cdn::SchedulerJob job;
-    job.arrival = record.timestamp;
-    job.service = 0.0008 + static_cast<double>(record.response_bytes) / 2e8;
-    job.machine = machine_objects.contains(record.url);
+    job.arrival = edge_log.timestamp(row);
+    job.service =
+        0.0008 + static_cast<double>(edge_log.response_bytes(row)) / 2e8;
+    job.machine = machine_objects.contains(std::string(edge_log.url(row)));
     jobs.push_back(job);
   }
   // Compress arrivals so the edge runs near saturation (queueing visible).

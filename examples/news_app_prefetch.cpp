@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   const auto train_events = train_gen.generate();
   cdn::CdnNetwork train_network(train_gen.catalog().objects(), {});
   const auto train_logs = train_network.run(train_events.events);
-  const auto train_json = train_logs.json_only();
+  const auto train_rows = train_logs.json_rows();
+  const logs::TableView train_json(train_logs, train_rows);
 
   std::cout << "news app scenario: " << n_clients << " clients, "
             << train_json.size() << " training JSON records\n\n";

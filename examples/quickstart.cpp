@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
             << "\n\n";
   const auto result = core::run_study(config);
 
-  std::cout << "dataset: " << result.dataset.size() << " records, "
-            << result.json.size() << " JSON, "
-            << result.dataset.distinct_domains() << " domains, "
-            << result.dataset.distinct_clients() << " clients\n\n";
+  std::cout << "dataset: " << result.table.size() << " records, "
+            << result.json_rows.size() << " JSON, "
+            << result.table.distinct_domains() << " domains, "
+            << result.table.distinct_clients() << " clients\n\n";
 
   std::cout << core::render_source(*result.source) << "\n";
   std::cout << core::render_headline(*result.methods, *result.cacheability,

@@ -26,17 +26,23 @@ std::size_t CdnNetwork::edge_for(std::string_view client_address) const {
   return stats::fnv1a64(client_address) % edges_.size();
 }
 
-logs::Dataset CdnNetwork::run(
+logs::LogTable CdnNetwork::run(
     const std::vector<workload::RequestEvent>& events,
     PrefetchPolicy* policy) {
-  logs::Dataset dataset;
-  dataset.reserve(events.size());
+  std::vector<logs::LogRecord> records;
+  records.reserve(events.size());
   for (const auto& event : events) {
     auto& edge = edges_[edge_for(event.client_address)];
-    dataset.add(edge.handle(event, policy));
+    records.push_back(edge.handle(event, policy));
   }
-  dataset.sort_by_time();
-  return dataset;
+  std::stable_sort(records.begin(), records.end(),
+                   [](const logs::LogRecord& a, const logs::LogRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+  logs::LogTable table;
+  table.reserve(records.size());
+  for (const auto& record : records) table.append(record);
+  return table;
 }
 
 DeliveryMetrics CdnNetwork::total_metrics() const {

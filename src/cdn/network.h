@@ -1,6 +1,6 @@
 // Multi-edge CDN network: maps clients to edge servers (sticky, hash-based —
 // a stand-in for geographic request routing) and turns a workload event
-// stream into the edge-log Dataset the analysis layer consumes.
+// stream into the edge-log LogTable the analysis layer consumes.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +11,7 @@
 #include "cdn/origin.h"
 #include "faults/plan.h"
 #include "logs/anonymizer.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "workload/catalog.h"
 #include "workload/sessions.h"
 
@@ -33,9 +33,11 @@ class CdnNetwork {
   CdnNetwork(const workload::ObjectCatalog& catalog,
              const NetworkParams& params);
 
-  // Routes every event to its edge, in order, collecting the logs.
-  // `policy` is shared by all edges (may be nullptr).
-  [[nodiscard]] logs::Dataset run(
+  // Routes every event to its edge, in order, and returns the logs as a
+  // time-sorted table (stable: equal timestamps keep arrival order). The
+  // rows are interned after the sort, so dictionaries are in first-seen
+  // time order. `policy` is shared by all edges (may be nullptr).
+  [[nodiscard]] logs::LogTable run(
       const std::vector<workload::RequestEvent>& events,
       PrefetchPolicy* policy = nullptr);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "stats/kernels.h"
 #include "stats/parallel.h"
@@ -100,23 +98,6 @@ void SourceBreakdown::merge(const SourceBreakdown& other) noexcept {
   missing_ua_requests += other.missing_ua_requests;
 }
 
-namespace {
-
-// Per-shard accumulator: request counters plus the shard's distinct-UA
-// classification cache. UA-string counting happens after the caches are
-// unioned, so a UA seen by several shards still counts once.
-struct SourceShard {
-  SourceBreakdown breakdown;  // request-side counters only
-  std::unordered_map<std::string, http::DeviceClassification> ua_cache;
-
-  void merge(SourceShard& other) {
-    breakdown.merge(other.breakdown);
-    ua_cache.merge(other.ua_cache);
-  }
-};
-
-}  // namespace
-
 SourceBreakdown characterize_source(const logs::TableView& view,
                                     std::size_t threads) {
   const auto& table = view.table();
@@ -174,42 +155,6 @@ SourceBreakdown characterize_source(const logs::TableView& view,
   return out;
 }
 
-SourceBreakdown characterize_source(const logs::Dataset& ds,
-                                    std::size_t threads) {
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  auto shard = stats::parallel_reduce<SourceShard>(
-      pool, records.size(),
-      [&](SourceShard& acc, std::size_t begin, std::size_t end) {
-        auto& out = acc.breakdown;
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& record = records[i];
-          // Classification cached per distinct string since datasets repeat
-          // UAs millions of times.
-          const auto [it, inserted] = acc.ua_cache.try_emplace(
-              record.user_agent, http::DeviceClassification{});
-          if (inserted) it->second = http::classify_device(record.user_agent);
-          const auto& cls = it->second;
-
-          ++out.total_requests;
-          ++out.requests_by_device[device_index(cls.device)];
-          if (cls.is_browser()) {
-            ++out.browser_requests;
-            if (cls.device == http::DeviceType::kMobile)
-              ++out.mobile_browser_requests;
-          }
-          if (record.user_agent.empty()) ++out.missing_ua_requests;
-        }
-      });
-  SourceBreakdown out = shard.breakdown;
-  for (const auto& [ua, cls] : shard.ua_cache) {
-    if (ua.empty()) continue;  // a missing header is not a UA string
-    ++out.total_ua_strings;
-    ++out.ua_strings_by_device[device_index(cls.device)];
-  }
-  return out;
-}
-
 double MethodMix::get_share() const noexcept {
   return total == 0 ? 0.0
                     : static_cast<double>(get) / static_cast<double>(total);
@@ -261,23 +206,6 @@ MethodMix characterize_methods(const logs::TableView& view,
       });
 }
 
-MethodMix characterize_methods(const logs::Dataset& ds, std::size_t threads) {
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  return stats::parallel_reduce<MethodMix>(
-      pool, records.size(),
-      [&](MethodMix& out, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          ++out.total;
-          switch (records[i].method) {
-            case http::Method::kGet: ++out.get; break;
-            case http::Method::kPost: ++out.post; break;
-            default: ++out.other; break;
-          }
-        }
-      });
-}
-
 double CacheabilityStats::uncacheable_share() const noexcept {
   const auto total = cacheable + uncacheable;
   return total == 0 ? 0.0
@@ -318,37 +246,6 @@ CacheabilityStats characterize_cacheability(const logs::TableView& view,
                          c(logs::CacheStatus::kMiss) +
                          c(logs::CacheStatus::kRefreshHit);
         out.hits += c(logs::CacheStatus::kHit) + c(logs::CacheStatus::kStale);
-      });
-}
-
-CacheabilityStats characterize_cacheability(const logs::Dataset& ds,
-                                            std::size_t threads) {
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  return stats::parallel_reduce<CacheabilityStats>(
-      pool, records.size(),
-      [&](CacheabilityStats& out, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          switch (records[i].cache_status) {
-            case logs::CacheStatus::kError:
-            case logs::CacheStatus::kShed:
-            case logs::CacheStatus::kThrottled:
-              // Failures and overload rejections carry no cacheability signal.
-              break;
-            case logs::CacheStatus::kNotCacheable:
-              ++out.uncacheable;
-              break;
-            case logs::CacheStatus::kHit:
-            case logs::CacheStatus::kStale:  // served from CDN storage
-              ++out.cacheable;
-              ++out.hits;
-              break;
-            case logs::CacheStatus::kMiss:
-            case logs::CacheStatus::kRefreshHit:
-              ++out.cacheable;
-              break;
-          }
-        }
       });
 }
 
@@ -412,37 +309,6 @@ StatusBreakdown characterize_status(const logs::TableView& view,
       });
 }
 
-StatusBreakdown characterize_status(const logs::Dataset& ds,
-                                    std::size_t threads) {
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  return stats::parallel_reduce<StatusBreakdown>(
-      pool, records.size(),
-      [&](StatusBreakdown& out, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& record = records[i];
-          ++out.total;
-          if (record.status >= 500) {
-            ++out.server_error_5xx;
-            if (record.status == 504) ++out.gateway_timeout_504;
-          } else if (record.status >= 400) {
-            ++out.client_error_4xx;
-          } else if (record.status >= 300) {
-            ++out.redirect_3xx;
-          } else if (record.status >= 200) {
-            ++out.ok_2xx;
-          }
-          if (record.cache_status == logs::CacheStatus::kStale)
-            ++out.stale_served;
-          if (record.cache_status == logs::CacheStatus::kError)
-            ++out.error_cache_status;
-          if (record.cache_status == logs::CacheStatus::kShed) ++out.shed;
-          if (record.cache_status == logs::CacheStatus::kThrottled)
-            ++out.throttled;
-        }
-      });
-}
-
 double SizeComparison::p50_ratio() const noexcept {
   return html.p50 == 0.0 ? 0.0 : json.p50 / html.p50;
 }
@@ -501,30 +367,6 @@ SizeComparison compare_sizes(const logs::TableView& view,
   return out;
 }
 
-SizeComparison compare_sizes(const logs::Dataset& ds, std::size_t threads) {
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  const auto shard = stats::parallel_reduce<SizeShard>(
-      pool, records.size(),
-      [&](SizeShard& acc, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto content =
-              http::classify_content(records[i].content_type);
-          if (content == http::ContentClass::kJson) {
-            acc.json_sizes.push_back(
-                static_cast<double>(records[i].response_bytes));
-          } else if (content == http::ContentClass::kHtml) {
-            acc.html_sizes.push_back(
-                static_cast<double>(records[i].response_bytes));
-          }
-        }
-      });
-  SizeComparison out;
-  out.json = stats::summarize(shard.json_sizes);
-  out.html = stats::summarize(shard.html_sizes);
-  return out;
-}
-
 std::vector<DomainCacheability> domain_cacheability(
     const logs::TableView& view, const IndustryLookup& industry_of,
     std::size_t threads) {
@@ -553,8 +395,8 @@ std::vector<DomainCacheability> domain_cacheability(
         shard.by_sym.resize(domains.size());
         for (std::size_t i = begin; i < end; ++i) {
           const auto row = view[i];
-          // Same filters as the Dataset overload: download traffic only,
-          // ERROR records carry no cacheability signal.
+          // Download traffic only; ERROR records carry no cacheability
+          // signal.
           if (!http::is_download(table.method(row))) continue;
           const auto cache = table.cache_status(row);
           if (cache == logs::CacheStatus::kError) continue;
@@ -563,8 +405,7 @@ std::vector<DomainCacheability> domain_cacheability(
           if (cache != logs::CacheStatus::kNotCacheable) ++acc.cacheable;
         }
       });
-  // Emit in domain-string order — the order the Dataset overload's ordered
-  // map iterates in.
+  // Emit in domain-string order.
   std::vector<logs::StringInterner::Symbol> present;
   for (std::size_t s = 0; s < merged.by_sym.size(); ++s) {
     if (merged.by_sym[s].requests > 0)
@@ -584,64 +425,6 @@ std::vector<DomainCacheability> domain_cacheability(
     dc.requests = acc.requests;
     dc.cacheable_share = static_cast<double>(acc.cacheable) /
                          static_cast<double>(acc.requests);
-    out.push_back(std::move(dc));
-  }
-  return out;
-}
-
-std::vector<DomainCacheability> domain_cacheability(
-    const logs::Dataset& ds, const IndustryLookup& industry_of,
-    std::size_t threads) {
-  if (!industry_of)
-    throw std::invalid_argument("domain_cacheability: null industry lookup");
-  struct Acc {
-    std::uint64_t requests = 0;
-    std::uint64_t cacheable = 0;
-  };
-  struct DomainShard {
-    std::map<std::string, Acc> by_domain;  // ordered => deterministic output
-
-    void merge(const DomainShard& shard) {
-      for (const auto& [domain, acc] : shard.by_domain) {
-        auto& mine = by_domain[domain];
-        mine.requests += acc.requests;
-        mine.cacheable += acc.cacheable;
-      }
-    }
-  };
-  const auto& records = ds.records();
-  stats::ThreadPool pool(threads);
-  const auto merged = stats::parallel_reduce<DomainShard>(
-      pool, records.size(),
-      [&](DomainShard& shard, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto& record = records[i];
-          // Cacheability is a property of *served content*: uploads are
-          // inherently uncacheable and would push every domain off the
-          // heatmap's right edge, so the Fig. 4 view considers download
-          // traffic only.
-          if (!http::is_download(record.method)) continue;
-          // ERROR records carry no cacheability signal (see
-          // characterize_cacheability).
-          if (record.cache_status == logs::CacheStatus::kError) continue;
-          auto& acc = shard.by_domain[record.domain];
-          ++acc.requests;
-          if (record.cache_status != logs::CacheStatus::kNotCacheable)
-            ++acc.cacheable;
-        }
-      });
-  const auto& by_domain = merged.by_domain;
-  std::vector<DomainCacheability> out;
-  out.reserve(by_domain.size());
-  for (const auto& [domain, acc] : by_domain) {
-    DomainCacheability dc;
-    dc.domain = domain;
-    dc.category = industry_of(domain);
-    dc.requests = acc.requests;
-    dc.cacheable_share = acc.requests == 0
-                             ? 0.0
-                             : static_cast<double>(acc.cacheable) /
-                                   static_cast<double>(acc.requests);
     out.push_back(std::move(dc));
   }
   return out;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/taxonomy.h"
-#include "logs/dataset.h"
 #include "logs/table.h"
 #include "stats/descriptive.h"
 
@@ -42,13 +41,10 @@ struct SourceBreakdown {
 };
 
 // `threads`: 0 = auto (JSONCDN_THREADS env, else hardware_concurrency).
-// All characterize_* aggregations shard the record range across workers and
+// All characterize_* aggregations shard the view's rows across workers and
 // merge per-shard accumulators in shard order; counts are integers, so the
 // result is bit-identical for any thread count.
-[[nodiscard]] SourceBreakdown characterize_source(const logs::Dataset& ds,
-                                                  std::size_t threads = 1);
-// Columnar variant: device classification runs once per distinct interned UA
-// symbol instead of per distinct string per shard. Bit-identical output.
+// Device classification runs once per distinct interned UA symbol.
 [[nodiscard]] SourceBreakdown characterize_source(const logs::TableView& view,
                                                   std::size_t threads = 1);
 
@@ -68,8 +64,6 @@ struct MethodMix {
   void merge(const MethodMix& other) noexcept;
 };
 
-[[nodiscard]] MethodMix characterize_methods(const logs::Dataset& ds,
-                                             std::size_t threads = 1);
 [[nodiscard]] MethodMix characterize_methods(const logs::TableView& view,
                                              std::size_t threads = 1);
 
@@ -90,8 +84,6 @@ struct CacheabilityStats {
 // customer's cacheability config); STALE counts as a cacheable hit — the
 // bytes came from CDN storage. The streaming counterpart applies the same
 // rules, so batch and streaming agree exactly.
-[[nodiscard]] CacheabilityStats characterize_cacheability(
-    const logs::Dataset& ds, std::size_t threads = 1);
 [[nodiscard]] CacheabilityStats characterize_cacheability(
     const logs::TableView& view, std::size_t threads = 1);
 
@@ -122,12 +114,10 @@ struct StatusBreakdown {
   void merge(const StatusBreakdown& other) noexcept;
 };
 
-[[nodiscard]] StatusBreakdown characterize_status(const logs::Dataset& ds,
-                                                  std::size_t threads = 1);
 [[nodiscard]] StatusBreakdown characterize_status(const logs::TableView& view,
                                                   std::size_t threads = 1);
 
-// JSON vs HTML response sizes over an (unfiltered) dataset.
+// JSON vs HTML response sizes over an (unfiltered) log.
 struct SizeComparison {
   stats::Summary json;
   stats::Summary html;
@@ -137,10 +127,8 @@ struct SizeComparison {
   [[nodiscard]] double p75_ratio() const noexcept;
 };
 
-[[nodiscard]] SizeComparison compare_sizes(const logs::Dataset& ds,
-                                           std::size_t threads = 1);
-// Columnar variant: content classification runs once per distinct interned
-// content-type symbol, then rows reduce over a precomputed class column.
+// Content classification runs once per distinct interned content-type
+// symbol, then rows reduce over a precomputed class column.
 [[nodiscard]] SizeComparison compare_sizes(const logs::TableView& view,
                                            std::size_t threads = 1);
 
@@ -160,12 +148,8 @@ struct DomainCacheability {
 
 // The industry lookup is invoked serially (once per distinct domain, after
 // the sharded per-record aggregation), so it need not be thread-safe.
-[[nodiscard]] std::vector<DomainCacheability> domain_cacheability(
-    const logs::Dataset& ds, const IndustryLookup& industry_of,
-    std::size_t threads = 1);
-// Columnar variant: shards accumulate into flat per-domain-symbol arrays
-// (no string hashing or tree walks); output order is by domain string, same
-// as the Dataset overload's ordered-map iteration.
+// Shards accumulate into flat per-domain-symbol arrays (no string hashing or
+// tree walks); output is ordered by domain string.
 [[nodiscard]] std::vector<DomainCacheability> domain_cacheability(
     const logs::TableView& view, const IndustryLookup& industry_of,
     std::size_t threads = 1);

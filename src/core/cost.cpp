@@ -25,25 +25,28 @@ const ClassCost* CostReport::find(http::ContentClass content) const {
   return nullptr;
 }
 
-CostReport analyze_costs(const logs::Dataset& ds, const CostModel& model) {
+CostReport analyze_costs(const logs::TableView& view, const CostModel& model) {
   if (model.cpu_per_request < 0.0 || model.cpu_per_kilobyte < 0.0 ||
       model.network_per_kilobyte < 0.0 || model.origin_per_request < 0.0)
     throw std::invalid_argument("analyze_costs: negative cost component");
 
   std::map<http::ContentClass, ClassCost> by_class;
-  for (const auto& record : ds.records()) {
-    const auto content = http::classify_content(record.content_type);
+  const auto& table = view.table();
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    const auto row = view[k];
+    const auto content = http::classify_content(table.content_type(row));
     auto& acc = by_class[content];
     acc.content = content;
     ++acc.requests;
-    acc.bytes += record.response_bytes;
-    const double kb = static_cast<double>(record.response_bytes) / 1024.0;
+    acc.bytes += table.response_bytes(row);
+    const double kb = static_cast<double>(table.response_bytes(row)) / 1024.0;
     acc.cpu_cost += model.cpu_per_request + model.cpu_per_kilobyte * kb;
     acc.network_cost += model.network_per_kilobyte * kb;
     // Overload rejections are answered at the edge without an origin trip.
-    if (record.cache_status != logs::CacheStatus::kHit &&
-        record.cache_status != logs::CacheStatus::kShed &&
-        record.cache_status != logs::CacheStatus::kThrottled) {
+    const auto cache = table.cache_status(row);
+    if (cache != logs::CacheStatus::kHit &&
+        cache != logs::CacheStatus::kShed &&
+        cache != logs::CacheStatus::kThrottled) {
       acc.origin_cost += model.origin_per_request;
     }
   }

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "http/mime.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 
 namespace jsoncdn::core {
 
@@ -54,9 +54,9 @@ struct CostReport {
   [[nodiscard]] const ClassCost* find(http::ContentClass content) const;
 };
 
-// Prices every record of the dataset under the model. Origin cost applies
-// to records that were tunneled or missed (anything not served from cache).
-[[nodiscard]] CostReport analyze_costs(const logs::Dataset& ds,
+// Prices every row of the view under the model. Origin cost applies to
+// rows that were tunneled or missed (anything not served from cache).
+[[nodiscard]] CostReport analyze_costs(const logs::TableView& view,
                                        const CostModel& model = {});
 
 // Text rendering for benches/examples.

@@ -169,13 +169,10 @@ std::vector<NgramModel::Prediction> NgramModel::predict(
 
 namespace {
 
-// Shared evaluation driver over extracted client flows. `url_of(idx)`
-// resolves a flow record index to its URL — the only input access the
-// protocol needs — so the row (Dataset) and columnar (TableView) entry
-// points produce bit-identical accuracy by construction.
-template <typename UrlOf>
+// Evaluation driver over the view's extracted client flows. A flow record
+// index is a view position; its URL is the only input the protocol reads.
 NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
-                             const UrlOf& url_of,
+                             const logs::TableView& view,
                              const NgramEvalConfig& config) {
   if (config.train_fraction <= 0.0 || config.train_fraction >= 1.0)
     throw std::invalid_argument("evaluate_ngram: train_fraction outside (0,1)");
@@ -190,7 +187,7 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
     std::vector<std::string> tokens;
     tokens.reserve(flow.record_indices.size());
     for (const auto idx : flow.record_indices) {
-      const std::string_view url = url_of(idx);
+      const std::string_view url = view.table().url(view[idx]);
       tokens.push_back(config.clustered ? cluster_url(url) : std::string(url));
     }
     return tokens;
@@ -295,26 +292,10 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
 
 }  // namespace
 
-NgramAccuracy evaluate_ngram(const logs::Dataset& ds,
-                             const NgramEvalConfig& config) {
-  const auto flows = logs::extract_client_flows(ds, config.min_flow_requests);
-  const auto& records = ds.records();
-  return evaluate_flows(
-      flows,
-      [&](std::size_t idx) -> std::string_view { return records[idx].url; },
-      config);
-}
-
 NgramAccuracy evaluate_ngram(const logs::TableView& view,
                              const NgramEvalConfig& config) {
   const auto flows = logs::extract_client_flows(view, config.min_flow_requests);
-  return evaluate_flows(
-      flows,
-      // Flow indices are view positions; tokens come from the dictionary.
-      [&](std::size_t idx) -> std::string_view {
-        return view.table().url(view[idx]);
-      },
-      config);
+  return evaluate_flows(flows, view, config);
 }
 
 }  // namespace jsoncdn::core

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "logs/dataset.h"
 #include "logs/table.h"
 #include "stats/hash.h"
 #include "stats/rng.h"
@@ -108,13 +107,9 @@ struct NgramAccuracy {
 
 // Trains on train_fraction of clients and scores accuracy@K on the rest,
 // exactly the paper's protocol (client-level split, per-client request
-// flows, URL features; clustered variant applies cluster_url()).
-[[nodiscard]] NgramAccuracy evaluate_ngram(const logs::Dataset& ds,
-                                           const NgramEvalConfig& config);
-
-// Columnar variant: client flows group on interned symbols and URL tokens
-// come straight from the table's dictionary. Accuracy figures are
-// bit-identical to the Dataset overload on the equivalent rows.
+// flows, URL features; clustered variant applies cluster_url()). Client
+// flows group on interned symbols and URL tokens come straight from the
+// table's dictionary.
 [[nodiscard]] NgramAccuracy evaluate_ngram(const logs::TableView& view,
                                            const NgramEvalConfig& config);
 

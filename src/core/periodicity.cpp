@@ -327,9 +327,8 @@ ObjectPeriodicity analyze_object_flow(const PeriodDetector& detector,
   return obj;
 }
 
-// Shared driver: the whole analysis after flow extraction depends only on
-// the ObjectFlow values, so the row (Dataset) and columnar (TableView)
-// entry points below produce bit-identical reports by construction.
+// The whole analysis after flow extraction depends only on the ObjectFlow
+// values.
 PeriodicityReport analyze_flows(const std::vector<logs::ObjectFlow>& flows,
                                 std::size_t input_requests,
                                 const PeriodicityConfig& config) {
@@ -391,12 +390,6 @@ PeriodicityReport analyze_flows(const std::vector<logs::ObjectFlow>& flows,
 }
 
 }  // namespace
-
-PeriodicityReport analyze_periodicity(const logs::Dataset& ds,
-                                      const PeriodicityConfig& config) {
-  return analyze_flows(logs::extract_object_flows(ds, config.flow_filter),
-                       ds.size(), config);
-}
 
 PeriodicityReport analyze_periodicity(const logs::TableView& view,
                                       const PeriodicityConfig& config) {

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "logs/dataset.h"
 #include "logs/table.h"
 #include "stats/autocorrelation.h"
 #include "stats/rng.h"
@@ -137,7 +136,7 @@ class PeriodicityDetector {
   DetectorParams params_;
 };
 
-// ---- Dataset-level analysis ----------------------------------------------
+// ---- Log-level analysis --------------------------------------------------
 
 struct ClientPeriodRecord {
   std::string client;
@@ -197,15 +196,9 @@ struct PeriodicityReport {
   std::vector<double> periodic_client_shares;
 };
 
-// Runs the full §5.1 pipeline over a dataset (callers pass the JSON-filtered
-// dataset to match the paper).
-[[nodiscard]] PeriodicityReport analyze_periodicity(
-    const logs::Dataset& ds, const PeriodicityConfig& config);
-
-// Columnar variant: same pipeline over a LogTable view (callers pass the
-// JSON-row selection). Flow grouping keys on interned u32 symbols instead of
-// hashing strings per record; the report is bit-identical to the Dataset
-// overload on the equivalent rows.
+// Runs the full §5.1 pipeline over a LogTable view (callers pass the
+// JSON-row selection to match the paper). Flow grouping keys on interned u32
+// symbols instead of hashing strings per record.
 [[nodiscard]] PeriodicityReport analyze_periodicity(
     const logs::TableView& view, const PeriodicityConfig& config);
 

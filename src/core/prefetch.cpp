@@ -44,16 +44,16 @@ std::vector<std::string> NgramPrefetcher::candidates(
   return out;
 }
 
-NgramModel train_prefetch_model(const logs::Dataset& ds,
+NgramModel train_prefetch_model(const logs::TableView& view,
                                 std::size_t context_len,
                                 std::size_t min_flow_requests) {
   NgramModel model(context_len);
-  const auto& records = ds.records();
-  for (const auto& flow : logs::extract_client_flows(ds, min_flow_requests)) {
+  for (const auto& flow :
+       logs::extract_client_flows(view, min_flow_requests)) {
     std::vector<std::string> tokens;
     tokens.reserve(flow.record_indices.size());
     for (const auto idx : flow.record_indices)
-      tokens.push_back(records[idx].url);
+      tokens.emplace_back(view.table().url(view[idx]));
     model.observe_sequence(tokens);
   }
   return model;

@@ -63,8 +63,8 @@ class NgramPrefetcher final : public cdn::PrefetchPolicy {
 };
 
 // Convenience: train a raw-URL ngram model from a (typically historical)
-// dataset, one observation sequence per client flow.
-[[nodiscard]] NgramModel train_prefetch_model(const logs::Dataset& ds,
+// log view, one observation sequence per client flow.
+[[nodiscard]] NgramModel train_prefetch_model(const logs::TableView& view,
                                               std::size_t context_len = 1,
                                               std::size_t min_flow_requests = 2);
 

@@ -13,18 +13,19 @@ StudyResult run_study(const StudyConfig& config) {
 
   cdn::CdnNetwork network(generator.catalog().objects(), config.network);
   StudyResult result;
-  result.dataset = network.run(workload.events);
+  result.table = network.run(workload.events);
   result.delivery = network.total_metrics();
   result.truth = std::move(workload.truth);
-  result.json = result.dataset.json_only();
+  result.json_rows = result.table.json_rows();
+  const logs::TableView json = result.json();
 
   const std::size_t threads = stats::resolve_threads(config.threads);
 
   if (config.run_characterization) {
-    result.source = characterize_source(result.json, threads);
-    result.methods = characterize_methods(result.json, threads);
-    result.cacheability = characterize_cacheability(result.json, threads);
-    result.sizes = compare_sizes(result.dataset, threads);
+    result.source = characterize_source(json, threads);
+    result.methods = characterize_methods(json, threads);
+    result.cacheability = characterize_cacheability(json, threads);
+    result.sizes = compare_sizes(result.full(), threads);
 
     // Industry lookup from the catalog ground truth (the stand-in for the
     // commercial categorization service the paper uses).
@@ -36,14 +37,14 @@ StudyResult run_study(const StudyConfig& config) {
       const auto it = industry.find(std::string(domain));
       return it == industry.end() ? std::string("Unknown") : it->second;
     };
-    result.domains = domain_cacheability(result.json, lookup, threads);
+    result.domains = domain_cacheability(json, lookup, threads);
     result.heatmap = cacheability_heatmap(result.domains);
   }
 
   if (config.run_periodicity) {
     PeriodicityConfig periodicity = config.periodicity;
     periodicity.threads = threads;
-    result.periodicity = analyze_periodicity(result.json, periodicity);
+    result.periodicity = analyze_periodicity(json, periodicity);
   }
 
   if (!config.ngram_configs.empty()) {
@@ -56,7 +57,7 @@ StudyResult run_study(const StudyConfig& config) {
         pool, config.ngram_configs.size(), [&](std::size_t i) {
           NgramEvalConfig ngram_config = config.ngram_configs[i];
           ngram_config.threads = std::max<std::size_t>(1, threads / outer);
-          return evaluate_ngram(result.json, ngram_config);
+          return evaluate_ngram(json, ngram_config);
         });
   }
   return result;

@@ -1,5 +1,5 @@
 // End-to-end study pipeline: scenario -> synthetic workload -> CDN
-// simulation -> edge-log dataset -> every §4/§5 analysis. This is the
+// simulation -> edge-log table -> every §4/§5 analysis. This is the
 // one-call public API; examples and benches compose it or its pieces.
 #pragma once
 
@@ -12,7 +12,7 @@
 #include "core/characterization.h"
 #include "core/ngram.h"
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "workload/generator.h"
 
 namespace jsoncdn::core {
@@ -32,16 +32,23 @@ struct StudyConfig {
 };
 
 struct StudyResult {
-  logs::Dataset dataset;        // all content types
-  logs::Dataset json;           // application/json only
+  logs::LogTable table;                       // all content types
+  std::vector<logs::LogTable::RowIndex> json_rows;  // application/json only
   workload::GroundTruth truth;  // never consumed by the analyses
   cdn::DeliveryMetrics delivery;
 
-  // §4 characterization (over the JSON dataset unless noted).
+  // Views are built on demand rather than stored: a stored view would point
+  // at the table of a moved-from result.
+  [[nodiscard]] logs::TableView full() const { return logs::TableView(table); }
+  [[nodiscard]] logs::TableView json() const {
+    return logs::TableView(table, json_rows);
+  }
+
+  // §4 characterization (over the JSON rows unless noted).
   std::optional<SourceBreakdown> source;
   std::optional<MethodMix> methods;
   std::optional<CacheabilityStats> cacheability;
-  std::optional<SizeComparison> sizes;                // over the full dataset
+  std::optional<SizeComparison> sizes;                // over all rows
   std::optional<CacheabilityHeatmap> heatmap;
   std::vector<DomainCacheability> domains;
 

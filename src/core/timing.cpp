@@ -39,15 +39,17 @@ void InterarrivalModel::observe(std::string_view from, std::string_view to,
   ++observations_;
 }
 
-void InterarrivalModel::observe_dataset(const logs::Dataset& ds,
+void InterarrivalModel::observe_dataset(const logs::TableView& view,
                                         std::size_t min_flow_requests) {
-  const auto& records = ds.records();
-  for (const auto& flow : logs::extract_client_flows(ds, min_flow_requests)) {
+  const auto& table = view.table();
+  for (const auto& flow :
+       logs::extract_client_flows(view, min_flow_requests)) {
     for (std::size_t i = 1; i < flow.record_indices.size(); ++i) {
-      const auto& prev = records[flow.record_indices[i - 1]];
-      const auto& next = records[flow.record_indices[i]];
-      const double gap = std::max(0.0, next.timestamp - prev.timestamp);
-      observe(prev.url, next.url, gap);
+      const auto prev = view[flow.record_indices[i - 1]];
+      const auto next = view[flow.record_indices[i]];
+      const double gap =
+          std::max(0.0, table.timestamp(next) - table.timestamp(prev));
+      observe(table.url(prev), table.url(next), gap);
     }
   }
 }

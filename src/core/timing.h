@@ -16,7 +16,7 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "logs/dataset.h"
+#include "logs/table.h"
 
 namespace jsoncdn::core {
 
@@ -40,9 +40,9 @@ class InterarrivalModel {
   // Records one observed transition with its gap (seconds, >= 0).
   void observe(std::string_view from, std::string_view to, double gap);
 
-  // Trains from per-client flows of a dataset: every consecutive request
-  // pair contributes one observation.
-  void observe_dataset(const logs::Dataset& ds,
+  // Trains from the per-client flows of a log view: every consecutive
+  // request pair contributes one observation.
+  void observe_dataset(const logs::TableView& view,
                        std::size_t min_flow_requests = 2);
 
   // Gap statistics for a transition, if it was ever observed.

@@ -3,14 +3,9 @@
 #include <array>
 #include <charconv>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iomanip>
-#include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
-#include <utility>
 
 #include "http/method.h"
 
@@ -206,168 +201,6 @@ LogWriter::LogWriter(std::ostream& out) : out_(out) {
 void LogWriter::write(const LogRecord& record) {
   out_ << to_line(record) << '\n';
   ++written_;
-}
-
-LogReader::LogReader(std::istream& in) : in_(in) {}
-
-std::vector<LogRecord> LogReader::read_all(std::size_t reserve_hint) {
-  std::vector<LogRecord> out;
-  out.reserve(reserve_hint);
-  std::string line;
-  while (std::getline(in_, line)) {
-    std::string_view view(line);
-    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
-    if (view.empty() || view.front() == '#') continue;
-    if (auto rec = from_line(view)) {
-      out.push_back(std::move(*rec));
-    } else {
-      ++malformed_;
-    }
-  }
-  return out;
-}
-
-std::size_t estimate_record_count(const std::string& path) {
-  std::error_code ec;
-  const auto bytes = std::filesystem::file_size(path, ec);
-  if (ec) return 0;
-  // to_line emits ~100-200 bytes per record for realistic URLs and UAs; a
-  // conservative divisor over-reserves slightly rather than reallocating.
-  constexpr std::uintmax_t kEstimatedBytesPerRecord = 96;
-  return static_cast<std::size_t>(bytes / kEstimatedBytesPerRecord);
-}
-
-Dataset read_log_file(const std::string& path, std::uint64_t* malformed) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open log file: " + path);
-  LogReader reader(in);
-  Dataset dataset(reader.read_all(estimate_record_count(path)));
-  if (malformed) *malformed = reader.malformed_lines();
-  return dataset;
-}
-
-namespace {
-
-// Shared hardened line loop: header/version validation, strict-vs-permissive
-// handling, per-reason accounting, quarantine, and the error budget. `emit`
-// receives each accepted record.
-template <typename Emit>
-IngestReport ingest_stream(std::istream& in, const IngestOptions& options,
-                           Emit&& emit) {
-  constexpr std::string_view kMagic = "#jsoncdn-log";
-  IngestReport report;
-  std::string line;
-  std::string reason;
-  std::uint64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    ++report.lines;
-    std::string_view view(line);
-    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
-    if (view.empty()) continue;
-    if (view.front() == '#') {
-      if (view.substr(0, kMagic.size()) == kMagic) {
-        report.header_seen = true;
-        // A wrong version means every following line may parse *wrong*
-        // rather than fail — fatal in both modes.
-        if (view != log_header()) {
-          throw std::runtime_error(
-              "unsupported log header at line " + std::to_string(line_number) +
-              " (expected \"" + std::string(log_header()) + "\")");
-        }
-      }
-      continue;
-    }
-    if (auto rec = from_line(view, &reason)) {
-      ++report.records;
-      emit(std::move(*rec));
-      continue;
-    }
-    if (options.mode == ParseMode::kStrict) {
-      throw std::runtime_error("malformed log line " +
-                               std::to_string(line_number) + ": " + reason);
-    }
-    ++report.malformed;
-    ++report.reasons[reason];
-    if (options.quarantine != nullptr) {
-      options.quarantine->quarantine(line_number, view, reason);
-    }
-    if (report.malformed > options.max_malformed) {
-      throw std::runtime_error(
-          "ingest error budget exceeded: " + std::to_string(report.malformed) +
-          " malformed lines (limit " + std::to_string(options.max_malformed) +
-          ")");
-    }
-  }
-  return report;
-}
-
-}  // namespace
-
-Dataset ingest_log_file(const std::string& path, const IngestOptions& options,
-                        IngestReport* report) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open log file: " + path);
-  std::vector<LogRecord> records;
-  records.reserve(estimate_record_count(path));
-  auto local = ingest_stream(in, options, [&records](LogRecord&& rec) {
-    records.push_back(std::move(rec));
-  });
-  if (report != nullptr) *report = std::move(local);
-  return Dataset(std::move(records));
-}
-
-IngestReport ingest_for_each_record(
-    const std::string& path, std::size_t chunk_size,
-    const IngestOptions& options,
-    const std::function<void(std::span<const LogRecord>)>& fn) {
-  if (chunk_size == 0) chunk_size = 1;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open log file: " + path);
-  std::vector<LogRecord> chunk;
-  chunk.reserve(chunk_size);
-  auto report =
-      ingest_stream(in, options, [&chunk, &fn, chunk_size](LogRecord&& rec) {
-        chunk.push_back(std::move(rec));
-        if (chunk.size() == chunk_size) {
-          fn(std::span<const LogRecord>(chunk));
-          chunk.clear();
-        }
-      });
-  if (!chunk.empty()) fn(std::span<const LogRecord>(chunk));
-  return report;
-}
-
-FileReadStats for_each_record(
-    const std::string& path, std::size_t chunk_size,
-    const std::function<void(std::span<const LogRecord>)>& fn) {
-  if (chunk_size == 0) chunk_size = 1;
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open log file: " + path);
-  FileReadStats stats;
-  std::vector<LogRecord> chunk;
-  chunk.reserve(chunk_size);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::string_view view(line);
-    if (!view.empty() && view.back() == '\r') view.remove_suffix(1);
-    if (view.empty() || view.front() == '#') continue;
-    if (auto rec = from_line(view)) {
-      chunk.push_back(std::move(*rec));
-      if (chunk.size() == chunk_size) {
-        fn(std::span<const LogRecord>(chunk));
-        stats.records += chunk.size();
-        chunk.clear();
-      }
-    } else {
-      ++stats.malformed;
-    }
-  }
-  if (!chunk.empty()) {
-    fn(std::span<const LogRecord>(chunk));
-    stats.records += chunk.size();
-  }
-  return stats;
 }
 
 }  // namespace jsoncdn::logs

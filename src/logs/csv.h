@@ -1,21 +1,17 @@
 // Log (de)serialization as TSV — one record per line, tab-separated, with
-// URL-style escaping of tabs/newlines inside fields. Edge servers in the
-// simulator stream records through a LogWriter; analyses that want to work
-// from files read them back with LogReader. Round-trip is lossless
-// (property-tested).
+// URL-style escaping of tabs/newlines inside fields. jsoncdn-generate writes
+// logs through a LogWriter; the zero-copy ingest (logs/zerocopy.h) reads
+// them back into a LogTable with the line parser and ingest accounting
+// declared here. Round-trip is lossless (property-tested).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "logs/dataset.h"
 #include "logs/record.h"
 
 namespace jsoncdn::logs {
@@ -35,7 +31,7 @@ namespace jsoncdn::logs {
 
 // Parses one line. Returns nullopt on malformed input (wrong column count,
 // non-numeric numerics, unknown enums) — malformed log lines are data errors,
-// skipped and counted by the reader, never exceptions. A trailing '\r'
+// skipped and counted by the ingest, never exceptions. A trailing '\r'
 // (CRLF line ending) is tolerated; files without a final newline parse the
 // last row like any other.
 [[nodiscard]] std::optional<LogRecord> from_line(std::string_view line);
@@ -150,63 +146,5 @@ class LogWriter {
   std::ostream& out_;
   std::uint64_t written_ = 0;
 };
-
-// Reads records from an istream; tolerates and counts malformed lines.
-class LogReader {
- public:
-  explicit LogReader(std::istream& in);
-  // Reads everything that remains; `reserve_hint` pre-sizes the result
-  // vector (see estimate_record_count for file-backed streams).
-  [[nodiscard]] std::vector<LogRecord> read_all(std::size_t reserve_hint = 0);
-  [[nodiscard]] std::uint64_t malformed_lines() const noexcept {
-    return malformed_;
-  }
-
- private:
-  std::istream& in_;
-  std::uint64_t malformed_ = 0;
-};
-
-// Estimated record count from the file size — a reserve hint, not a promise;
-// 0 when the file cannot be stat'ed.
-[[nodiscard]] std::size_t estimate_record_count(const std::string& path);
-
-// Loads a whole log file into a Dataset, reserving capacity from the file
-// size so the load does one allocation instead of log2(n) regrows. Throws
-// std::runtime_error if the file cannot be opened; malformed lines are
-// skipped and counted into `*malformed` when non-null.
-[[nodiscard]] Dataset read_log_file(const std::string& path,
-                                    std::uint64_t* malformed = nullptr);
-
-// Hardened whole-file load. Permissive mode skips/quarantines bad lines and
-// fills `*report`; strict mode throws std::runtime_error naming the first bad
-// line. Also throws when the file cannot be opened, when a "#jsoncdn-log"
-// header announces an unsupported version, or when the permissive error
-// budget (options.max_malformed) is exceeded.
-[[nodiscard]] Dataset ingest_log_file(const std::string& path,
-                                      const IngestOptions& options,
-                                      IngestReport* report = nullptr);
-
-struct FileReadStats {
-  std::uint64_t records = 0;    // well-formed records delivered to fn
-  std::uint64_t malformed = 0;  // lines skipped
-};
-
-// Streams a log file through `fn` in chunks of up to `chunk_size` records
-// without ever materializing the whole file — the bounded-memory ingest path
-// for stream::StreamingStudy. The span passed to fn is only valid for the
-// duration of the call. Throws std::runtime_error if the file cannot be
-// opened.
-FileReadStats for_each_record(
-    const std::string& path, std::size_t chunk_size,
-    const std::function<void(std::span<const LogRecord>)>& fn);
-
-// Hardened chunked streaming ingest — for_each_record with the same
-// strict/permissive/quarantine semantics as ingest_log_file. Returns the
-// full ingest report.
-IngestReport ingest_for_each_record(
-    const std::string& path, std::size_t chunk_size,
-    const IngestOptions& options,
-    const std::function<void(std::span<const LogRecord>)>& fn);
 
 }  // namespace jsoncdn::logs

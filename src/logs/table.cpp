@@ -115,22 +115,6 @@ LogRecord LogTable::Row::materialize() const {
   return r;
 }
 
-LogTable LogTable::from_dataset(const Dataset& dataset) {
-  LogTable table;
-  table.reserve(dataset.size());
-  for (const auto& r : dataset.records()) table.append(r);
-  return table;
-}
-
-Dataset LogTable::to_dataset() const {
-  Dataset out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    out.add(record(static_cast<RowIndex>(i)));
-  }
-  return out;
-}
-
 void LogTable::sort_by_time() {
   std::vector<std::uint32_t> perm(size());
   std::iota(perm.begin(), perm.end(), 0u);
@@ -166,6 +150,17 @@ std::vector<LogTable::RowIndex> LogTable::json_rows() const {
   return out;
 }
 
+LogTable LogTable::select(std::span<const RowIndex> rows) const {
+  LogTable out;
+  out.reserve(rows.size());
+  for (const auto i : rows) {
+    out.append_fields(ts_[i], client_id(i), user_agent(i), method_[i], url(i),
+                      domain(i), content_type(i), status_[i], resp_bytes_[i],
+                      req_bytes_[i], cache_[i], edge_[i]);
+  }
+  return out;
+}
+
 std::pair<double, double> LogTable::time_range() const {
   if (ts_.empty()) return {0.0, 0.0};
   double lo = ts_.front();
@@ -197,9 +192,8 @@ std::size_t LogTable::memory_bytes() const noexcept {
   return bytes;
 }
 
-// Flow indices are positions *within the view* (0..view.size()-1), matching
-// the record indices the Dataset overload produces on the equivalent filtered
-// dataset; consumers map back to table rows with view[idx].
+// Flow indices are positions *within the view* (0..view.size()-1);
+// consumers map back to table rows with view[idx].
 std::vector<ObjectFlow> extract_object_flows(const TableView& view,
                                              const FlowFilter& filter) {
   const LogTable& table = view.table();
@@ -235,9 +229,9 @@ std::vector<ObjectFlow> extract_object_flows(const TableView& view,
                                            offsets[sym + 1] - offsets[sym]);
     if (indices.empty()) continue;  // url not present in this view
 
-    // Same defensive time sort as the Dataset path: identical comparator on
-    // the identical input sequence, so equal-timestamp ties break the same
-    // way even though std::sort is not stable.
+    // Defensive time sort (the rows of a time-sorted table are already in
+    // order). std::sort is not stable, but the comparator and the input
+    // sequence are fixed, so equal-timestamp ties always break the same way.
     std::sort(indices.begin(), indices.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 return table.timestamp(view[a]) < table.timestamp(view[b]);

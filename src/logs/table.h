@@ -1,5 +1,5 @@
-// Columnar, dictionary-encoded log storage — the high-throughput counterpart
-// of the row-oriented Dataset.
+// Columnar, dictionary-encoded log storage — the one in-memory row
+// representation every analysis consumes.
 //
 // A LogTable keeps each LogRecord field in its own contiguous column;
 // the five string fields (url, client_id, user_agent, domain, content_type)
@@ -11,21 +11,21 @@
 // the packed (client_sym << 32 | url_sym) u64 identifies a client-object
 // flow in one integer compare.
 //
-// Determinism contract: a LogTable built by appending the records of a
-// Dataset in order contains the same rows in the same order; symbols are
-// assigned in first-seen order; sort_by_time() applies the same stable
-// timestamp sort as Dataset::sort_by_time(). Every analysis that consumes a
-// TableView instead of a Dataset produces bit-identical reports (covered by
-// logs_columnar_equivalence_test).
+// Determinism contract: rows keep append order; symbols are assigned in
+// first-seen order; sort_by_time() is a stable timestamp sort. Analyses
+// take a TableView (a row selection), so the full and the JSON-only inputs
+// share one implementation, and every report is bit-identical across
+// thread counts and ingest paths (TSV, .jlog v1, .jlog v2).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "http/method.h"
-#include "logs/dataset.h"
 #include "logs/interner.h"
 #include "logs/record.h"
 
@@ -240,18 +240,19 @@ class LogTable {
     return row(i).materialize();
   }
 
-  // ---- Conversions & maintenance ------------------------------------------
-  [[nodiscard]] static LogTable from_dataset(const Dataset& dataset);
-  [[nodiscard]] Dataset to_dataset() const;
-
-  // Stable ascending-time sort of all columns — the same permutation
-  // Dataset::sort_by_time() applies to its records.
+  // ---- Maintenance --------------------------------------------------------
+  // Stable ascending-time sort of all columns. Dictionaries keep their
+  // first-seen (pre-sort) symbol order.
   void sort_by_time();
 
   // Row indices whose response content-type is application/json (the
   // paper's JSON filter). Content classification runs once per distinct
   // content-type symbol, not per row.
   [[nodiscard]] std::vector<RowIndex> json_rows() const;
+
+  // A new table holding `rows` in span order; its dictionaries intern only
+  // the strings those rows use, in first-seen order.
+  [[nodiscard]] LogTable select(std::span<const RowIndex> rows) const;
 
   // [min, max] timestamp; {0, 0} when empty.
   [[nodiscard]] std::pair<double, double> time_range() const;
@@ -268,8 +269,7 @@ class LogTable {
     return client_dict_.size();
   }
 
-  // Approximate heap footprint (columns + dictionaries) — comparable to the
-  // per-record string capacities a Dataset carries.
+  // Approximate heap footprint (columns + dictionaries).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -340,14 +340,60 @@ class TableView {
   bool all_;
 };
 
-// Columnar flow extraction: groups rows by url symbol (objects) and packed
-// flow key (client-object subflows) instead of hashing strings per record.
-// Output is identical to the Dataset overloads on the same rows — flows
-// sorted by url, client subflows sorted by client key, same filter
-// semantics — so every downstream analysis is unchanged.
+// ---- Flow groupings (§5.1) ---------------------------------------------
+//
+// The paper defines: an *object flow* is the sequence of requests made by all
+// clients to a specific object (unique URL); a *client-object flow* is the
+// subsequence from one client, where a client is the (user-agent, anonymized
+// IP) pair. The periodicity study filters out client-object flows with fewer
+// than 10 requests and object flows with fewer than 10 clients.
+//
+// Record indices in the flows below are positions *within the view*
+// (0..view.size()-1); map them back to table rows with view[idx].
+
+// One client's request subsequence for one object.
+struct ClientObjectFlow {
+  std::string client;               // client key of the requester
+  std::vector<double> times;        // ascending request timestamps
+  std::vector<std::size_t> record_indices;  // view positions
+};
+
+// All requests for one object, with per-client subflows.
+struct ObjectFlow {
+  std::string url;
+  std::vector<double> times;        // ascending, all clients merged
+  std::vector<ClientObjectFlow> clients;
+  std::size_t total_requests = 0;
+  // Fraction of this object's requests that are uncacheable / uploads —
+  // used by §5.1's "periodic traffic is 56.2% uncacheable, 78% upload".
+  double uncacheable_share = 0.0;
+  double upload_share = 0.0;
+};
+
+struct FlowFilter {
+  // Paper defaults: flows with >= 10 requests, objects with >= 10 clients.
+  std::size_t min_client_flow_requests = 10;
+  std::size_t min_object_clients = 10;
+};
+
+// Groups the view's rows into object flows, applying the filter: rows are
+// bucketed by url symbol (objects) and client symbol (client-object
+// subflows) instead of hashing strings per record. Flows are sorted by url
+// and client subflows by client key. Client subflows below the request
+// threshold are dropped from `clients` but still counted in
+// `times`/`total_requests` (they are real traffic; they are just too short
+// to test for periodicity).
 [[nodiscard]] std::vector<ObjectFlow> extract_object_flows(
     const TableView& view, const FlowFilter& filter = {});
 
+// Per-client full request sequence (across all objects), used by the ngram
+// predictor: each element is (client key, view positions in time order).
+struct ClientFlow {
+  std::string client;
+  std::vector<std::size_t> record_indices;
+};
+
+// Client flows with at least `min_requests` rows, sorted by client key.
 [[nodiscard]] std::vector<ClientFlow> extract_client_flows(
     const TableView& view, std::size_t min_requests = 2);
 

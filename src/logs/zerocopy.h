@@ -3,11 +3,10 @@
 // std::string is ever built — unescaping only happens for the rare field
 // that actually contains an escape byte, into one reused buffer.
 //
-// Semantics are identical to ingest_log_file (PR 3's hardened loop): same
-// line accounting, '#' comment and "#jsoncdn-log" header/version handling,
-// strict/permissive modes, quarantine callbacks, per-reason counts, and
-// error-budget enforcement — same inputs produce the same IngestReport and
-// the same rows in the same order.
+// The ingest is hardened: it keeps line accounting, '#' comment and
+// "#jsoncdn-log" header/version handling, strict/permissive modes,
+// quarantine callbacks, per-reason counts, and error-budget enforcement
+// (the IngestOptions/IngestReport contract in logs/csv.h).
 #pragma once
 
 #include <cstddef>
@@ -43,11 +42,11 @@ class MappedFile {
   bool mapped_ = false;      // true: munmap on destruction; false: delete[]
 };
 
-// Loads a whole log file into a LogTable via the zero-copy path. Error
-// handling mirrors ingest_log_file exactly: throws when the file cannot be
-// opened, on an unsupported "#jsoncdn-log" header version, on the first
-// malformed line in strict mode, and when the permissive error budget is
-// exceeded; otherwise malformed lines are counted/quarantined into *report.
+// Loads a whole log file into a LogTable via the zero-copy path. Throws
+// when the file cannot be opened, on an unsupported "#jsoncdn-log" header
+// version, on the first malformed line in strict mode, and when the
+// permissive error budget is exceeded; otherwise malformed lines are
+// counted/quarantined into *report.
 [[nodiscard]] LogTable read_log_table(const std::string& path,
                                       const IngestOptions& options = {},
                                       IngestReport* report = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <sstream>
 
 #include "cdn/network.h"
@@ -49,11 +50,11 @@ std::string fmt(double value) {
 // a delivery-health view over the whole stream, while methods, cacheability,
 // and the device breakdown are the paper's JSON-only analyses.
 bool same_counters(const stream::StreamingSummary& streaming,
-                   const logs::Dataset& dataset, const logs::Dataset& json,
+                   const logs::TableView& full, const logs::TableView& json,
                    std::size_t threads) {
   const auto methods = core::characterize_methods(json, threads);
   const auto cache = core::characterize_cacheability(json, threads);
-  const auto status = core::characterize_status(dataset, threads);
+  const auto status = core::characterize_status(full, threads);
   const auto source = core::characterize_source(json, threads);
   const auto& sm = streaming.methods;
   const auto& sc = streaming.cacheability;
@@ -102,13 +103,13 @@ GeneratedCase generate_case(std::uint64_t seed,
   cdn::CdnNetwork network(generator.catalog().objects(), cdn::NetworkParams{});
   GeneratedCase out;
   out.seed = seed;
-  out.dataset = network.run(workload.events);
-  out.json = out.dataset.json_only();
+  out.table = network.run(workload.events);
+  out.json_rows = out.table.json_rows();
   out.truth = make_sidecar(workload.truth, wconfig, network.anonymizer());
   return out;
 }
 
-CaseResult score_case(const logs::Dataset& dataset, const logs::Dataset& json,
+CaseResult score_case(const logs::TableView& full, const logs::TableView& json,
                       const TruthSidecar& truth, std::uint64_t seed,
                       const ConformanceConfig& config, std::size_t threads) {
   CaseResult result;
@@ -124,8 +125,8 @@ CaseResult score_case(const logs::Dataset& dataset, const logs::Dataset& json,
   result.ngram_clustered =
       score_ngram(json, truth, ngram_config(config, true, threads));
 
-  const auto source = core::characterize_source(dataset, threads);
-  result.marginals = score_marginals(dataset, source, truth);
+  const auto source = core::characterize_source(full, threads);
+  result.marginals = score_marginals(full, source, truth);
 
   const auto& tol = config.tolerances;
   auto& failures = result.failures;
@@ -195,22 +196,24 @@ ConformanceReport run_conformance(const ConformanceConfig& config) {
       config.thread_counts.empty() ? 0 : config.thread_counts.front();
   for (const auto seed : config.seeds) {
     const auto generated = generate_case(seed, config);
-    auto result = score_case(generated.dataset, generated.json,
-                             generated.truth, seed, config, score_threads);
+    const logs::TableView full = generated.full();
+    const logs::TableView json = generated.json();
+    auto result =
+        score_case(full, json, generated.truth, seed, config, score_threads);
 
     // Thread-count differential: labels and accuracies must be bit-identical
     // under every swept thread count.
     const auto reference_labels = detection_labels(
-        core::analyze_periodicity(generated.json,
+        core::analyze_periodicity(json,
                                   periodicity_config(config, score_threads)));
     const auto reference_ngram = core::evaluate_ngram(
-        generated.json, ngram_config(config, false, score_threads));
+        json, ngram_config(config, false, score_threads));
     for (std::size_t i = 1; i < config.thread_counts.size(); ++i) {
       const auto threads = config.thread_counts[i];
       const auto labels = detection_labels(core::analyze_periodicity(
-          generated.json, periodicity_config(config, threads)));
+          json, periodicity_config(config, threads)));
       const auto accuracy = core::evaluate_ngram(
-          generated.json, ngram_config(config, false, threads));
+          json, ngram_config(config, false, threads));
       if (labels != reference_labels ||
           accuracy.accuracy_at != reference_ngram.accuracy_at) {
         result.thread_invariant = false;
@@ -225,9 +228,10 @@ ConformanceReport run_conformance(const ConformanceConfig& config) {
     // Batch-vs-streaming differential on the exact counters.
     if (config.check_streaming) {
       stream::StreamingStudy study;
-      study.ingest(generated.dataset.records());
-      if (!same_counters(study.summary(), generated.dataset, generated.json,
-                         score_threads)) {
+      std::vector<logs::LogTable::RowIndex> rows(generated.table.size());
+      std::iota(rows.begin(), rows.end(), logs::LogTable::RowIndex{0});
+      study.ingest(generated.table, rows);
+      if (!same_counters(study.summary(), full, json, score_threads)) {
         result.streaming_consistent = false;
         result.failures.push_back(
             "streaming differential: exact counters diverge from batch");

@@ -18,7 +18,7 @@
 #include "cdn/metrics.h"
 #include "cdn/overload.h"
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "oracle/ground_truth.h"
 #include "oracle/scorer.h"
 
@@ -71,9 +71,15 @@ struct ConformanceConfig {
 // One generated workload, served through the CDN, with its sidecar.
 struct GeneratedCase {
   std::uint64_t seed = 0;
-  logs::Dataset dataset;       // full edge log
-  logs::Dataset json;          // JSON-filtered view (the paper's input)
+  logs::LogTable table;                             // full edge log
+  std::vector<logs::LogTable::RowIndex> json_rows;  // the paper's input
   TruthSidecar truth;
+
+  // Built on demand: a stored view would point at a moved-from table.
+  [[nodiscard]] logs::TableView full() const { return logs::TableView(table); }
+  [[nodiscard]] logs::TableView json() const {
+    return logs::TableView(table, json_rows);
+  }
 };
 
 [[nodiscard]] GeneratedCase generate_case(std::uint64_t seed,
@@ -95,8 +101,8 @@ struct CaseResult {
 // Scores one prepared (log, sidecar) pair against the bands. `threads` is
 // the analysis thread count (0 = auto). Differential checks are the
 // sweep's job, not this function's.
-[[nodiscard]] CaseResult score_case(const logs::Dataset& dataset,
-                                    const logs::Dataset& json,
+[[nodiscard]] CaseResult score_case(const logs::TableView& full,
+                                    const logs::TableView& json,
                                     const TruthSidecar& truth,
                                     std::uint64_t seed,
                                     const ConformanceConfig& config,

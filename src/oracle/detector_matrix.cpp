@@ -98,7 +98,8 @@ DetectorMatrixReport run_detector_matrix(const DetectorMatrixConfig& config) {
         core::PeriodicityConfig pconfig;
         pconfig.strategy = config.strategies[s];
         pconfig.threads = config.threads;
-        const auto analyzed = core::analyze_periodicity(generated.json, pconfig);
+        const auto analyzed =
+            core::analyze_periodicity(generated.json(), pconfig);
         sums[s].add(score_periodicity(analyzed, generated.truth,
                                       config.period_tolerance));
       }

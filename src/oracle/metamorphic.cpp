@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "stats/hash.h"
@@ -26,47 +27,80 @@ std::string insert_infix(const std::string& url, const std::string& infix) {
   return out;
 }
 
+// The view's rows as owned records, in view order.
+std::vector<logs::LogRecord> records_of(const logs::TableView& view) {
+  std::vector<logs::LogRecord> out;
+  out.reserve(view.size());
+  for (std::size_t k = 0; k < view.size(); ++k)
+    out.push_back(view.table().record(view[k]));
+  return out;
+}
+
+void sort_by_time(std::vector<logs::LogRecord>& records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const logs::LogRecord& a, const logs::LogRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+}
+
+logs::LogTable table_of(const std::vector<logs::LogRecord>& records) {
+  logs::LogTable out;
+  out.reserve(records.size());
+  for (const auto& record : records) out.append(record);
+  return out;
+}
+
 }  // namespace
 
-logs::Dataset shift_time(const logs::Dataset& ds, double delta_seconds) {
-  std::vector<logs::LogRecord> records = ds.records();
+logs::LogTable shift_time(const logs::TableView& view, double delta_seconds) {
+  auto records = records_of(view);
   for (auto& record : records) record.timestamp += delta_seconds;
-  return logs::Dataset(std::move(records));
+  return table_of(records);
 }
 
-logs::Dataset scale_time(const logs::Dataset& ds, double factor) {
+logs::LogTable scale_time(const logs::TableView& view, double factor) {
   if (factor <= 0.0) throw std::invalid_argument("scale_time: factor <= 0");
-  std::vector<logs::LogRecord> records = ds.records();
+  auto records = records_of(view);
   for (auto& record : records) record.timestamp *= factor;
-  return logs::Dataset(std::move(records));
+  return table_of(records);
 }
 
-logs::Dataset merge_datasets(const logs::Dataset& a, const logs::Dataset& b) {
-  std::vector<logs::LogRecord> records;
-  records.reserve(a.size() + b.size());
-  records.insert(records.end(), a.records().begin(), a.records().end());
-  records.insert(records.end(), b.records().begin(), b.records().end());
-  logs::Dataset merged(std::move(records));
-  merged.sort_by_time();
-  return merged;
+logs::LogTable merge_datasets(const logs::TableView& a,
+                              const logs::TableView& b) {
+  auto records = records_of(a);
+  auto tail = records_of(b);
+  records.insert(records.end(), std::make_move_iterator(tail.begin()),
+                 std::make_move_iterator(tail.end()));
+  sort_by_time(records);
+  return table_of(records);
 }
 
-logs::Dataset rename_disjoint(const logs::Dataset& ds,
-                              const std::string& tag) {
-  std::vector<logs::LogRecord> records = ds.records();
+logs::LogTable rename_disjoint(const logs::TableView& view,
+                               const std::string& tag) {
+  auto records = records_of(view);
   for (auto& record : records) {
     record.client_id += tag;
     record.url = insert_infix(record.url, tag + ".");
     record.domain = tag + "." + record.domain;
   }
-  return logs::Dataset(std::move(records));
+  return table_of(records);
 }
 
-logs::Dataset inject_benign_noise(const logs::Dataset& ds, std::size_t count,
-                                  std::uint64_t seed) {
-  const auto [t_min, t_max] = ds.time_range();
+logs::LogTable inject_benign_noise(const logs::TableView& view,
+                                   std::size_t count, std::uint64_t seed) {
+  auto records = records_of(view);
+  double t_min = 0.0;
+  double t_max = 0.0;
+  if (!records.empty()) {
+    const auto [lo, hi] = std::minmax_element(
+        records.begin(), records.end(),
+        [](const logs::LogRecord& a, const logs::LogRecord& b) {
+          return a.timestamp < b.timestamp;
+        });
+    t_min = lo->timestamp;
+    t_max = hi->timestamp;
+  }
   stats::Rng rng(stats::fnv1a64_mix(seed ^ 0x6e6f697365ULL));
-  std::vector<logs::LogRecord> records = ds.records();
   records.reserve(records.size() + count);
   for (std::size_t i = 0; i < count; ++i) {
     logs::LogRecord noise;
@@ -82,19 +116,18 @@ logs::Dataset inject_benign_noise(const logs::Dataset& ds, std::size_t count,
     noise.cache_status = logs::CacheStatus::kMiss;
     records.push_back(std::move(noise));
   }
-  logs::Dataset out(std::move(records));
-  out.sort_by_time();
-  return out;
+  sort_by_time(records);
+  return table_of(records);
 }
 
-logs::Dataset rename_urls_order_preserving(const logs::Dataset& ds,
-                                           const std::string& infix) {
-  std::vector<logs::LogRecord> records = ds.records();
+logs::LogTable rename_urls_order_preserving(const logs::TableView& view,
+                                            const std::string& infix) {
+  auto records = records_of(view);
   for (auto& record : records) {
     record.url = insert_infix(record.url, infix);
     record.domain = infix + record.domain;
   }
-  return logs::Dataset(std::move(records));
+  return table_of(records);
 }
 
 DetectionLabels detection_labels(const core::PeriodicityReport& report,

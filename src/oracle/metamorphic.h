@@ -18,49 +18,54 @@
 #include <utility>
 
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 
 namespace jsoncdn::oracle {
+
+// Each relation returns a new table built from the view's rows (in view
+// order unless noted); the input is left untouched.
 
 // Every record's timestamp shifted by `delta_seconds` (record order kept).
 // Note each shifted timestamp is individually rounded to the nearest double,
 // so inter-arrival gaps move by up to one ulp of the shifted values — labels
 // must survive that exactly, periods may wiggle at the 1e-9 level.
-[[nodiscard]] logs::Dataset shift_time(const logs::Dataset& ds,
-                                       double delta_seconds);
+[[nodiscard]] logs::LogTable shift_time(const logs::TableView& view,
+                                        double delta_seconds);
 
 // Every record's timestamp multiplied by `factor` (> 0). A detector must
 // scale with its input: every detected period scales by the same factor
 // (compare against scale_periods of the original labels, with a small
 // relative tolerance — binning quantizes periods to bin multiples, and the
 // bin width itself rescales).
-[[nodiscard]] logs::Dataset scale_time(const logs::Dataset& ds,
-                                       double factor);
+[[nodiscard]] logs::LogTable scale_time(const logs::TableView& view,
+                                        double factor);
 
-// Concatenates two datasets and restores the ascending-time invariant.
-[[nodiscard]] logs::Dataset merge_datasets(const logs::Dataset& a,
-                                           const logs::Dataset& b);
+// Concatenates two logs and restores the ascending-time invariant (stable:
+// at equal timestamps rows of `a` come first).
+[[nodiscard]] logs::LogTable merge_datasets(const logs::TableView& a,
+                                            const logs::TableView& b);
 
 // A copy whose client ids, URLs, and domains all carry `tag`, making every
 // flow of the copy disjoint from every flow of the original. Merging it back
 // in doubles the traffic without touching any original flow.
-[[nodiscard]] logs::Dataset rename_disjoint(const logs::Dataset& ds,
-                                            const std::string& tag);
+[[nodiscard]] logs::LogTable rename_disjoint(const logs::TableView& view,
+                                             const std::string& tag);
 
 // `count` extra requests from fresh single-request clients against fresh
-// URLs, timestamps drawn deterministically from `seed` across the dataset's
-// time range. No original flow gains or loses a request.
-[[nodiscard]] logs::Dataset inject_benign_noise(const logs::Dataset& ds,
-                                                std::size_t count,
-                                                std::uint64_t seed);
+// URLs, timestamps drawn deterministically from `seed` across the view's
+// time range, merged in time order. No original flow gains or loses a
+// request.
+[[nodiscard]] logs::LogTable inject_benign_noise(const logs::TableView& view,
+                                                 std::size_t count,
+                                                 std::uint64_t seed);
 
 // Inserts `infix` into every URL directly after its "https://" scheme (and
 // prefixes the domain field to match). Because the insertion point and text
 // are identical for all URLs, lexicographic order among URLs — and among
 // their cluster keys — is preserved, which is exactly what the ngram
 // model's tie-breaking depends on.
-[[nodiscard]] logs::Dataset rename_urls_order_preserving(
-    const logs::Dataset& ds, const std::string& infix);
+[[nodiscard]] logs::LogTable rename_urls_order_preserving(
+    const logs::TableView& view, const std::string& infix);
 
 // Flattens a periodicity report to (url, client_key) -> (periodic, period)
 // for exact comparison across metamorphic runs. `url_strip_infix`: when
@@ -72,7 +77,7 @@ using DetectionLabels =
     const core::PeriodicityReport& report,
     const std::string& url_strip_infix = {});
 
-// The expected labels after scale_time(ds, factor): same flows, same
+// The expected labels after scale_time(view, factor): same flows, same
 // periodic flags, periods multiplied by `factor`.
 [[nodiscard]] DetectionLabels scale_periods(const DetectionLabels& labels,
                                             double factor);

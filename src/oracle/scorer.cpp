@@ -178,7 +178,7 @@ std::map<std::size_t, double> NgramScore::delta() const {
   return out;
 }
 
-NgramScore score_ngram(const logs::Dataset& json, const TruthSidecar& truth,
+NgramScore score_ngram(const logs::TableView& json, const TruthSidecar& truth,
                        const core::NgramEvalConfig& config) {
   NgramScore score;
   score.measured = core::evaluate_ngram(json, config);
@@ -261,7 +261,7 @@ NgramScore score_ngram(const logs::Dataset& json, const TruthSidecar& truth,
 
 // ---- Characterization marginals ------------------------------------------
 
-MarginalScore score_marginals(const logs::Dataset& ds,
+MarginalScore score_marginals(const logs::TableView& view,
                               const core::SourceBreakdown& source,
                               const TruthSidecar& truth) {
   MarginalScore score;
@@ -293,21 +293,24 @@ MarginalScore score_marginals(const logs::Dataset& ds,
   attacker_keys.reserve(truth.attackers.size());
   for (const auto& a : truth.attackers) attacker_keys.insert(a.client_key);
 
+  const auto& table = view.table();
   std::array<std::uint64_t, 4> truth_requests{};
   std::array<std::uint64_t, 4> benign_requests{};
   std::uint64_t benign_total = 0;
   std::unordered_map<std::string, std::size_t> ua_device_cache;
-  for (const auto& record : ds.records()) {
-    if (!attacker_keys.empty() &&
-        attacker_keys.count(record.client_key()) != 0) {
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    const auto row = view[k];
+    const std::string client_key(table.client_key(row));
+    if (!attacker_keys.empty() && attacker_keys.count(client_key) != 0) {
       ++score.hostile_requests;
       continue;
     }
     if (!attacker_keys.empty()) {
+      const std::string user_agent(table.user_agent(row));
       const auto [ua_it, inserted] =
-          ua_device_cache.try_emplace(record.user_agent, kDevices.size() - 1);
+          ua_device_cache.try_emplace(user_agent, kDevices.size() - 1);
       if (inserted) {
-        const auto device = http::classify_device(record.user_agent).device;
+        const auto device = http::classify_device(user_agent).device;
         for (std::size_t d = 0; d < kDevices.size(); ++d) {
           if (kDevices[d] == device) {
             ua_it->second = d;
@@ -318,7 +321,7 @@ MarginalScore score_marginals(const logs::Dataset& ds,
       ++benign_requests[ua_it->second];
       ++benign_total;
     }
-    const auto it = device_of_client.find(record.client_key());
+    const auto it = device_of_client.find(client_key);
     if (it == device_of_client.end()) {
       ++score.unmatched_requests;
       continue;
@@ -352,9 +355,10 @@ MarginalScore score_marginals(const logs::Dataset& ds,
   // per-industry domain assignment the catalog is configured with.
   std::unordered_set<std::string> seen_domains;
   std::map<std::string, double> industry_domains;
-  for (const auto& record : ds.records()) {
-    if (!seen_domains.insert(record.domain).second) continue;
-    const auto it = truth.industry_of_domain.find(record.domain);
+  for (std::size_t k = 0; k < view.size(); ++k) {
+    const std::string domain(table.domain(view[k]));
+    if (!seen_domains.insert(domain).second) continue;
+    const auto it = truth.industry_of_domain.find(domain);
     if (it != truth.industry_of_domain.end()) industry_domains[it->second] += 1.0;
   }
   std::map<std::string, double> uniform;

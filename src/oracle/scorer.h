@@ -21,7 +21,7 @@
 #include "core/characterization.h"
 #include "core/ngram.h"
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "oracle/ground_truth.h"
 
 namespace jsoncdn::oracle {
@@ -72,11 +72,11 @@ struct NgramScore {
   [[nodiscard]] std::map<std::size_t, double> delta() const;
 };
 
-// `json` is the JSON-filtered dataset (the paper's protocol). The skyline
+// `json` is the JSON-row view of the log (the paper's protocol). The skyline
 // run honours config.context_len / ks / train_fraction / seed; its clustered
 // variant clusters through the sidecar's template map (the ideal clustering)
 // with core::cluster_url as fallback for off-graph URLs.
-[[nodiscard]] NgramScore score_ngram(const logs::Dataset& json,
+[[nodiscard]] NgramScore score_ngram(const logs::TableView& json,
                                      const TruthSidecar& truth,
                                      const core::NgramEvalConfig& config);
 
@@ -101,8 +101,8 @@ struct MarginalScore {
   std::size_t hostile_requests = 0;
 };
 
-// `ds` must be the dataset `source` was computed over.
-[[nodiscard]] MarginalScore score_marginals(const logs::Dataset& ds,
+// `view` must be the rows `source` was computed over.
+[[nodiscard]] MarginalScore score_marginals(const logs::TableView& view,
                                             const core::SourceBreakdown& source,
                                             const TruthSidecar& truth);
 

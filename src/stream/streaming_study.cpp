@@ -41,13 +41,6 @@ StreamingAccumulator::StreamingAccumulator(const StreamingConfig& config)
       html_sizes_(config.quantile_alpha, config.quantile_max_buckets),
       triage_(config.triage) {}
 
-void StreamingAccumulator::offer(const logs::LogRecord& record) {
-  record.client_key_into(key_scratch_);
-  offer_fields(record.timestamp, key_scratch_, record.user_agent,
-               record.method, record.url, record.domain, record.content_type,
-               record.status, record.response_bytes, record.cache_status);
-}
-
 void StreamingAccumulator::offer(const logs::LogTable& table,
                                  logs::LogTable::RowIndex row) {
   offer_fields(table.timestamp(row), table.client_key(row),
@@ -289,41 +282,18 @@ StreamingStudy::StreamingStudy(const StreamingConfig& config)
       pool_(threads_),
       state_(config) {}
 
-void StreamingStudy::offer(const logs::LogRecord& record) {
-  state_.offer(record);
-  ++ingested_;
-}
-
-void StreamingStudy::ingest(std::span<const logs::LogRecord> chunk) {
-  ingested_ += chunk.size();
+void StreamingStudy::ingest(const logs::LogTable& table,
+                            std::span<const logs::LogTable::RowIndex> rows) {
+  ingested_ += rows.size();
   // Sharding pays for itself only when each worker gets a real slice; tiny
   // chunks go straight into the master state.
-  if (threads_ <= 1 || chunk.size() < threads_ * 256) {
-    for (const auto& record : chunk) state_.offer(record);
+  if (threads_ <= 1 || rows.size() < threads_ * 256) {
+    for (const auto row : rows) state_.offer(table, row);
     return;
   }
   // One accumulator per contiguous subrange, merged in subrange order: the
   // exact shard-then-merge shape of the batch stages, so sketch guarantees
   // and determinism carry over (see the file comment).
-  std::vector<StreamingAccumulator> shards(threads_,
-                                           StreamingAccumulator(config_));
-  pool_.run(threads_, [&](std::size_t s) {
-    const auto [begin, end] = stats::chunk_range(chunk.size(), threads_, s);
-    for (std::size_t i = begin; i < end; ++i) shards[s].offer(chunk[i]);
-  });
-  for (const auto& shard : shards) state_.merge(shard);
-}
-
-void StreamingStudy::ingest(const logs::LogTable& table,
-                            std::span<const logs::LogTable::RowIndex> rows) {
-  ingested_ += rows.size();
-  // Identical shard geometry to the record-span overload: same inline
-  // threshold, same chunk_range partition, same merge order — so streaming
-  // a table produces the same summary as streaming the equivalent records.
-  if (threads_ <= 1 || rows.size() < threads_ * 256) {
-    for (const auto row : rows) state_.offer(table, row);
-    return;
-  }
   std::vector<StreamingAccumulator> shards(threads_,
                                            StreamingAccumulator(config_));
   pool_.run(threads_, [&](std::size_t s) {

@@ -119,17 +119,15 @@ struct StreamingSummary {
   }
 };
 
-// Full per-shard sketch state. offer() consumes one record; merge() folds a
-// shard covering a later record range (see the file comment for the
+// Full per-shard sketch state. offer() consumes one table row; merge() folds
+// a shard covering a later row range (see the file comment for the
 // determinism contract).
 class StreamingAccumulator {
  public:
   explicit StreamingAccumulator(const StreamingConfig& config);
 
-  void offer(const logs::LogRecord& record);
-  // Columnar variant: fields stream out of the table's columns and the
-  // interned client-key dictionary replaces the per-record concatenation.
-  // Same record values => same sketch state as the LogRecord overload.
+  // Fields stream out of the table's columns, and the interned client-key
+  // dictionary replaces a per-record concatenation.
   void offer(const logs::LogTable& table, logs::LogTable::RowIndex row);
   void merge(const StreamingAccumulator& later);
 
@@ -171,8 +169,7 @@ class StreamingAccumulator {
 
   InterarrivalTriage triage_;
 
-  // All field access funnels here; both offer() overloads are thin
-  // adapters, so the row and columnar paths cannot drift apart.
+  // The per-record update, on field values.
   void offer_fields(double timestamp, std::string_view client_key,
                     std::string_view user_agent, http::Method method,
                     std::string_view url, std::string_view domain,
@@ -186,20 +183,18 @@ class StreamingAccumulator {
   std::unordered_map<std::string, http::DeviceClassification,
                      stats::TransparentStringHash, std::equal_to<>>
       ua_cache_;
-  std::string key_scratch_;  // reused client-key buffer for the record path
 };
 
-// One-pass driver: offer records singly or ingest chunks; chunks are
-// sharded across the thread pool and merged in chunk order.
+// One-pass driver over chunks of table rows; each chunk is sharded across
+// the thread pool and merged in chunk order.
 class StreamingStudy {
  public:
   explicit StreamingStudy(const StreamingConfig& config = {});
 
-  void offer(const logs::LogRecord& record);
-  void ingest(std::span<const logs::LogRecord> chunk);
-  // Columnar chunk ingest: shards the row range exactly like the record-span
-  // overload (same chunk_range / merge order), so a table streamed with the
-  // same chunk size and thread count yields an identical summary.
+  // Ingests `rows` of `table` (in span order) as one chunk. The shard
+  // geometry depends only on the chunk size and thread count, so a log
+  // streamed with the same chunk size and thread count yields an identical
+  // summary whether its chunks come from memory or from a .jlog v2 scan.
   void ingest(const logs::LogTable& table,
               std::span<const logs::LogTable::RowIndex> rows);
 

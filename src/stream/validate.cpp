@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -30,6 +31,21 @@ double exact_quantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+// Exact number of distinct symbols `sym_of(row)` takes over `rows`.
+template <typename SymOf>
+std::size_t distinct_symbols(std::span<const logs::LogTable::RowIndex> rows,
+                             std::size_t dictionary_size,
+                             const SymOf& sym_of) {
+  std::vector<char> seen(dictionary_size, 0);
+  std::size_t distinct = 0;
+  for (const auto row : rows) {
+    char& flag = seen[sym_of(row)];
+    distinct += flag == 0 ? 1 : 0;
+    flag = 1;
+  }
+  return distinct;
+}
+
 }  // namespace
 
 bool ValidationReport::within_bounds() const noexcept {
@@ -44,17 +60,24 @@ bool ValidationReport::within_bounds() const noexcept {
          counters_identical;
 }
 
-ValidationReport validate_streaming(const logs::Dataset& exact,
+ValidationReport validate_streaming(const logs::LogTable& exact,
                                     const StreamingSummary& summary,
                                     const StreamingConfig& config,
                                     std::size_t top_k) {
   ValidationReport report;
-  const auto json = exact.json_only();
+  const auto json_rows = exact.json_rows();
+  const logs::TableView json(exact, json_rows);
 
   // --- Cardinalities ------------------------------------------------------
-  report.exact_urls = json.distinct_objects();
-  report.exact_clients = json.distinct_clients();
-  report.exact_domains = json.distinct_domains();
+  report.exact_urls =
+      distinct_symbols(json_rows, exact.urls().size(),
+                       [&](auto row) { return exact.url_sym(row); });
+  report.exact_clients =
+      distinct_symbols(json_rows, exact.client_keys().size(),
+                       [&](auto row) { return exact.client_sym(row); });
+  report.exact_domains =
+      distinct_symbols(json_rows, exact.domains().size(),
+                       [&](auto row) { return exact.domain_sym(row); });
   report.url_cardinality_error =
       rel_error(summary.distinct_urls, static_cast<double>(report.exact_urls));
   report.client_cardinality_error = rel_error(
@@ -65,7 +88,7 @@ ValidationReport validate_streaming(const logs::Dataset& exact,
 
   // --- Heavy hitters ------------------------------------------------------
   std::unordered_map<std::string_view, std::uint64_t> exact_counts;
-  for (const auto& r : json.records()) ++exact_counts[r.url];
+  for (const auto row : json_rows) ++exact_counts[exact.url(row)];
   std::vector<std::pair<std::string_view, std::uint64_t>> ranked(
       exact_counts.begin(), exact_counts.end());
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
@@ -90,12 +113,14 @@ ValidationReport validate_streaming(const logs::Dataset& exact,
   // --- Size quantiles -----------------------------------------------------
   std::vector<double> json_sizes;
   std::vector<double> html_sizes;
-  for (const auto& r : exact.records()) {
-    const auto content = http::classify_content(r.content_type);
+  for (std::size_t i = 0; i < exact.size(); ++i) {
+    const auto row = static_cast<logs::LogTable::RowIndex>(i);
+    const auto content = http::classify_content(exact.content_type(row));
+    const auto bytes = static_cast<double>(exact.response_bytes(row));
     if (content == http::ContentClass::kJson)
-      json_sizes.push_back(static_cast<double>(r.response_bytes));
+      json_sizes.push_back(bytes);
     else if (content == http::ContentClass::kHtml)
-      html_sizes.push_back(static_cast<double>(r.response_bytes));
+      html_sizes.push_back(bytes);
   }
   std::sort(json_sizes.begin(), json_sizes.end());
   std::sort(html_sizes.begin(), html_sizes.end());

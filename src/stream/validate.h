@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "stream/streaming_study.h"
 
 namespace jsoncdn::stream {
@@ -46,10 +46,10 @@ struct ValidationReport {
   [[nodiscard]] bool within_bounds() const noexcept;
 };
 
-// Compares `summary` (built over exactly the records of `exact`) against
-// the batch pipeline. `top_k` bounds the heavy-hitter check.
+// Compares `summary` (built over exactly the rows of `exact`) against the
+// batch pipeline. `top_k` bounds the heavy-hitter check.
 [[nodiscard]] ValidationReport validate_streaming(
-    const logs::Dataset& exact, const StreamingSummary& summary,
+    const logs::LogTable& exact, const StreamingSummary& summary,
     const StreamingConfig& config, std::size_t top_k = 20);
 
 [[nodiscard]] std::string render_validation(const ValidationReport& report);

@@ -50,7 +50,8 @@ RunResult run_network(const workload::GeneratorConfig& wconfig,
   RunResult out;
   std::ostringstream log;
   logs::LogWriter writer(log);
-  for (const auto& record : dataset.records()) writer.write(record);
+  for (std::size_t i = 0; i < dataset.size(); ++i)
+    writer.write(dataset.record(static_cast<logs::LogTable::RowIndex>(i)));
   out.log = log.str();
   out.resilience = network.total_resilience();
   out.timeline = network.breaker_timeline();

@@ -50,8 +50,8 @@ TEST(CdnNetwork, PerClientCachesAreIndependent) {
   const auto ds = network.run({request(a, 0.0), request(b, 1.0)});
   // Both are first-touch on their own edge: two misses, no hit.
   ASSERT_EQ(ds.size(), 2u);
-  EXPECT_EQ(ds[0].cache_status, logs::CacheStatus::kMiss);
-  EXPECT_EQ(ds[1].cache_status, logs::CacheStatus::kMiss);
+  EXPECT_EQ(ds.cache_status(0), logs::CacheStatus::kMiss);
+  EXPECT_EQ(ds.cache_status(1), logs::CacheStatus::kMiss);
 }
 
 TEST(CdnNetwork, SameEdgeSharesCacheAcrossClients) {
@@ -60,8 +60,8 @@ TEST(CdnNetwork, SameEdgeSharesCacheAcrossClients) {
   params.edge_count = 1;  // force shared edge
   CdnNetwork network(catalog, params);
   const auto ds = network.run({request("a", 0.0), request("b", 1.0)});
-  EXPECT_EQ(ds[0].cache_status, logs::CacheStatus::kMiss);
-  EXPECT_EQ(ds[1].cache_status, logs::CacheStatus::kHit);
+  EXPECT_EQ(ds.cache_status(0), logs::CacheStatus::kMiss);
+  EXPECT_EQ(ds.cache_status(1), logs::CacheStatus::kHit);
 }
 
 TEST(CdnNetwork, DatasetSortedByTime) {
@@ -70,8 +70,8 @@ TEST(CdnNetwork, DatasetSortedByTime) {
   const auto ds =
       network.run({request("a", 5.0), request("b", 1.0), request("c", 3.0)});
   ASSERT_EQ(ds.size(), 3u);
-  EXPECT_LE(ds[0].timestamp, ds[1].timestamp);
-  EXPECT_LE(ds[1].timestamp, ds[2].timestamp);
+  EXPECT_LE(ds.timestamp(0), ds.timestamp(1));
+  EXPECT_LE(ds.timestamp(1), ds.timestamp(2));
 }
 
 TEST(CdnNetwork, TotalMetricsAggregateAcrossEdges) {

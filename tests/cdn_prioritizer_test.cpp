@@ -182,8 +182,9 @@ TEST(Scheduler, HandlesStaleAndNegativeCacheJobsFromAFaultedRun) {
   std::vector<SchedulerJob> jobs;
   std::size_t resilience_jobs = 0;
   jobs.reserve(dataset.size());
-  for (const auto& record : dataset.records()) {
-    jobs.push_back(job_from_record(record));
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    jobs.push_back(job_from_record(
+        dataset.record(static_cast<logs::LogTable::RowIndex>(i))));
     if (jobs.back().machine) ++resilience_jobs;
   }
   ASSERT_GT(resilience_jobs, 0u);

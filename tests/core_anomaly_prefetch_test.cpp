@@ -142,7 +142,7 @@ TEST(NgramPrefetcher, ConfidenceFloorFiltersWeakPredictions) {
 }
 
 TEST(TrainPrefetchModel, BuildsFromClientFlows) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   double t = 0.0;
   for (int c = 0; c < 5; ++c) {
     for (const char* url : {"u1", "u2", "u3"}) {
@@ -153,10 +153,10 @@ TEST(TrainPrefetchModel, BuildsFromClientFlows) {
       r.user_agent = "ua";
       r.url = url;
       r.content_type = "application/json";
-      ds.add(r);
+      ds.append(r);
     }
   }
-  const auto model = train_prefetch_model(ds, 1);
+  const auto model = train_prefetch_model(logs::TableView(ds), 1);
   EXPECT_EQ(model.vocabulary_size(), 3u);
   EXPECT_GT(model.observed_transitions(), 0u);
 }

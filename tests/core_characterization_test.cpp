@@ -61,20 +61,20 @@ TEST(Taxonomy, RequestTypeMapping) {
 }
 
 TEST(CharacterizeSource, CountsDevicesAndBrowsers) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (int i = 0; i < 6; ++i)
-    ds.add(record(kMobileAppUa, http::Method::kGet, logs::CacheStatus::kHit,
-                  "application/json"));
+    ds.append(record(kMobileAppUa, http::Method::kGet, logs::CacheStatus::kHit,
+                     "application/json"));
   for (int i = 0; i < 2; ++i)
-    ds.add(record(kMobileBrowserUa, http::Method::kGet,
-                  logs::CacheStatus::kHit, "application/json"));
-  ds.add(record(kDesktopUa, http::Method::kGet, logs::CacheStatus::kHit,
-                "application/json"));
-  ds.add(record(kWatchUa, http::Method::kGet, logs::CacheStatus::kHit,
-                "application/json"));
-  ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit,
-                "application/json"));
-  const auto source = characterize_source(ds);
+    ds.append(record(kMobileBrowserUa, http::Method::kGet,
+                     logs::CacheStatus::kHit, "application/json"));
+  ds.append(record(kDesktopUa, http::Method::kGet, logs::CacheStatus::kHit,
+                   "application/json"));
+  ds.append(record(kWatchUa, http::Method::kGet, logs::CacheStatus::kHit,
+                   "application/json"));
+  ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                   "application/json"));
+  const auto source = characterize_source(logs::TableView(ds));
   EXPECT_EQ(source.total_requests, 11u);
   EXPECT_NEAR(source.device_share(http::DeviceType::kMobile), 8.0 / 11, 1e-9);
   EXPECT_NEAR(source.device_share(http::DeviceType::kDesktop), 1.0 / 11, 1e-9);
@@ -91,48 +91,48 @@ TEST(CharacterizeSource, CountsDevicesAndBrowsers) {
 }
 
 TEST(CharacterizeMethods, SharesMatchPaperDefinitions) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (int i = 0; i < 84; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit,
-                  "application/json"));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                     "application/json"));
   for (int i = 0; i < 15; ++i)
-    ds.add(record("", http::Method::kPost, logs::CacheStatus::kNotCacheable,
-                  "application/json"));
-  ds.add(record("", http::Method::kPut, logs::CacheStatus::kNotCacheable,
-                "application/json"));
-  const auto mix = characterize_methods(ds);
+    ds.append(record("", http::Method::kPost, logs::CacheStatus::kNotCacheable,
+                     "application/json"));
+  ds.append(record("", http::Method::kPut, logs::CacheStatus::kNotCacheable,
+                   "application/json"));
+  const auto mix = characterize_methods(logs::TableView(ds));
   EXPECT_EQ(mix.total, 100u);
   EXPECT_DOUBLE_EQ(mix.get_share(), 0.84);
   EXPECT_NEAR(mix.post_share_of_non_get(), 15.0 / 16.0, 1e-9);
 }
 
 TEST(CharacterizeCacheability, SplitsByConfig) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (int i = 0; i < 55; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
-                  "application/json"));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
+                     "application/json"));
   for (int i = 0; i < 30; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit,
-                  "application/json"));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                     "application/json"));
   for (int i = 0; i < 15; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kMiss,
-                  "application/json"));
-  const auto cache = characterize_cacheability(ds);
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kMiss,
+                     "application/json"));
+  const auto cache = characterize_cacheability(logs::TableView(ds));
   EXPECT_DOUBLE_EQ(cache.uncacheable_share(), 0.55);
   EXPECT_DOUBLE_EQ(cache.hit_share(), 0.30);
 }
 
 TEST(CompareSizes, PercentileRatios) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (const auto bytes : {100, 200, 300, 400}) {
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit,
-                  "application/json", bytes));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                     "application/json", bytes));
   }
   for (const auto bytes : {1000, 2000, 3000, 4000}) {
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit, "text/html",
-                  bytes));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                     "text/html", bytes));
   }
-  const auto sizes = compare_sizes(ds);
+  const auto sizes = compare_sizes(logs::TableView(ds));
   EXPECT_EQ(sizes.json.count, 4u);
   EXPECT_EQ(sizes.html.count, 4u);
   EXPECT_DOUBLE_EQ(sizes.p50_ratio(), 0.1);
@@ -140,33 +140,33 @@ TEST(CompareSizes, PercentileRatios) {
 }
 
 TEST(CompareSizes, EmptyClassesYieldZeroRatios) {
-  logs::Dataset ds;
-  const auto sizes = compare_sizes(ds);
+  logs::LogTable ds;
+  const auto sizes = compare_sizes(logs::TableView(ds));
   EXPECT_DOUBLE_EQ(sizes.p50_ratio(), 0.0);
 }
 
 TEST(DomainCacheability, DownloadOnlyAndPerDomainShares) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   // Domain A: 3 cacheable GETs, 1 uncacheable GET, plus POSTs that must be
   // ignored by the Fig. 4 view.
   for (int i = 0; i < 3; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kHit,
-                  "application/json", 10, "a.example"));
-  ds.add(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
-                "application/json", 10, "a.example"));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kHit,
+                     "application/json", 10, "a.example"));
+  ds.append(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
+                   "application/json", 10, "a.example"));
   for (int i = 0; i < 10; ++i)
-    ds.add(record("", http::Method::kPost, logs::CacheStatus::kNotCacheable,
-                  "application/json", 10, "a.example"));
+    ds.append(record("", http::Method::kPost, logs::CacheStatus::kNotCacheable,
+                     "application/json", 10, "a.example"));
   // Domain B: never cacheable.
   for (int i = 0; i < 5; ++i)
-    ds.add(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
-                  "application/json", 10, "b.example"));
+    ds.append(record("", http::Method::kGet, logs::CacheStatus::kNotCacheable,
+                     "application/json", 10, "b.example"));
 
   const IndustryLookup lookup = [](std::string_view domain) {
     return domain == "a.example" ? std::string("News/Media")
                                  : std::string("Financial Services");
   };
-  const auto domains = domain_cacheability(ds, lookup);
+  const auto domains = domain_cacheability(logs::TableView(ds), lookup);
   ASSERT_EQ(domains.size(), 2u);
   EXPECT_EQ(domains[0].domain, "a.example");
   EXPECT_DOUBLE_EQ(domains[0].cacheable_share, 0.75);
@@ -176,8 +176,9 @@ TEST(DomainCacheability, DownloadOnlyAndPerDomainShares) {
 }
 
 TEST(DomainCacheability, NullLookupThrows) {
-  logs::Dataset ds;
-  EXPECT_THROW((void)domain_cacheability(ds, nullptr), std::invalid_argument);
+  logs::LogTable ds;
+  EXPECT_THROW((void)domain_cacheability(logs::TableView(ds), nullptr),
+               std::invalid_argument);
 }
 
 TEST(CacheabilityHeatmap, BinsEdgesAndAggregates) {

@@ -158,7 +158,9 @@ TEST(StrategyThreadInvariance, LabelsIdenticalUnderOneAndFourThreads) {
   const auto workload = generator.generate();
   cdn::CdnNetwork network(generator.catalog().objects(),
                           cdn::NetworkParams{});
-  const auto json = network.run(workload.events).json_only();
+  const auto edge_log = network.run(workload.events);
+  const auto json_rows = edge_log.json_rows();
+  const logs::TableView json(edge_log, json_rows);
   ASSERT_GT(json.size(), 100u);
 
   for (const auto& info : detector_registry()) {

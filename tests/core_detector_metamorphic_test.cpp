@@ -12,7 +12,7 @@
 #include "cdn/network.h"
 #include "core/period_detector.h"
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "oracle/metamorphic.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -33,30 +33,34 @@ class DetectorMetamorphicTest
     const auto workload = generator.generate();
     cdn::CdnNetwork network(generator.catalog().objects(),
                             cdn::NetworkParams{});
-    dataset_ = new logs::Dataset(network.run(workload.events).json_only());
+    const auto edge_log = network.run(workload.events);
+    dataset_ = new logs::LogTable(edge_log.select(edge_log.json_rows()));
   }
   static void TearDownTestSuite() {
     delete dataset_;
     dataset_ = nullptr;
   }
 
-  oracle::DetectionLabels labels_of(const logs::Dataset& ds,
+  oracle::DetectionLabels labels_of(const logs::LogTable& table,
                                     const std::string& strip = {}) const {
     PeriodicityConfig config;
     config.strategy = GetParam();
     config.threads = 1;
-    return oracle::detection_labels(analyze_periodicity(ds, config), strip);
+    return oracle::detection_labels(
+        analyze_periodicity(logs::TableView(table), config), strip);
   }
 
-  static logs::Dataset* dataset_;
+  static logs::TableView json() { return logs::TableView(*dataset_); }
+
+  static logs::LogTable* dataset_;
 };
 
-logs::Dataset* DetectorMetamorphicTest::dataset_ = nullptr;
+logs::LogTable* DetectorMetamorphicTest::dataset_ = nullptr;
 
 TEST_P(DetectorMetamorphicTest, TimeShiftPreservesLabels) {
   const auto original = labels_of(*dataset_);
   ASSERT_FALSE(original.empty());
-  const auto shifted = labels_of(oracle::shift_time(*dataset_, 86400.0));
+  const auto shifted = labels_of(oracle::shift_time(json(), 86400.0));
   // Labels exact; periods may wiggle at the per-timestamp rounding ulp.
   EXPECT_TRUE(oracle::labels_equivalent(shifted, original, 1e-9));
 }
@@ -65,7 +69,7 @@ TEST_P(DetectorMetamorphicTest, TimeScalePreservesLabelsAndScalesPeriods) {
   const double factor = 1.75;
   const auto original = labels_of(*dataset_);
   ASSERT_FALSE(original.empty());
-  const auto scaled = labels_of(oracle::scale_time(*dataset_, factor));
+  const auto scaled = labels_of(oracle::scale_time(json(), factor));
   // Period quantization (bin width, periodogram grid) rescales with the
   // input, but the caps that don't scale (the 1 s sampling floor) let
   // refined periods move by a small relative amount.
@@ -76,8 +80,9 @@ TEST_P(DetectorMetamorphicTest, TimeScalePreservesLabelsAndScalesPeriods) {
 TEST_P(DetectorMetamorphicTest, InterleavingDisjointCopyPreservesLabels) {
   const auto original = labels_of(*dataset_);
   ASSERT_FALSE(original.empty());
-  const auto merged = oracle::merge_datasets(
-      *dataset_, oracle::rename_disjoint(*dataset_, "-mirror"));
+  const auto mirror = oracle::rename_disjoint(json(), "-mirror");
+  const auto merged =
+      oracle::merge_datasets(json(), logs::TableView(mirror));
   const auto merged_labels = labels_of(merged);
   EXPECT_TRUE(oracle::labels_equivalent(
       oracle::restrict_labels(merged_labels, original), original));
@@ -87,7 +92,7 @@ TEST_P(DetectorMetamorphicTest, BenignNoiseDoesNotFlipLabels) {
   const auto original = labels_of(*dataset_);
   ASSERT_FALSE(original.empty());
   const auto noisy =
-      labels_of(oracle::inject_benign_noise(*dataset_, 400, 99));
+      labels_of(oracle::inject_benign_noise(json(), 400, 99));
   EXPECT_TRUE(oracle::labels_equivalent(
       oracle::restrict_labels(noisy, original), original));
 }

@@ -129,10 +129,10 @@ TEST(NgramModel, UnknownTokenMidHistoryUsesSuffix) {
 
 // ---- evaluate_ngram on a hand-built dataset -------------------------------
 
-logs::Dataset chain_dataset(std::size_t n_clients,
+logs::LogTable chain_dataset(std::size_t n_clients,
                             std::size_t repeats_per_client) {
   // Every client requests the exact cycle u1 -> u2 -> u3.
-  logs::Dataset ds;
+  logs::LogTable ds;
   double t = 0.0;
   for (std::size_t c = 0; c < n_clients; ++c) {
     for (std::size_t r = 0; r < repeats_per_client; ++r) {
@@ -146,7 +146,7 @@ logs::Dataset chain_dataset(std::size_t n_clients,
         rec.url = url;
         rec.domain = "h";
         rec.content_type = "application/json";
-        ds.add(rec);
+        ds.append(rec);
       }
     }
   }
@@ -158,7 +158,7 @@ TEST(EvaluateNgram, PerfectChainScoresNearOne) {
   NgramEvalConfig config;
   config.context_len = 1;
   config.ks = {1};
-  const auto result = evaluate_ngram(ds, config);
+  const auto result = evaluate_ngram(logs::TableView(ds), config);
   EXPECT_GT(result.train_clients, 0u);
   EXPECT_GT(result.test_clients, 0u);
   EXPECT_GT(result.predictions, 0u);
@@ -171,7 +171,7 @@ TEST(EvaluateNgram, AccuracyMonotoneInK) {
   const auto ds = chain_dataset(40, 5);
   NgramEvalConfig config;
   config.ks = {1, 5, 10};
-  const auto result = evaluate_ngram(ds, config);
+  const auto result = evaluate_ngram(logs::TableView(ds), config);
   EXPECT_LE(result.accuracy_at.at(1), result.accuracy_at.at(5));
   EXPECT_LE(result.accuracy_at.at(5), result.accuracy_at.at(10));
 }
@@ -179,7 +179,7 @@ TEST(EvaluateNgram, AccuracyMonotoneInK) {
 TEST(EvaluateNgram, ClusteredAtLeastAsGoodOnParameterizedChains) {
   // Clients cycle template /a/{i} with client-specific ids: raw URLs differ
   // per client, clusters agree.
-  logs::Dataset ds;
+  logs::LogTable ds;
   double t = 0.0;
   for (int c = 0; c < 40; ++c) {
     for (int r = 0; r < 6; ++r) {
@@ -193,7 +193,7 @@ TEST(EvaluateNgram, ClusteredAtLeastAsGoodOnParameterizedChains) {
                   std::to_string(1000 + c);
         rec.domain = "h";
         rec.content_type = "application/json";
-        ds.add(rec);
+        ds.append(rec);
       }
     }
   }
@@ -201,8 +201,8 @@ TEST(EvaluateNgram, ClusteredAtLeastAsGoodOnParameterizedChains) {
   raw.ks = {1};
   NgramEvalConfig clustered = raw;
   clustered.clustered = true;
-  const auto raw_result = evaluate_ngram(ds, raw);
-  const auto clustered_result = evaluate_ngram(ds, clustered);
+  const auto raw_result = evaluate_ngram(logs::TableView(ds), raw);
+  const auto clustered_result = evaluate_ngram(logs::TableView(ds), clustered);
   EXPECT_GT(clustered_result.accuracy_at.at(1),
             raw_result.accuracy_at.at(1) + 0.3);
 }
@@ -210,8 +210,8 @@ TEST(EvaluateNgram, ClusteredAtLeastAsGoodOnParameterizedChains) {
 TEST(EvaluateNgram, SplitIsClientDisjointAndStable) {
   const auto ds = chain_dataset(100, 2);
   NgramEvalConfig config;
-  const auto r1 = evaluate_ngram(ds, config);
-  const auto r2 = evaluate_ngram(ds, config);
+  const auto r1 = evaluate_ngram(logs::TableView(ds), config);
+  const auto r2 = evaluate_ngram(logs::TableView(ds), config);
   EXPECT_EQ(r1.train_clients, r2.train_clients);
   EXPECT_EQ(r1.train_clients + r1.test_clients, 100u);
   EXPECT_NEAR(static_cast<double>(r1.train_clients) / 100.0, 0.8, 0.12);
@@ -221,10 +221,12 @@ TEST(EvaluateNgram, RejectsBadConfig) {
   const auto ds = chain_dataset(4, 1);
   NgramEvalConfig config;
   config.train_fraction = 1.0;
-  EXPECT_THROW((void)evaluate_ngram(ds, config), std::invalid_argument);
+  EXPECT_THROW((void)evaluate_ngram(logs::TableView(ds), config),
+               std::invalid_argument);
   config = {};
   config.context_len = 0;
-  EXPECT_THROW((void)evaluate_ngram(ds, config), std::invalid_argument);
+  EXPECT_THROW((void)evaluate_ngram(logs::TableView(ds), config),
+               std::invalid_argument);
 }
 
 }  // namespace

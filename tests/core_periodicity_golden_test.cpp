@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/periodicity.h"
-#include "logs/csv.h"
+#include "logs/zerocopy.h"
 #include "oracle/metamorphic.h"
 
 #ifndef JSONCDN_TEST_DATA_DIR
@@ -45,13 +45,15 @@ oracle::DetectionLabels read_golden_labels(const std::string& path) {
 
 TEST(PeriodicityGolden, DefaultStrategyReproducesCommittedLabels) {
   const std::string data_dir = JSONCDN_TEST_DATA_DIR;
-  const auto dataset =
-      logs::read_log_file(data_dir + "/periodicity_golden.tsv");
-  ASSERT_GT(dataset.size(), 1000u);
+  const auto table =
+      logs::read_log_table(data_dir + "/periodicity_golden.tsv");
+  ASSERT_GT(table.size(), 1000u);
 
   PeriodicityConfig config;
   config.threads = 1;
-  const auto report = analyze_periodicity(dataset.json_only(), config);
+  const auto json_rows = table.json_rows();
+  const auto report =
+      analyze_periodicity(logs::TableView(table, json_rows), config);
   const auto labels = oracle::detection_labels(report);
 
   const auto golden =

@@ -171,16 +171,16 @@ logs::LogRecord rec(double t, const std::string& client,
   return r;
 }
 
-logs::Dataset mixed_dataset() {
-  logs::Dataset ds;
+logs::LogTable mixed_dataset() {
+  logs::LogTable ds;
   // Periodic object: 12 clients polling at 60 s (shared period), offset
   // phases.
   for (int c = 0; c < 12; ++c) {
     stats::Rng rng(100 + c);
     const double phase = rng.uniform(0.0, 60.0);
     for (int i = 0; i < 25; ++i) {
-      ds.add(rec(phase + 60.0 * i + rng.normal(0.0, 0.3),
-                 "p" + std::to_string(c), "https://d/poll"));
+      ds.append(rec(phase + 60.0 * i + rng.normal(0.0, 0.3),
+                    "p" + std::to_string(c), "https://d/poll"));
     }
   }
   // Aperiodic object: 12 clients with Poisson traffic.
@@ -189,8 +189,8 @@ logs::Dataset mixed_dataset() {
     double t = 0.0;
     for (int i = 0; i < 25; ++i) {
       t += rng.exponential(1.0 / 60.0);
-      ds.add(rec(t, "a" + std::to_string(c), "https://d/random",
-                 http::Method::kPost));
+      ds.append(rec(t, "a" + std::to_string(c), "https://d/random",
+                    http::Method::kPost));
     }
   }
   ds.sort_by_time();
@@ -200,7 +200,7 @@ logs::Dataset mixed_dataset() {
 TEST(AnalyzePeriodicity, SeparatesPeriodicFromPoissonObjects) {
   const auto ds = mixed_dataset();
   PeriodicityConfig config;
-  const auto report = analyze_periodicity(ds, config);
+  const auto report = analyze_periodicity(logs::TableView(ds), config);
   ASSERT_EQ(report.objects.size(), 2u);
 
   const auto* poll = &report.objects[0];
@@ -217,7 +217,7 @@ TEST(AnalyzePeriodicity, SeparatesPeriodicFromPoissonObjects) {
 TEST(AnalyzePeriodicity, ReportAggregatesShares) {
   const auto ds = mixed_dataset();
   PeriodicityConfig config;
-  const auto report = analyze_periodicity(ds, config);
+  const auto report = analyze_periodicity(logs::TableView(ds), config);
   EXPECT_EQ(report.total_requests, ds.size());
   EXPECT_GT(report.periodic_requests, 0u);
   EXPECT_NEAR(report.periodic_request_share,
@@ -234,21 +234,22 @@ TEST(AnalyzePeriodicity, ReportAggregatesShares) {
 TEST(AnalyzePeriodicity, DeterministicAcrossRuns) {
   const auto ds = mixed_dataset();
   PeriodicityConfig config;
-  const auto a = analyze_periodicity(ds, config);
-  const auto b = analyze_periodicity(ds, config);
+  const auto a = analyze_periodicity(logs::TableView(ds), config);
+  const auto b = analyze_periodicity(logs::TableView(ds), config);
   EXPECT_EQ(a.periodic_requests, b.periodic_requests);
   EXPECT_EQ(a.object_periods, b.object_periods);
 }
 
 TEST(AnalyzePeriodicity, FlowFilterExcludesSmallObjects) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   // 3 clients only -> below the >=10 clients filter.
   for (int c = 0; c < 3; ++c) {
     for (int i = 0; i < 20; ++i) {
-      ds.add(rec(60.0 * i, "c" + std::to_string(c), "https://d/x"));
+      ds.append(rec(60.0 * i, "c" + std::to_string(c), "https://d/x"));
     }
   }
-  const auto report = analyze_periodicity(ds, PeriodicityConfig{});
+  const auto report =
+      analyze_periodicity(logs::TableView(ds), PeriodicityConfig{});
   EXPECT_TRUE(report.objects.empty());
   EXPECT_EQ(report.periodic_requests, 0u);
 }

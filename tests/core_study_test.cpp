@@ -28,8 +28,8 @@ const StudyResult& small_short_term_study() {
 
 TEST(Study, ProducesAllCharacterizationOutputs) {
   const auto& r = small_short_term_study();
-  EXPECT_GT(r.dataset.size(), 10000u);
-  EXPECT_GT(r.json.size(), 1000u);
+  EXPECT_GT(r.table.size(), 10000u);
+  EXPECT_GT(r.json().size(), 1000u);
   ASSERT_TRUE(r.source.has_value());
   ASSERT_TRUE(r.methods.has_value());
   ASSERT_TRUE(r.cacheability.has_value());
@@ -113,7 +113,7 @@ TEST(Study, NgramAccuracyMatchesTable3Shape) {
 
 TEST(Study, DeliveryMetricsConsistent) {
   const auto& r = small_short_term_study();
-  EXPECT_EQ(r.delivery.requests(), r.dataset.size());
+  EXPECT_EQ(r.delivery.requests(), r.table.size());
   EXPECT_GT(r.delivery.bytes_served(), 0u);
   EXPECT_GT(r.delivery.cacheable_hit_ratio(), 0.0);
   EXPECT_LT(r.delivery.cacheable_hit_ratio(), 1.0);
@@ -123,15 +123,21 @@ TEST(Study, DatasetSurvivesCsvRoundTrip) {
   const auto& r = small_short_term_study();
   std::stringstream stream;
   logs::LogWriter writer(stream);
-  for (std::size_t i = 0; i < 500; ++i) writer.write(r.dataset[i]);
-  logs::LogReader reader(stream);
-  const auto back = reader.read_all();
+  for (std::uint32_t i = 0; i < 500; ++i) writer.write(r.table.record(i));
+  std::string line;
+  ASSERT_TRUE(std::getline(stream, line));
+  EXPECT_EQ(line, logs::log_header());
+  std::vector<logs::LogRecord> back;
+  while (std::getline(stream, line)) {
+    const auto record = logs::from_line(line);
+    ASSERT_TRUE(record.has_value()) << line;
+    back.push_back(*record);
+  }
   ASSERT_EQ(back.size(), 500u);
-  EXPECT_EQ(reader.malformed_lines(), 0u);
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].url, r.dataset[i].url);
-    EXPECT_EQ(back[i].client_id, r.dataset[i].client_id);
-    EXPECT_EQ(back[i].cache_status, r.dataset[i].cache_status);
+  for (std::uint32_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].url, r.table.url(i));
+    EXPECT_EQ(back[i].client_id, r.table.client_id(i));
+    EXPECT_EQ(back[i].cache_status, r.table.cache_status(i));
   }
 }
 
@@ -148,9 +154,9 @@ TEST(Study, ReportRenderersProduceOutput) {
 TEST(Study, GroundTruthNeverLeaksIntoLogs) {
   // The dataset must contain anonymized ids, never raw 10.x addresses.
   const auto& r = small_short_term_study();
-  for (std::size_t i = 0; i < 200; ++i) {
-    EXPECT_EQ(r.dataset[i].client_id.find("10."), std::string::npos);
-    EXPECT_EQ(r.dataset[i].client_id.size(), 16u);
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    EXPECT_EQ(r.table.client_id(i).find("10."), std::string::npos);
+    EXPECT_EQ(r.table.client_id(i).size(), 16u);
   }
 }
 

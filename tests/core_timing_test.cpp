@@ -74,7 +74,7 @@ TEST(InterarrivalModel, KeySeparatorPreventsAmbiguity) {
 }
 
 TEST(InterarrivalModel, ObserveDatasetUsesClientFlows) {
-  logs::Dataset ds;
+  logs::LogTable ds;
   for (int c = 0; c < 3; ++c) {
     double t = c * 1000.0;
     for (const char* url : {"u1", "u2", "u3"}) {
@@ -85,11 +85,11 @@ TEST(InterarrivalModel, ObserveDatasetUsesClientFlows) {
       r.user_agent = "ua";
       r.url = url;
       r.content_type = "application/json";
-      ds.add(r);
+      ds.append(r);
     }
   }
   InterarrivalModel model;
-  model.observe_dataset(ds);
+  model.observe_dataset(logs::TableView(ds));
   EXPECT_EQ(model.observations(), 6u);  // two transitions per client
   ASSERT_NE(model.stats_for("u1", "u2"), nullptr);
   EXPECT_DOUBLE_EQ(model.stats_for("u1", "u2")->mean, 7.0);

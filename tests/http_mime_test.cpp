@@ -65,9 +65,10 @@ struct ClassifyCase {
 // '_' ("application/json; charset=utf-8" -> application_json_charset_utf_8).
 // gtest_discover_tests builds the ctest name from this, so names are
 // readable and stable across builds instead of a byte dump of the pointer.
+// The 32-character cap keeps every ctest name under 100 columns.
 std::string identifier(const char* text) {
   std::string out;
-  for (const char* c = text; *c != '\0'; ++c) {
+  for (const char* c = text; *c != '\0' && out.size() < 32; ++c) {
     if (std::isalnum(static_cast<unsigned char>(*c)) != 0) {
       out.push_back(*c);
     } else if (!out.empty() && out.back() != '_') {

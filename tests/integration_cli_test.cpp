@@ -11,6 +11,7 @@
 #include "cdn/network.h"
 #include "core/characterization.h"
 #include "logs/csv.h"
+#include "logs/zerocopy.h"
 #include "oracle/ground_truth.h"
 #include "workload/scenario.h"
 
@@ -40,29 +41,32 @@ TEST_F(FilePipelineTest, WriteReadAnalyzeAgrees) {
     std::ofstream out(path_);
     ASSERT_TRUE(out.good());
     logs::LogWriter writer(out);
-    for (const auto& record : dataset.records()) writer.write(record);
+    for (std::uint32_t i = 0; i < dataset.size(); ++i)
+      writer.write(dataset.record(i));
     ASSERT_EQ(writer.written(), dataset.size());
   }
 
-  std::ifstream in(path_);
-  ASSERT_TRUE(in.good());
-  logs::LogReader reader(in);
-  logs::Dataset loaded(reader.read_all());
+  logs::IngestReport report;
+  auto loaded = logs::read_log_table(path_, logs::IngestOptions{}, &report);
   loaded.sort_by_time();
-  EXPECT_EQ(reader.malformed_lines(), 0u);
+  EXPECT_EQ(report.malformed, 0u);
   ASSERT_EQ(loaded.size(), dataset.size());
   EXPECT_EQ(loaded.distinct_domains(), dataset.distinct_domains());
   EXPECT_EQ(loaded.distinct_clients(), dataset.distinct_clients());
   EXPECT_EQ(loaded.distinct_objects(), dataset.distinct_objects());
 
   // The analyses must be invariant under the disk round trip.
-  const auto direct = core::characterize_methods(dataset.json_only());
-  const auto from_disk = core::characterize_methods(loaded.json_only());
+  const auto direct_rows = dataset.json_rows();
+  const auto disk_rows = loaded.json_rows();
+  const logs::TableView direct_json(dataset, direct_rows);
+  const logs::TableView disk_json(loaded, disk_rows);
+  const auto direct = core::characterize_methods(direct_json);
+  const auto from_disk = core::characterize_methods(disk_json);
   EXPECT_EQ(direct.get, from_disk.get);
   EXPECT_EQ(direct.post, from_disk.post);
 
-  const auto direct_source = core::characterize_source(dataset.json_only());
-  const auto disk_source = core::characterize_source(loaded.json_only());
+  const auto direct_source = core::characterize_source(direct_json);
+  const auto disk_source = core::characterize_source(disk_json);
   EXPECT_EQ(direct_source.total_requests, disk_source.total_requests);
   EXPECT_EQ(direct_source.browser_requests, disk_source.browser_requests);
   EXPECT_EQ(direct_source.total_ua_strings, disk_source.total_ua_strings);
@@ -99,8 +103,8 @@ TEST_F(FilePipelineTest, HostileScenarioSidecarCarriesAttackerLabels) {
   // Every attacker key joins records in the served log (pseudonymized the
   // same way), and the per-request label count matches the truth.
   std::unordered_map<std::string, std::uint64_t> log_count;
-  for (const auto& record : dataset.records()) {
-    const auto it = truth_count.find(record.client_key());
+  for (std::uint32_t i = 0; i < dataset.size(); ++i) {
+    const auto it = truth_count.find(std::string(dataset.client_key(i)));
     if (it != truth_count.end()) ++log_count[it->first];
   }
   EXPECT_EQ(log_count.size(), truth_count.size());
@@ -119,11 +123,11 @@ TEST_F(FilePipelineTest, TruncatedFileDegradesGracefully) {
     writer.write(record);
     out << "corrupted tail without enough columns";
   }
-  std::ifstream in(path_);
-  logs::LogReader reader(in);
-  const auto records = reader.read_all();
-  EXPECT_EQ(records.size(), 1u);
-  EXPECT_EQ(reader.malformed_lines(), 1u);
+  logs::IngestReport report;
+  const auto table =
+      logs::read_log_table(path_, logs::IngestOptions{}, &report);
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(report.malformed, 1u);
 }
 
 }  // namespace

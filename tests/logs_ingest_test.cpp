@@ -12,6 +12,7 @@
 
 #include "logs/csv.h"
 #include "logs/record.h"
+#include "logs/zerocopy.h"
 
 namespace jsoncdn::logs {
 namespace {
@@ -144,7 +145,7 @@ TEST_F(IngestFileTest, PermissiveSkipsCountsAndQuarantines) {
   options.quarantine = &sink;
 
   IngestReport report;
-  const auto dataset = ingest_log_file(path_, options, &report);
+  const auto dataset = read_log_table(path_, options, &report);
 
   EXPECT_EQ(dataset.size(), 3u);
   EXPECT_EQ(report.records, 3u);
@@ -170,7 +171,7 @@ TEST_F(IngestFileTest, StrictThrowsNamingTheLine) {
   IngestOptions options;
   options.mode = ParseMode::kStrict;
   try {
-    (void)ingest_log_file(path_, options);
+    (void)read_log_table(path_, options);
     FAIL() << "expected strict mode to throw";
   } catch (const std::runtime_error& e) {
     // Header is line 1, the bad row is line 3.
@@ -185,7 +186,7 @@ TEST_F(IngestFileTest, ErrorBudgetAborts) {
   write_file({"bad one", "bad two", "bad three", good_line(1.0)});
   IngestOptions options;
   options.max_malformed = 1;
-  EXPECT_THROW((void)ingest_log_file(path_, options), std::runtime_error);
+  EXPECT_THROW((void)read_log_table(path_, options), std::runtime_error);
 }
 
 TEST_F(IngestFileTest, UnsupportedHeaderVersionIsFatalEvenPermissive) {
@@ -193,33 +194,8 @@ TEST_F(IngestFileTest, UnsupportedHeaderVersionIsFatalEvenPermissive) {
     std::ofstream out(path_);
     out << "#jsoncdn-log-v999\tfuture\tcolumns\n" << good_line(1.0) << '\n';
   }
-  EXPECT_THROW((void)ingest_log_file(path_, IngestOptions{}),
+  EXPECT_THROW((void)read_log_table(path_, IngestOptions{}),
                std::runtime_error);
-}
-
-TEST_F(IngestFileTest, ChunkedIngestMatchesWholeFile) {
-  std::vector<std::string> lines;
-  for (int i = 0; i < 10; ++i) lines.push_back(good_line(i));
-  lines.insert(lines.begin() + 4, "broken");
-  write_file(lines);
-
-  IngestReport whole;
-  const auto dataset = ingest_log_file(path_, IngestOptions{}, &whole);
-
-  std::vector<LogRecord> streamed;
-  const auto chunked = ingest_for_each_record(
-      path_, /*chunk_size=*/3, IngestOptions{},
-      [&](std::span<const LogRecord> chunk) {
-        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-      });
-
-  EXPECT_EQ(chunked.records, whole.records);
-  EXPECT_EQ(chunked.malformed, whole.malformed);
-  EXPECT_EQ(chunked.reasons, whole.reasons);
-  ASSERT_EQ(streamed.size(), dataset.size());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(to_line(streamed[i]), to_line(dataset.records()[i]));
-  }
 }
 
 // ---- Oversized rows (adversarial ingest) ----------------------------------
@@ -240,16 +216,16 @@ TEST_F(IngestFileTest, MultiMegabyteFieldRoundTrips) {
   write_file({good_line(0.5), to_line(record), good_line(2.0)});
 
   IngestReport report;
-  const auto dataset = ingest_log_file(path_, IngestOptions{}, &report);
+  const auto dataset = read_log_table(path_, IngestOptions{}, &report);
   ASSERT_EQ(dataset.size(), 3u);
   EXPECT_EQ(report.malformed, 0u);
-  EXPECT_EQ(dataset.records()[1].url.size(), record.url.size());
-  EXPECT_EQ(dataset.records()[1].user_agent, record.user_agent);
+  EXPECT_EQ(dataset.url(1).size(), record.url.size());
+  EXPECT_EQ(dataset.user_agent(1), record.user_agent);
 
   // Strict mode accepts the same file: oversized is not malformed.
   IngestOptions strict;
   strict.mode = ParseMode::kStrict;
-  EXPECT_EQ(ingest_log_file(path_, strict).size(), 3u);
+  EXPECT_EQ(read_log_table(path_, strict).size(), 3u);
 }
 
 TEST_F(IngestFileTest, OversizedSingleFieldRowQuarantinedWhole) {
@@ -263,7 +239,7 @@ TEST_F(IngestFileTest, OversizedSingleFieldRowQuarantinedWhole) {
   IngestOptions options;
   options.quarantine = &sink;
   IngestReport report;
-  const auto dataset = ingest_log_file(path_, options, &report);
+  const auto dataset = read_log_table(path_, options, &report);
 
   EXPECT_EQ(dataset.size(), 2u);
   EXPECT_EQ(report.malformed, 1u);
@@ -276,7 +252,7 @@ TEST_F(IngestFileTest, OversizedSingleFieldRowQuarantinedWhole) {
   IngestOptions strict;
   strict.mode = ParseMode::kStrict;
   try {
-    (void)ingest_log_file(path_, strict);
+    (void)read_log_table(path_, strict);
     FAIL() << "expected strict mode to throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
@@ -302,7 +278,7 @@ TEST_F(IngestFileTest, OversizedRowsIngestLinearly) {
 
   const auto start = std::chrono::steady_clock::now();
   IngestReport report;
-  const auto dataset = ingest_log_file(path_, IngestOptions{}, &report);
+  const auto dataset = read_log_table(path_, IngestOptions{}, &report);
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
 
@@ -312,7 +288,7 @@ TEST_F(IngestFileTest, OversizedRowsIngestLinearly) {
 }
 
 TEST_F(IngestFileTest, MissingFileThrows) {
-  EXPECT_THROW((void)ingest_log_file(path_ + ".nope", IngestOptions{}),
+  EXPECT_THROW((void)read_log_table(path_ + ".nope", IngestOptions{}),
                std::runtime_error);
 }
 

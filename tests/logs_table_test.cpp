@@ -1,15 +1,19 @@
-// Columnar log store: interner symbol/view stability, LogTable row-proxy
-// equivalence with the row-oriented Dataset, the zero-copy file ingest, and
-// the .jlog binary sidecar round-trip (including corruption rejection).
+// Columnar log store: interner symbol/view stability, the LogTable row proxy
+// against the records it was built from, the zero-copy file ingest, and the
+// .jlog binary sidecar round-trip (including corruption rejection).
 #include "logs/table.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "http/mime.h"
 #include "logs/csv.h"
 #include "logs/interner.h"
 #include "logs/jlog.h"
@@ -71,8 +75,8 @@ TEST(StringInterner, HundredThousandSymbolStress) {
 
 // ---- LogTable -------------------------------------------------------------
 
-Dataset make_dataset(std::size_t n, std::uint64_t seed = 99) {
-  Dataset ds;
+std::vector<LogRecord> make_records(std::size_t n, std::uint64_t seed = 99) {
+  std::vector<LogRecord> ds;
   stats::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
     LogRecord r;
@@ -89,14 +93,27 @@ Dataset make_dataset(std::size_t n, std::uint64_t seed = 99) {
     r.request_bytes = i % 11 == 0 ? 256 : 0;
     r.cache_status = static_cast<CacheStatus>(i % kCacheStatusCount);
     r.edge_id = static_cast<std::uint32_t>(i % 4);
-    ds.add(std::move(r));
+    ds.push_back(std::move(r));
   }
   return ds;
 }
 
-void expect_same_records(const Dataset& ds, const LogTable& table) {
-  ASSERT_EQ(ds.size(), table.size());
-  const auto& records = ds.records();
+LogTable table_of(const std::vector<LogRecord>& records) {
+  LogTable table;
+  for (const auto& r : records) table.append(r);
+  return table;
+}
+
+void sort_by_time(std::vector<LogRecord>& records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const LogRecord& a, const LogRecord& b) {
+                     return a.timestamp < b.timestamp;
+                   });
+}
+
+void expect_same_records(const std::vector<LogRecord>& records,
+                         const LogTable& table) {
+  ASSERT_EQ(records.size(), table.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const auto& r = records[i];
     const auto row = table.row(static_cast<LogTable::RowIndex>(i));
@@ -118,21 +135,30 @@ void expect_same_records(const Dataset& ds, const LogTable& table) {
 }
 
 TEST(LogTable, RowProxyMatchesDataset) {
-  const auto ds = make_dataset(2000);
-  const auto table = LogTable::from_dataset(ds);
+  const auto ds = make_records(2000);
+  const auto table = table_of(ds);
   expect_same_records(ds, table);
 
-  // Distinct counts are dictionary sizes and must agree with the row path.
-  EXPECT_EQ(table.distinct_domains(), ds.distinct_domains());
-  EXPECT_EQ(table.distinct_objects(), ds.distinct_objects());
-  EXPECT_EQ(table.distinct_clients(), ds.distinct_clients());
-  EXPECT_EQ(table.time_range(), ds.time_range());
+  // Distinct counts are dictionary sizes and must agree with the records.
+  std::set<std::string> domains, objects, clients;
+  double lo = ds.front().timestamp;
+  double hi = lo;
+  for (const auto& r : ds) {
+    domains.insert(r.domain);
+    objects.insert(r.url);
+    clients.insert(r.client_key());
+    lo = std::min(lo, r.timestamp);
+    hi = std::max(hi, r.timestamp);
+  }
+  EXPECT_EQ(table.distinct_domains(), domains.size());
+  EXPECT_EQ(table.distinct_objects(), objects.size());
+  EXPECT_EQ(table.distinct_clients(), clients.size());
+  EXPECT_EQ(table.time_range(), std::make_pair(lo, hi));
 }
 
 TEST(LogTable, FlowKeyPacksClientAndUrlSymbols) {
-  const auto ds = make_dataset(500);
-  const auto table = LogTable::from_dataset(ds);
-  const auto& records = ds.records();
+  const auto records = make_records(500);
+  const auto table = table_of(records);
   for (std::size_t i = 0; i < records.size(); ++i) {
     for (std::size_t j = i + 1; j < std::min(records.size(), i + 40); ++j) {
       const bool same_flow = records[i].url == records[j].url &&
@@ -146,41 +172,99 @@ TEST(LogTable, FlowKeyPacksClientAndUrlSymbols) {
 }
 
 TEST(LogTable, SortByTimeMatchesDatasetStableSort) {
-  auto ds = make_dataset(3000);
-  auto table = LogTable::from_dataset(ds);
-  ds.sort_by_time();
+  auto ds = make_records(3000);
+  auto table = table_of(ds);
+  sort_by_time(ds);
   table.sort_by_time();
   expect_same_records(ds, table);
 }
 
 TEST(LogTable, JsonRowsMatchDatasetFilter) {
-  const auto ds = make_dataset(2000);
-  const auto table = LogTable::from_dataset(ds);
-  const auto json = ds.json_only();
+  const auto ds = make_records(2000);
+  const auto table = table_of(ds);
+  std::vector<LogRecord> json;
+  for (const auto& r : ds) {
+    if (http::is_json(r.content_type)) json.push_back(r);
+  }
   const auto rows = table.json_rows();
   ASSERT_EQ(rows.size(), json.size());
   for (std::size_t k = 0; k < rows.size(); ++k) {
-    EXPECT_EQ(table.url(rows[k]), json.records()[k].url);
-    EXPECT_EQ(table.timestamp(rows[k]), json.records()[k].timestamp);
+    EXPECT_EQ(table.url(rows[k]), json[k].url);
+    EXPECT_EQ(table.timestamp(rows[k]), json[k].timestamp);
   }
 }
 
-TEST(LogTable, ToDatasetRoundTrips) {
-  const auto ds = make_dataset(1500);
-  const auto table = LogTable::from_dataset(ds);
-  const auto back = table.to_dataset();
-  expect_same_records(back, table);
-  ASSERT_EQ(back.size(), ds.size());
+LogRecord make(double t, const std::string& client, const std::string& url) {
+  LogRecord r;
+  r.timestamp = t;
+  r.client_id = client;
+  r.user_agent = "ua";
+  r.url = url;
+  r.domain = "d.example";
+  r.content_type = "application/json";
+  return r;
+}
+
+TEST(LogTable, SortByTimeIsStable) {
+  LogTable table;
+  table.append(make(2.0, "a", "u1"));
+  table.append(make(1.0, "b", "u2"));
+  table.append(make(1.0, "c", "u3"));
+  table.sort_by_time();
+  EXPECT_EQ(table.client_id(0), "b");
+  EXPECT_EQ(table.client_id(1), "c");  // equal keys keep insertion order
+  EXPECT_EQ(table.client_id(2), "a");
+}
+
+TEST(LogTable, SelectPreservesOrder) {
+  LogTable table;
+  table.append(make(1.0, "a", "u1"));
+  table.append(make(2.0, "b", "u2"));
+  table.append(make(3.0, "a", "u3"));
+  const std::vector<LogTable::RowIndex> rows = {0, 2};
+  const auto out = table.select(rows);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.url(0), "u1");
+  EXPECT_EQ(out.url(1), "u3");
+  // The copy's dictionaries hold only the selected rows' strings.
+  EXPECT_EQ(out.distinct_objects(), 2u);
+  EXPECT_EQ(out.distinct_clients(), 1u);
+}
+
+TEST(LogTable, JsonRowsUseMimeClassifier) {
+  LogTable table;
+  auto r1 = make(1.0, "a", "u1");
+  r1.content_type = "application/json; charset=utf-8";
+  auto r2 = make(2.0, "a", "u2");
+  r2.content_type = "text/html";
+  auto r3 = make(3.0, "a", "u3");
+  r3.content_type = "application/vnd.api+json";
+  table.append(r1);
+  table.append(r2);
+  table.append(r3);
+  EXPECT_EQ(table.json_rows(), (std::vector<LogTable::RowIndex>{0, 2}));
+}
+
+TEST(LogTable, TimeRangeAndDistincts) {
+  LogTable table;
+  EXPECT_EQ(table.time_range(), (std::pair<double, double>{0.0, 0.0}));
+  table.append(make(5.0, "a", "u1"));
+  table.append(make(2.0, "b", "u1"));
+  table.append(make(9.0, "a", "u2"));
+  EXPECT_EQ(table.time_range(), (std::pair<double, double>{2.0, 9.0}));
+  EXPECT_EQ(table.distinct_objects(), 2u);
+  EXPECT_EQ(table.distinct_clients(), 2u);
+  EXPECT_EQ(table.distinct_domains(), 1u);
 }
 
 TEST(LogTable, AppendAfterJlogLoadKeepsInterningConsistent) {
-  const auto ds = make_dataset(300);
+  const auto ds = make_records(300);
   const std::string path = testing::TempDir() + "append_after_load.jlog";
-  write_jlog(path, LogTable::from_dataset(ds));
+  write_jlog(path, table_of(ds));
   auto table = read_jlog(path);
   // Appending a record whose client pair already exists must reuse its
   // symbol even though the pair cache was rebuilt from the file.
-  const auto& first = ds.records().front();
+  const auto& first = ds.front();
   const auto before = table.distinct_clients();
   table.append(first);
   EXPECT_EQ(table.distinct_clients(), before);
@@ -191,78 +275,81 @@ TEST(LogTable, AppendAfterJlogLoadKeepsInterningConsistent) {
 
 // ---- Zero-copy file ingest ------------------------------------------------
 
-std::string write_temp_log(const std::string& name, const Dataset& ds,
+// The records as the TSV text carries them (timestamps at the writer's
+// fixed six decimals), i.e. what a correct reader must return.
+std::vector<LogRecord> as_written(const std::vector<LogRecord>& records) {
+  std::vector<LogRecord> out;
+  for (const auto& r : records) out.push_back(*from_line(to_line(r)));
+  return out;
+}
+
+std::string write_temp_log(const std::string& name,
+                           const std::vector<LogRecord>& ds,
                            const std::vector<std::string>& extra_lines = {}) {
   const std::string path = testing::TempDir() + name;
   std::ofstream out(path);
   LogWriter writer(out);
-  for (const auto& r : ds.records()) writer.write(r);
+  for (const auto& r : ds) writer.write(r);
   for (const auto& line : extra_lines) out << line << "\n";
   return path;
 }
 
 TEST(ZeroCopyIngest, MatchesRowIngestOnCleanFile) {
-  Dataset ds = make_dataset(1200);
+  auto ds = make_records(1200);
   {
     // Exercise the unescape slow path: tabs and '+' in fields.
-    LogRecord r = ds.records().front();
+    LogRecord r = ds.front();
     r.url = "https://api.test.example/search?q=a+b\tc";
     r.user_agent = "Agent With Spaces/1.0\t(tabbed)";
-    ds.add(std::move(r));
+    ds.push_back(std::move(r));
   }
   const auto path = write_temp_log("zerocopy_clean.log", ds);
 
-  IngestReport row_report;
-  const auto row_ds = ingest_log_file(path, IngestOptions{}, &row_report);
   IngestReport col_report;
   const auto table = read_log_table(path, IngestOptions{}, &col_report);
 
-  expect_same_records(row_ds, table);
-  EXPECT_EQ(col_report.lines, row_report.lines);
-  EXPECT_EQ(col_report.records, row_report.records);
-  EXPECT_EQ(col_report.malformed, row_report.malformed);
-  EXPECT_EQ(col_report.header_seen, row_report.header_seen);
+  // Every written record comes back; the header is line 1.
+  expect_same_records(as_written(ds), table);
+  EXPECT_EQ(col_report.lines, 1202u);
+  EXPECT_EQ(col_report.records, 1201u);
+  EXPECT_EQ(col_report.malformed, 0u);
+  EXPECT_TRUE(col_report.header_seen);
   std::remove(path.c_str());
 }
 
 TEST(ZeroCopyIngest, CountsMalformedLinesLikeRowIngest) {
-  const auto ds = make_dataset(200);
+  const auto ds = make_records(200);
   const auto path = write_temp_log(
       "zerocopy_malformed.log", ds,
       {"not\ta\tlog\tline", "# a comment line",
        "sideways\tc\tua\tGET\tu\td\tct\t200\t1\t0\tHIT\t1",
        "1.5\tc\tua\tBREW\tu\td\tct\t200\t1\t0\tHIT\t1"});
 
-  IngestReport row_report;
-  const auto row_ds = ingest_log_file(path, IngestOptions{}, &row_report);
   IngestReport col_report;
   const auto table = read_log_table(path, IngestOptions{}, &col_report);
 
-  expect_same_records(row_ds, table);
-  EXPECT_EQ(col_report.lines, row_report.lines);
-  EXPECT_EQ(col_report.malformed, row_report.malformed);
-  EXPECT_EQ(col_report.reasons, row_report.reasons);
+  // Header + 200 records + 4 extra lines; the comment is not malformed.
+  expect_same_records(as_written(ds), table);
+  EXPECT_EQ(col_report.lines, 205u);
+  EXPECT_EQ(col_report.malformed, 3u);
+  const std::map<std::string, std::uint64_t> reasons = {
+      {"bad-method", 1}, {"bad-timestamp", 1}, {"column-count", 1}};
+  EXPECT_EQ(col_report.reasons, reasons);
   std::remove(path.c_str());
 }
 
 TEST(ZeroCopyIngest, StrictModeThrowsTheSameMessage) {
-  const auto ds = make_dataset(10);
+  const auto ds = make_records(10);
   const auto path =
       write_temp_log("zerocopy_strict.log", ds, {"short\tline"});
   IngestOptions strict;
   strict.mode = ParseMode::kStrict;
-  std::string row_error;
-  try {
-    (void)ingest_log_file(path, strict);
-    FAIL() << "row ingest did not throw";
-  } catch (const std::exception& e) {
-    row_error = e.what();
-  }
   try {
     (void)read_log_table(path, strict);
     FAIL() << "columnar ingest did not throw";
   } catch (const std::exception& e) {
-    EXPECT_EQ(row_error, e.what());
+    // The header is line 1, so the bad line is line 12.
+    EXPECT_STREQ(e.what(), "malformed log line 12: column-count");
   }
   std::remove(path.c_str());
 }
@@ -285,9 +372,9 @@ TEST(ZeroCopyIngest, HandlesMissingFinalNewlineAndCrlf) {
 // ---- .jlog sidecar --------------------------------------------------------
 
 TEST(Jlog, RoundTripsTableExactly) {
-  auto ds = make_dataset(2500);
-  ds.sort_by_time();
-  const auto table = LogTable::from_dataset(ds);
+  auto ds = make_records(2500);
+  sort_by_time(ds);
+  const auto table = table_of(ds);
   const std::string path = testing::TempDir() + "roundtrip.jlog";
   write_jlog(path, table);
 
@@ -302,9 +389,9 @@ TEST(Jlog, RoundTripsTableExactly) {
 }
 
 TEST(Jlog, RejectsBadMagicAndTruncation) {
-  const auto ds = make_dataset(400);
+  const auto ds = make_records(400);
   const std::string path = testing::TempDir() + "corrupt.jlog";
-  write_jlog(path, LogTable::from_dataset(ds));
+  write_jlog(path, table_of(ds));
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -342,9 +429,9 @@ TEST(Jlog, RejectsBadMagicAndTruncation) {
 }
 
 TEST(Jlog, RejectsOutOfRangeEnumAndSymbol) {
-  const auto ds = make_dataset(50);
+  const auto ds = make_records(50);
   const std::string path = testing::TempDir() + "ranges.jlog";
-  write_jlog(path, LogTable::from_dataset(ds));
+  write_jlog(path, table_of(ds));
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());

@@ -10,6 +10,7 @@
 #include "logs/anonymizer.h"
 #include "logs/csv.h"
 #include "logs/record.h"
+#include "logs/zerocopy.h"
 
 namespace jsoncdn::logs {
 namespace {
@@ -44,6 +45,26 @@ void expect_equal(const LogRecord& a, const LogRecord& b) {
   EXPECT_EQ(a.request_bytes, b.request_bytes);
   EXPECT_EQ(a.cache_status, b.cache_status);
   EXPECT_EQ(a.edge_id, b.edge_id);
+}
+
+// Per-test temp path: ctest runs each case as its own process, so a shared
+// path would let parallel cases overwrite each other's files.
+std::string temp_log_path() {
+  return ::testing::TempDir() + "jsoncdn_logs_test_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + std::to_string(::getpid()) + ".log";
+}
+
+// Writes `text` to a temp file and loads it through the zero-copy ingest.
+LogTable read_back(const std::string& text, IngestReport* report) {
+  const auto path = temp_log_path();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  auto table = read_log_table(path, IngestOptions{}, report);
+  std::remove(path.c_str());
+  return table;
 }
 
 TEST(CacheStatus, RoundTripsAllValues) {
@@ -131,12 +152,12 @@ TEST(LogWriterReader, StreamRoundTripWithHeaderAndMalformedLines) {
 
   stream << "this is not a log line\n\n";
 
-  LogReader reader(stream);
-  const auto records = reader.read_all();
-  ASSERT_EQ(records.size(), 2u);
-  expect_equal(records[0], r1);
-  expect_equal(records[1], r2);
-  EXPECT_EQ(reader.malformed_lines(), 1u);  // empty lines are skipped silently
+  IngestReport report;
+  const auto table = read_back(stream.str(), &report);
+  ASSERT_EQ(table.size(), 2u);
+  expect_equal(table.record(0), r1);
+  expect_equal(table.record(1), r2);
+  EXPECT_EQ(report.malformed, 1u);  // empty lines are skipped silently
 }
 
 TEST(LogLine, ToleratesCrlfLineEndings) {
@@ -157,21 +178,18 @@ TEST(LogWriterReader, ReadsCrlfStreamsAndFinalRowWithoutNewline) {
          << to_line(r1) << "\r\n"
          << "\r\n"
          << to_line(r2);  // no trailing newline
-  LogReader reader(stream);
-  const auto records = reader.read_all();
-  ASSERT_EQ(records.size(), 2u);
-  expect_equal(records[0], r1);
-  expect_equal(records[1], r2);
-  EXPECT_EQ(reader.malformed_lines(), 0u);
+  IngestReport report;
+  const auto table = read_back(stream.str(), &report);
+  ASSERT_EQ(table.size(), 2u);
+  expect_equal(table.record(0), r1);
+  expect_equal(table.record(1), r2);
+  EXPECT_EQ(report.malformed, 0u);
 }
 
 class LogFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // One file per test process, so parallel ctest cases never share it.
-    path_ = ::testing::TempDir() + "jsoncdn_logs_file_test_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            "_" + std::to_string(::getpid()) + ".log";
+    path_ = temp_log_path();
     std::ofstream out(path_);
     LogWriter writer(out);
     for (int i = 0; i < 25; ++i) {
@@ -191,41 +209,17 @@ class LogFileTest : public ::testing::Test {
 };
 
 TEST_F(LogFileTest, ReadLogFileLoadsAndCountsMalformed) {
-  std::uint64_t malformed = 0;
-  const auto ds = read_log_file(path_, &malformed);
-  ASSERT_EQ(ds.size(), written_.size());
-  EXPECT_EQ(malformed, 1u);
-  for (std::size_t i = 0; i < written_.size(); ++i)
-    expect_equal(ds[i], written_[i]);
-  // The file-size reserve hint must be in a sane band: nonzero, and not
-  // orders of magnitude above the real record count.
-  const auto hint = estimate_record_count(path_);
-  EXPECT_GT(hint, 0u);
-  EXPECT_LT(hint, written_.size() * 100);
+  IngestReport report;
+  const auto table = read_log_table(path_, IngestOptions{}, &report);
+  ASSERT_EQ(table.size(), written_.size());
+  EXPECT_EQ(report.malformed, 1u);
+  for (std::uint32_t i = 0; i < written_.size(); ++i)
+    expect_equal(table.record(i), written_[i]);
 }
 
 TEST_F(LogFileTest, ReadLogFileThrowsOnMissingFile) {
-  EXPECT_THROW((void)read_log_file(path_ + ".does-not-exist"),
+  EXPECT_THROW((void)read_log_table(path_ + ".does-not-exist"),
                std::runtime_error);
-}
-
-TEST_F(LogFileTest, ForEachRecordChunksMatchReadAll) {
-  std::vector<LogRecord> streamed;
-  std::size_t calls = 0;
-  std::size_t max_chunk = 0;
-  const auto stats = for_each_record(
-      path_, 7, [&](std::span<const LogRecord> chunk) {
-        ++calls;
-        max_chunk = std::max(max_chunk, chunk.size());
-        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
-      });
-  EXPECT_EQ(stats.records, written_.size());
-  EXPECT_EQ(stats.malformed, 1u);
-  EXPECT_LE(max_chunk, 7u);
-  EXPECT_EQ(calls, (written_.size() + 6) / 7);
-  ASSERT_EQ(streamed.size(), written_.size());
-  for (std::size_t i = 0; i < written_.size(); ++i)
-    expect_equal(streamed[i], written_[i]);
 }
 
 TEST(LogHeader, StartsWithCommentMarker) {

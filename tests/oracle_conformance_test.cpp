@@ -82,15 +82,15 @@ TEST(OracleConformance, RenderingsNameEverySeed) {
 TEST(OracleMetamorphic, TimeShiftNeverFlipsDetectionLabels) {
   const auto& original = small_case();
   const auto base = detection_labels(
-      core::analyze_periodicity(original.json, threads1()));
+      core::analyze_periodicity(original.json(), threads1()));
   ASSERT_FALSE(base.empty());
 
   // A large non-representable shift stresses the worst case: every shifted
   // timestamp re-rounds, so inter-arrival gaps move at the ulp level. Flow
   // coverage and periodic flags must be untouched; periods may re-round.
-  const auto shifted = shift_time(original.json, 86400.5);
-  const auto moved =
-      detection_labels(core::analyze_periodicity(shifted, threads1()));
+  const auto shifted = shift_time(original.json(), 86400.5);
+  const auto moved = detection_labels(
+      core::analyze_periodicity(logs::TableView(shifted), threads1()));
   ASSERT_EQ(base.size(), moved.size());
   EXPECT_TRUE(labels_equivalent(base, moved, 1e-6));
 }
@@ -98,38 +98,38 @@ TEST(OracleMetamorphic, TimeShiftNeverFlipsDetectionLabels) {
 TEST(OracleMetamorphic, InterleavingDisjointTrafficPreservesLabels) {
   const auto& original = small_case();
   const auto base = detection_labels(
-      core::analyze_periodicity(original.json, threads1()));
+      core::analyze_periodicity(original.json(), threads1()));
 
-  const auto merged =
-      merge_datasets(original.json, rename_disjoint(original.json, "twin"));
-  ASSERT_EQ(merged.size(), 2 * original.json.size());
-  const auto labels =
-      detection_labels(core::analyze_periodicity(merged, threads1()));
+  const auto twin = rename_disjoint(original.json(), "twin");
+  const auto merged = merge_datasets(original.json(), logs::TableView(twin));
+  ASSERT_EQ(merged.size(), 2 * original.json_rows.size());
+  const auto labels = detection_labels(
+      core::analyze_periodicity(logs::TableView(merged), threads1()));
   EXPECT_EQ(restrict_labels(labels, base), base);
 }
 
 TEST(OracleMetamorphic, BenignNoiseDoesNotFlipLabels) {
   const auto& original = small_case();
   const auto base = detection_labels(
-      core::analyze_periodicity(original.json, threads1()));
+      core::analyze_periodicity(original.json(), threads1()));
 
-  const auto noisy = inject_benign_noise(original.json, 500, 99);
-  ASSERT_EQ(noisy.size(), original.json.size() + 500);
-  const auto labels =
-      detection_labels(core::analyze_periodicity(noisy, threads1()));
+  const auto noisy = inject_benign_noise(original.json(), 500, 99);
+  ASSERT_EQ(noisy.size(), original.json_rows.size() + 500);
+  const auto labels = detection_labels(
+      core::analyze_periodicity(logs::TableView(noisy), threads1()));
   EXPECT_EQ(restrict_labels(labels, base), base);
 }
 
 TEST(OracleMetamorphic, OrderPreservingRenameKeepsNgramAccuracy) {
   const auto& original = small_case();
-  const auto renamed = rename_urls_order_preserving(original.json, "zz9.");
+  const auto renamed = rename_urls_order_preserving(original.json(), "zz9.");
 
   for (const bool clustered : {false, true}) {
     core::NgramEvalConfig config;
     config.threads = 1;
     config.clustered = clustered;
-    const auto before = core::evaluate_ngram(original.json, config);
-    const auto after = core::evaluate_ngram(renamed, config);
+    const auto before = core::evaluate_ngram(original.json(), config);
+    const auto after = core::evaluate_ngram(logs::TableView(renamed), config);
     EXPECT_EQ(before.accuracy_at, after.accuracy_at)
         << "clustered=" << clustered;
     EXPECT_EQ(before.predictions, after.predictions);
@@ -142,37 +142,41 @@ TEST(OracleMetamorphic, ThreadCountIsInvisibleInLabelsAndAccuracy) {
   auto config4 = threads1();
   config4.threads = 4;
   EXPECT_EQ(
-      detection_labels(core::analyze_periodicity(original.json, threads1())),
-      detection_labels(core::analyze_periodicity(original.json, config4)));
+      detection_labels(core::analyze_periodicity(original.json(), threads1())),
+      detection_labels(core::analyze_periodicity(original.json(), config4)));
 
   core::NgramEvalConfig n1;
   n1.threads = 1;
   auto n4 = n1;
   n4.threads = 4;
-  EXPECT_EQ(core::evaluate_ngram(original.json, n1).accuracy_at,
-            core::evaluate_ngram(original.json, n4).accuracy_at);
+  EXPECT_EQ(core::evaluate_ngram(original.json(), n1).accuracy_at,
+            core::evaluate_ngram(original.json(), n4).accuracy_at);
 }
 
 // --- transform unit behaviour ---------------------------------------------
 
 TEST(OracleMetamorphic, RenameDisjointTouchesEveryIdentity) {
   const auto& original = small_case();
-  const auto renamed = rename_disjoint(original.json, "twin");
-  ASSERT_EQ(renamed.size(), original.json.size());
-  for (std::size_t i = 0; i < renamed.size(); ++i) {
-    EXPECT_NE(renamed[i].client_id, original.json[i].client_id);
-    EXPECT_NE(renamed[i].url, original.json[i].url);
-    EXPECT_NE(renamed[i].domain, original.json[i].domain);
-    EXPECT_EQ(renamed[i].timestamp, original.json[i].timestamp);
+  const auto json = original.json();
+  const auto renamed = rename_disjoint(json, "twin");
+  ASSERT_EQ(renamed.size(), json.size());
+  const auto& table = original.table;
+  for (std::uint32_t i = 0; i < renamed.size(); ++i) {
+    EXPECT_NE(renamed.client_id(i), table.client_id(json[i]));
+    EXPECT_NE(renamed.url(i), table.url(json[i]));
+    EXPECT_NE(renamed.domain(i), table.domain(json[i]));
+    EXPECT_EQ(renamed.timestamp(i), table.timestamp(json[i]));
   }
 }
 
 TEST(OracleMetamorphic, RenameRejectsUrlsWithoutScheme) {
-  std::vector<logs::LogRecord> records(1);
-  records[0].url = "ftp://a.example/x";
-  const logs::Dataset ds(std::move(records));
-  EXPECT_THROW((void)rename_urls_order_preserving(ds, "zz."),
-               std::invalid_argument);
+  logs::LogRecord record;
+  record.url = "ftp://a.example/x";
+  logs::LogTable table;
+  table.append(record);
+  EXPECT_THROW(
+      (void)rename_urls_order_preserving(logs::TableView(table), "zz."),
+      std::invalid_argument);
 }
 
 TEST(OracleMetamorphic, DetectionLabelStripRealignsRenamedKeys) {

@@ -197,6 +197,13 @@ TEST(ScorePeriodicity, AttackerExtraPeriodsCountAsHostileDetections) {
   EXPECT_EQ(score.false_positives, 0u);
 }
 
+// The records as a LogTable, in the given order.
+logs::LogTable table_of(const std::vector<logs::LogRecord>& records) {
+  logs::LogTable table;
+  for (const auto& record : records) table.append(record);
+  return table;
+}
+
 // --- score_ngram -----------------------------------------------------------
 
 logs::LogRecord json_record(double t, const std::string& client_id,
@@ -230,8 +237,9 @@ TEST(ScoreNgram, SkylineEqualsMeasuredWhenLogMatchesSessionsExactly) {
     }
     truth.sessions.push_back({key, chain});
   }
-  logs::Dataset ds(std::move(records));
-  ds.sort_by_time();
+  auto table = table_of(records);
+  const logs::TableView ds(table);
+  table.sort_by_time();
 
   core::NgramEvalConfig config;
   config.threads = 1;
@@ -265,8 +273,9 @@ TEST(ScoreNgram, ClusteredSkylinePrefersTruthTemplates) {
     }
     truth.sessions.push_back({key, chain});
   }
-  logs::Dataset ds(std::move(records));
-  ds.sort_by_time();
+  auto table = table_of(records);
+  const logs::TableView ds(table);
+  table.sort_by_time();
 
   core::NgramEvalConfig config;
   config.threads = 1;
@@ -312,8 +321,9 @@ TEST(ScoreMarginals, ZeroDistanceWhenTruthAgreesWithClassifier) {
   truth.population_shares = {{"mobile-app", 1.0}};
   truth.industry_of_domain = {{"api.fin-001.example", "Financial Services"}};
 
-  logs::Dataset ds(std::move(records));
-  ds.sort_by_time();
+  auto table = table_of(records);
+  const logs::TableView ds(table);
+  table.sort_by_time();
   const auto source = core::characterize_source(ds, 1);
 
   const auto score = score_marginals(ds, source, truth);
@@ -328,7 +338,8 @@ TEST(ScoreMarginals, CountsRecordsWithoutTruthRowAsUnmatched) {
   std::vector<logs::LogRecord> records;
   records.push_back(
       json_record(0.0, "stranger", "UA", "https://a.example/x"));
-  logs::Dataset ds(std::move(records));
+  auto table = table_of(records);
+  const logs::TableView ds(table);
   const auto source = core::characterize_source(ds, 1);
 
   const auto score = score_marginals(ds, source, TruthSidecar{});
@@ -365,8 +376,9 @@ TEST(ScoreMarginals, HostileRecordsAreExcludedFromTheDeviceMarginal) {
   truth.attackers.push_back({"bot|" + bot_ua, "scraper", 12});
   truth.population_shares = {{"mobile-app", 1.0}};
 
-  logs::Dataset ds(std::move(records));
-  ds.sort_by_time();
+  auto table = table_of(records);
+  const logs::TableView ds(table);
+  table.sort_by_time();
   const auto source = core::characterize_source(ds, 1);
   // Sanity: the whole-log device mix really is skewed by the bot.
   EXPECT_LT(source.device_share(http::DeviceType::kMobile), 0.5);
@@ -389,7 +401,8 @@ TEST(ScoreMarginals, DeviceMismatchShowsUpAsDistance) {
                            std::string(http::to_string(
                                http::DeviceType::kEmbedded)),
                            "unknown", false});
-  logs::Dataset ds(std::move(records));
+  auto table = table_of(records);
+  const logs::TableView ds(table);
   const auto source = core::characterize_source(ds, 1);
 
   const auto score = score_marginals(ds, source, truth);

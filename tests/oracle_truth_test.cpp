@@ -142,15 +142,16 @@ TEST(OracleTruth, SidecarKeysJoinAgainstTheEdgeLog) {
     truth_keys.insert(client.client_key);
   }
   ASSERT_FALSE(dataset.empty());
-  for (const auto& record : dataset.records()) {
-    EXPECT_TRUE(truth_keys.contains(record.client_key()))
-        << "log record client has no truth row: " << record.client_key();
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const std::string key(dataset.client_key(i));
+    EXPECT_TRUE(truth_keys.contains(key))
+        << "log record client has no truth row: " << key;
   }
 
   // Every domain the log saw carries an exact industry label.
-  for (const auto& record : dataset.records()) {
-    EXPECT_TRUE(sidecar.industry_of_domain.contains(record.domain))
-        << record.domain;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const std::string domain(dataset.domain(i));
+    EXPECT_TRUE(sidecar.industry_of_domain.contains(domain)) << domain;
   }
 
   // Session truth is present and well-formed (app-graph sessions exist even

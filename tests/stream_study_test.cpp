@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/periodicity.h"
-#include "logs/dataset.h"
+#include "logs/table.h"
 #include "stats/rng.h"
 #include "stream/validate.h"
 
@@ -45,8 +46,8 @@ logs::LogRecord make_record(double ts, const std::string& client,
 //   - one heavy aperiodic JSON flow (12 clients, exponential gaps),
 //   - a tail of small JSON flows (ineligible for periodicity),
 //   - HTML traffic for the size comparison.
-logs::Dataset make_stream_dataset() {
-  logs::Dataset ds;
+logs::LogTable make_stream_dataset() {
+  logs::LogTable ds;
   stats::Rng rng(2024);
   for (int flow = 0; flow < 3; ++flow) {
     const std::string url =
@@ -60,14 +61,14 @@ logs::Dataset make_stream_dataset() {
       for (int c = 0; c < 20; ++c) {
         const double ts =
             20.0 * tick + phase[c] + rng.uniform(-0.2, 0.2);
-        ds.add(make_record(ts, "client-" + std::to_string(c), url,
-                           "api.test.example", true,
-                           900 + static_cast<std::uint64_t>(flow) * 64 +
-                               static_cast<std::uint64_t>(c),
-                           tick % 2 == 0 ? logs::CacheStatus::kNotCacheable
-                                         : logs::CacheStatus::kMiss,
-                           c % 4 == 0 ? http::Method::kPost
-                                      : http::Method::kGet));
+        ds.append(make_record(ts, "client-" + std::to_string(c), url,
+                              "api.test.example", true,
+                              900 + static_cast<std::uint64_t>(flow) * 64 +
+                                  static_cast<std::uint64_t>(c),
+                              tick % 2 == 0 ? logs::CacheStatus::kNotCacheable
+                                            : logs::CacheStatus::kMiss,
+                              c % 4 == 0 ? http::Method::kPost
+                                         : http::Method::kGet));
       }
     }
   }
@@ -75,48 +76,55 @@ logs::Dataset make_stream_dataset() {
     double ts = rng.uniform(0.0, 5.0);
     for (int i = 0; i < 30; ++i) {
       ts += rng.exponential(1.0 / 18.0);
-      ds.add(make_record(ts, "hot-client-" + std::to_string(c),
-                         "https://api.test.example/hot", "api.test.example",
-                         true,
-                         static_cast<std::uint64_t>(
-                             std::exp(rng.normal(7.0, 0.8))),
-                         logs::CacheStatus::kHit, http::Method::kGet));
+      ds.append(make_record(ts, "hot-client-" + std::to_string(c),
+                            "https://api.test.example/hot", "api.test.example",
+                            true,
+                            static_cast<std::uint64_t>(
+                                std::exp(rng.normal(7.0, 0.8))),
+                            logs::CacheStatus::kHit, http::Method::kGet));
     }
   }
   for (int u = 0; u < 80; ++u) {
     const std::string url =
         "https://tail.test.example/obj/" + std::to_string(u);
     for (int i = 0; i < 4; ++i) {
-      ds.add(make_record(rng.uniform(0.0, 590.0),
-                         "tail-client-" + std::to_string(u % 25), url,
-                         "tail.test.example", true,
-                         static_cast<std::uint64_t>(
-                             std::exp(rng.normal(6.5, 1.0))),
-                         logs::CacheStatus::kMiss, http::Method::kGet));
+      ds.append(make_record(rng.uniform(0.0, 590.0),
+                            "tail-client-" + std::to_string(u % 25), url,
+                            "tail.test.example", true,
+                            static_cast<std::uint64_t>(
+                                std::exp(rng.normal(6.5, 1.0))),
+                            logs::CacheStatus::kMiss, http::Method::kGet));
     }
   }
   for (int i = 0; i < 3000; ++i) {
-    ds.add(make_record(rng.uniform(0.0, 590.0),
-                       "web-client-" + std::to_string(i % 40),
-                       "https://www.test.example/page/" +
-                           std::to_string(i % 60),
-                       "www.test.example", false,
-                       static_cast<std::uint64_t>(
-                           std::exp(rng.normal(9.5, 1.2))),
-                       logs::CacheStatus::kHit, http::Method::kGet));
+    ds.append(make_record(rng.uniform(0.0, 590.0),
+                          "web-client-" + std::to_string(i % 40),
+                          "https://www.test.example/page/" +
+                              std::to_string(i % 60),
+                          "www.test.example", false,
+                          static_cast<std::uint64_t>(
+                              std::exp(rng.normal(9.5, 1.2))),
+                          logs::CacheStatus::kHit, http::Method::kGet));
   }
   ds.sort_by_time();
   return ds;
 }
 
-StreamingSummary stream_in_chunks(const logs::Dataset& ds,
+std::vector<logs::LogTable::RowIndex> all_rows(const logs::LogTable& table) {
+  std::vector<logs::LogTable::RowIndex> rows(table.size());
+  std::iota(rows.begin(), rows.end(), logs::LogTable::RowIndex{0});
+  return rows;
+}
+
+StreamingSummary stream_in_chunks(const logs::LogTable& ds,
                                   const StreamingConfig& config,
                                   std::size_t chunk_size) {
   StreamingStudy study(config);
-  const auto& records = ds.records();
-  for (std::size_t begin = 0; begin < records.size(); begin += chunk_size) {
-    const auto count = std::min(chunk_size, records.size() - begin);
-    study.ingest(std::span<const logs::LogRecord>(&records[begin], count));
+  const auto rows = all_rows(ds);
+  for (std::size_t begin = 0; begin < rows.size(); begin += chunk_size) {
+    const auto count = std::min(chunk_size, rows.size() - begin);
+    study.ingest(ds, std::span<const logs::LogTable::RowIndex>(&rows[begin],
+                                                              count));
   }
   return study.summary();
 }
@@ -159,8 +167,9 @@ TEST(StreamingStudy, ShardedIngestMatchesSerialOnMergeInvariantState) {
   // One big chunk so the sharded study actually fans out.
   StreamingStudy serial(serial_config);
   StreamingStudy sharded(sharded_config);
-  serial.ingest(std::span<const logs::LogRecord>(ds.records()));
-  sharded.ingest(std::span<const logs::LogRecord>(ds.records()));
+  const auto rows = all_rows(ds);
+  serial.ingest(ds, rows);
+  sharded.ingest(ds, rows);
   const auto a = serial.summary();
   const auto b = sharded.summary();
   // Counters, HLL, and quantile state merge bit-identically for any
@@ -190,11 +199,16 @@ TEST(StreamingStudy, MemoryStaysBoundedAsStreamGrows) {
   // batch analysis would need 10x the RAM; the sketches must not.
   const double span = once.last_timestamp - once.first_timestamp + 1.0;
   StreamingStudy study(config);
-  std::vector<logs::LogRecord> shifted;
+  const auto rows = all_rows(ds);
+  logs::LogTable shifted;
   for (int rep = 0; rep < 10; ++rep) {
-    shifted = ds.records();
-    for (auto& r : shifted) r.timestamp += span * rep;
-    study.ingest(std::span<const logs::LogRecord>(shifted));
+    shifted.clear_rows();
+    for (const auto row : rows) {
+      auto r = ds.record(row);
+      r.timestamp += span * rep;
+      shifted.append(r);
+    }
+    study.ingest(shifted, rows);
   }
   const auto tenfold = study.summary();
   EXPECT_EQ(tenfold.total_records, once.total_records * 10);
@@ -221,15 +235,17 @@ TEST(StreamingStudy, TriageCandidatesDriveTargetedPeriodicityPass) {
 
   // Second pass: detector over candidate records only, shares reported
   // relative to the full stream via the override.
-  logs::Dataset subset = ds.json_only().filter([&](const logs::LogRecord& r) {
-    return candidates.contains(r.url);
-  });
+  std::vector<logs::LogTable::RowIndex> subset;
+  for (const auto row : ds.json_rows()) {
+    if (candidates.contains(std::string(ds.url(row)))) subset.push_back(row);
+  }
   core::PeriodicityConfig pconfig;
   pconfig.detector.permutations = 40;
   pconfig.threads = 2;
   pconfig.total_requests_override =
       static_cast<std::size_t>(summary.json_records);
-  const auto report = core::analyze_periodicity(subset, pconfig);
+  const auto report =
+      core::analyze_periodicity(logs::TableView(ds, subset), pconfig);
   EXPECT_EQ(report.total_requests, summary.json_records);
   std::unordered_set<std::string> periodic;
   for (const auto& obj : report.objects) {

@@ -205,7 +205,7 @@ int run_streaming(const jsoncdn::logs::LogTable& table,
           candidates.contains(table.url(i)))
         subset.push_back(i);
     }
-    // Same stable time order Dataset::sort_by_time() would give the subset.
+    // Stable time order, as LogTable::sort_by_time() would give the subset.
     std::stable_sort(subset.begin(), subset.end(),
                      [&](RowIndex a, RowIndex b) {
                        return table.timestamp(a) < table.timestamp(b);

@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
                  fault_outages);
   }
   cdn::CdnNetwork network(generator.catalog().objects(), params);
-  auto dataset = network.run(workload.events);
-  if (json_only) dataset = dataset.json_only();
+  auto table = network.run(workload.events);
+  if (json_only) table = table.select(table.json_rows());
   const auto resilience = network.total_resilience();
   if (resilience.any_activity()) {
     std::fputs(cdn::render_resilience(resilience).c_str(), stderr);
@@ -205,14 +205,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   logs::LogWriter writer(out);
-  for (const auto& record : dataset.records()) writer.write(record);
+  for (std::size_t i = 0; i < table.size(); ++i)
+    writer.write(table.record(static_cast<logs::LogTable::RowIndex>(i)));
   std::fprintf(stderr, "wrote %llu records to %s\n",
                static_cast<unsigned long long>(writer.written()),
                out_path.c_str());
 
   if (!jlog_path.empty()) {
     try {
-      logs::write_jlog(jlog_path, logs::LogTable::from_dataset(dataset));
+      logs::write_jlog(jlog_path, table);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "jlog: %s\n", e.what());
       return 1;
@@ -225,7 +226,7 @@ int main(int argc, char** argv) {
       shard::ShardWriterOptions v2_options;
       v2_options.chunk_rows = jlog_chunk_rows;
       shard::ShardWriter writer(jlog_v2_path, v2_options);
-      for (const auto& record : dataset.records()) writer.append(record);
+      writer.append(table);
       const auto stats = writer.finalize();
       std::fprintf(stderr,
                    "wrote chunk store sidecar to %s (%u chunks, %.1f MiB)\n",

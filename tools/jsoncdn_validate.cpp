@@ -215,12 +215,10 @@ int main(int argc, char** argv) {
     }
     logs::IngestReport ingest;
     // Zero-copy columnar ingest (or a direct .jlog v1/v2 load — dispatched
-    // on the leading magic), then materialize the Dataset the oracle scorer
-    // consumes — same records in every format.
+    // on the leading magic): same rows in every format.
     const auto table =
         shard::load_table_auto(log_path, logs::IngestOptions{}, &ingest);
-    const auto dataset = table.to_dataset();
-    if (dataset.empty()) {
+    if (table.empty()) {
       std::fprintf(stderr, "no records in %s\n", log_path.c_str());
       return 1;
     }
@@ -229,9 +227,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(ingest.malformed));
     }
     const auto truth = oracle::read_truth_file(truth_path);
-    const auto json = dataset.json_only();
-    const auto result = oracle::score_case(dataset, json, truth,
-                                           /*seed=*/0, config, threads);
+    const auto json_rows = table.json_rows();
+    const auto result =
+        oracle::score_case(logs::TableView(table),
+                           logs::TableView(table, json_rows), truth,
+                           /*seed=*/0, config, threads);
     std::fputs(oracle::render_case(result).c_str(), stdout);
     if (markdown) {
       oracle::ConformanceReport report;
