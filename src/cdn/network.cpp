@@ -1,6 +1,7 @@
 #include "cdn/network.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "stats/hash.h"
@@ -35,13 +36,16 @@ logs::LogTable CdnNetwork::run(
     auto& edge = edges_[edge_for(event.client_address)];
     records.push_back(edge.handle(event, policy));
   }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const logs::LogRecord& a, const logs::LogRecord& b) {
-                     return a.timestamp < b.timestamp;
+  // Stable time order by sorting indices rather than moving the records.
+  std::vector<std::uint32_t> order(records.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&records](std::uint32_t a, std::uint32_t b) {
+                     return records[a].timestamp < records[b].timestamp;
                    });
   logs::LogTable table;
   table.reserve(records.size());
-  for (const auto& record : records) table.append(record);
+  for (const auto i : order) table.append(records[i]);
   return table;
 }
 

@@ -12,6 +12,19 @@ namespace jsoncdn::logs {
 
 namespace {
 
+// This table's symbol for symbol `sym` of `from`, interning the string into
+// `into` the first time the symbol is seen.
+LogTable::Symbol map_symbol(std::vector<LogTable::Symbol>& map,
+                            LogTable::Symbol sym, const StringInterner& from,
+                            StringInterner& into) {
+  if (map.size() < from.size()) {
+    map.resize(from.size(), StringInterner::kNoSymbol);
+  }
+  auto& mapped = map[sym];
+  if (mapped == StringInterner::kNoSymbol) mapped = into.intern(from.view(sym));
+  return mapped;
+}
+
 // Applies a row permutation to one column: out[k] = col[perm[k]].
 template <typename T>
 void gather(std::vector<T>& col, const std::vector<std::uint32_t>& perm) {
@@ -98,6 +111,30 @@ void LogTable::append(const LogRecord& record) {
                 record.cache_status, record.edge_id);
 }
 
+LogTable::RowIndex LogTable::append_row(const LogTable& src, RowIndex row,
+                                        SymbolMap& map) {
+  const auto index = static_cast<RowIndex>(ts_.size());
+  ts_.push_back(src.ts_[row]);
+  method_.push_back(src.method_[row]);
+  status_.push_back(src.status_[row]);
+  resp_bytes_.push_back(src.resp_bytes_[row]);
+  req_bytes_.push_back(src.req_bytes_[row]);
+  cache_.push_back(src.cache_[row]);
+  edge_.push_back(src.edge_[row]);
+  client_id_.push_back(map_symbol(map.client_id, src.client_id_[row],
+                                  src.client_id_dict_, client_id_dict_));
+  ua_.push_back(
+      map_symbol(map.user_agent, src.ua_[row], src.ua_dict_, ua_dict_));
+  url_.push_back(map_symbol(map.url, src.url_[row], src.url_dict_, url_dict_));
+  domain_.push_back(map_symbol(map.domain, src.domain_[row], src.domain_dict_,
+                               domain_dict_));
+  ctype_.push_back(map_symbol(map.content_type, src.ctype_[row],
+                              src.ctype_dict_, ctype_dict_));
+  client_.push_back(map_symbol(map.client, src.client_[row], src.client_dict_,
+                               client_dict_));
+  return index;
+}
+
 LogRecord LogTable::Row::materialize() const {
   LogRecord r;
   r.timestamp = timestamp();
@@ -153,11 +190,8 @@ std::vector<LogTable::RowIndex> LogTable::json_rows() const {
 LogTable LogTable::select(std::span<const RowIndex> rows) const {
   LogTable out;
   out.reserve(rows.size());
-  for (const auto i : rows) {
-    out.append_fields(ts_[i], client_id(i), user_agent(i), method_[i], url(i),
-                      domain(i), content_type(i), status_[i], resp_bytes_[i],
-                      req_bytes_[i], cache_[i], edge_[i]);
-  }
+  SymbolMap map;
+  for (const auto i : rows) out.append_row(*this, i, map);
   return out;
 }
 

@@ -70,6 +70,18 @@ class LogTable {
 
   void append(const LogRecord& record);
 
+  // Another table's symbols mapped to this table's, filled in lazily by
+  // append_row. Reuse one map for every row copied from the same source.
+  struct SymbolMap {
+    std::vector<Symbol> url, client_id, user_agent, domain, content_type,
+        client;
+  };
+
+  // Appends row `row` of `src`: the same row and dictionaries append_fields
+  // would give, but each distinct source string is interned here only once
+  // (on its first row), not hashed again for every row.
+  RowIndex append_row(const LogTable& src, RowIndex row, SymbolMap& map);
+
   // ---- Column access ------------------------------------------------------
   [[nodiscard]] std::span<const double> timestamps() const noexcept {
     return ts_;

@@ -36,13 +36,6 @@ std::vector<logs::LogRecord> records_of(const logs::TableView& view) {
   return out;
 }
 
-void sort_by_time(std::vector<logs::LogRecord>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const logs::LogRecord& a, const logs::LogRecord& b) {
-                     return a.timestamp < b.timestamp;
-                   });
-}
-
 logs::LogTable table_of(const std::vector<logs::LogRecord>& records) {
   logs::LogTable out;
   out.reserve(records.size());
@@ -71,8 +64,9 @@ logs::LogTable merge_datasets(const logs::TableView& a,
   auto tail = records_of(b);
   records.insert(records.end(), std::make_move_iterator(tail.begin()),
                  std::make_move_iterator(tail.end()));
-  sort_by_time(records);
-  return table_of(records);
+  auto merged = table_of(records);
+  merged.sort_by_time();
+  return merged;
 }
 
 logs::LogTable rename_disjoint(const logs::TableView& view,
@@ -116,8 +110,9 @@ logs::LogTable inject_benign_noise(const logs::TableView& view,
     noise.cache_status = logs::CacheStatus::kMiss;
     records.push_back(std::move(noise));
   }
-  sort_by_time(records);
-  return table_of(records);
+  auto out = table_of(records);
+  out.sort_by_time();
+  return out;
 }
 
 logs::LogTable rename_urls_order_preserving(const logs::TableView& view,

@@ -23,11 +23,6 @@ ShardWriter::ShardWriter(const std::string& path, ShardWriterOptions options)
   pending_.reserve(options_.chunk_rows);
 }
 
-void ShardWriter::append(const logs::LogRecord& record) {
-  pending_.append(record);
-  if (pending_.size() >= options_.chunk_rows) flush_chunk();
-}
-
 void ShardWriter::append_fields(
     double timestamp, std::string_view client_id, std::string_view user_agent,
     http::Method method, std::string_view url, std::string_view domain,
@@ -41,13 +36,10 @@ void ShardWriter::append_fields(
 }
 
 void ShardWriter::append(const logs::LogTable& table) {
+  logs::LogTable::SymbolMap map;
   for (std::size_t i = 0; i < table.size(); ++i) {
-    const auto row = static_cast<logs::LogTable::RowIndex>(i);
-    append_fields(table.timestamp(row), table.client_id(row),
-                  table.user_agent(row), table.method(row), table.url(row),
-                  table.domain(row), table.content_type(row), table.status(row),
-                  table.response_bytes(row), table.request_bytes(row),
-                  table.cache_status(row), table.edge_id(row));
+    pending_.append_row(table, static_cast<logs::LogTable::RowIndex>(i), map);
+    if (pending_.size() >= options_.chunk_rows) flush_chunk();
   }
 }
 

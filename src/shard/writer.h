@@ -43,8 +43,7 @@ class ShardWriter {
   ShardWriter(const ShardWriter&) = delete;
   ShardWriter& operator=(const ShardWriter&) = delete;
 
-  // Appends one record; flushes a chunk whenever chunk_rows accumulate.
-  void append(const logs::LogRecord& record);
+  // Appends one row; flushes a chunk whenever chunk_rows accumulate.
   void append_fields(double timestamp, std::string_view client_id,
                      std::string_view user_agent, http::Method method,
                      std::string_view url, std::string_view domain,

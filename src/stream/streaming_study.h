@@ -169,7 +169,6 @@ class StreamingAccumulator {
 
   InterarrivalTriage triage_;
 
-  // The per-record update, on field values.
   void offer_fields(double timestamp, std::string_view client_key,
                     std::string_view user_agent, http::Method method,
                     std::string_view url, std::string_view domain,
