@@ -361,8 +361,8 @@ void report_streaming_vs_batch() {
 
   for (const std::size_t scale : {std::size_t{1}, std::size_t{10},
                                   std::size_t{100}}) {
-    // Streaming: chunks generated on the fly into one reused scratch table,
-    // so peak memory is the sketch state plus one chunk — the production
+    // Streaming: chunks generated on the fly into one reused table, so
+    // peak memory is the sketch state plus one chunk — the production
     // shape.
     stream::StreamingConfig config;
     config.threads = 4;

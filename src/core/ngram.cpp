@@ -169,8 +169,8 @@ std::vector<NgramModel::Prediction> NgramModel::predict(
 
 namespace {
 
-// Evaluation driver over the view's extracted client flows. A flow record
-// index is a view position; its URL is the only input the protocol reads.
+// Evaluates the protocol over the view's extracted client flows. A flow
+// record index is a view position; its URL is the only input it reads.
 NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
                              const logs::TableView& view,
                              const NgramEvalConfig& config) {

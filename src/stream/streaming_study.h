@@ -184,7 +184,7 @@ class StreamingAccumulator {
       ua_cache_;
 };
 
-// One-pass driver over chunks of table rows; each chunk is sharded across
+// One-pass study over chunks of table rows; each chunk is sharded across
 // the thread pool and merged in chunk order.
 class StreamingStudy {
  public:
