@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <numbers>
 #include <numeric>
@@ -29,7 +28,6 @@
 #include "http/device_db.h"
 #include "http/url.h"
 #include "logs/csv.h"
-#include "logs/jlog.h"
 #include "logs/table.h"
 #include "logs/zerocopy.h"
 #include "shard/reader.h"
@@ -414,7 +412,7 @@ void report_streaming_vs_batch() {
 
 // End-to-end columnar pipeline (file -> LogTable -> symbol-keyed grouping ->
 // analyses) from the TSV text through the zero-copy ingest, and from the
-// .jlog binary columns. Emits machine-readable ratios to BENCH_ingest.json
+// .jlog v2 chunk store. Emits machine-readable ratios to BENCH_ingest.json
 // so CI can gate on regressions with machine-independent numbers.
 
 // Synthetic log shaped like the paper's traffic: a periodic polling core
@@ -538,10 +536,10 @@ struct IngestBenchReport {
   PipelineTiming colN;         // n_threads
   std::size_t n_threads = 4;
 
-  // Headline: the pipeline from the .jlog binary columns against the same
+  // Headline: the pipeline from the .jlog v2 store against the same
   // pipeline from the TSV text through the zero-copy ingest. Parsing text
-  // happens once, at sidecar-write time; every analysis run after that
-  // starts from the binary columns.
+  // happens once, at store-write time; every analysis run after that
+  // starts from the compressed binary columns.
   [[nodiscard]] double speedup_total() const {
     return col1.total_s() / jlog1.total_s();
   }
@@ -561,15 +559,15 @@ void print_pipeline(const char* name, const PipelineTiming& t) {
 IngestBenchReport report_ingest_throughput(std::size_t records) {
   bench::print_header(
       "columnar ingest",
-      "zero-copy TSV vs .jlog binary, " + std::to_string(records) +
+      "zero-copy TSV vs .jlog v2, " + std::to_string(records) +
           " records");
   IngestBenchReport report;
   report.records = records;
   const std::string log_path = "/tmp/jsoncdn_bench_ingest.log";
   const std::string jlog_path = "/tmp/jsoncdn_bench_ingest.jlog";
   write_ingest_log(log_path, records);
-  logs::write_jlog(jlog_path, logs::read_log_table(log_path,
-                                                   logs::IngestOptions{}));
+  shard::write_jlog_v2(jlog_path,
+                       logs::read_log_table(log_path, logs::IngestOptions{}));
 
   // Warm the page cache so the comparison measures parsing, not disk.
   (void)logs::read_log_table(log_path, logs::IngestOptions{});
@@ -679,13 +677,11 @@ bool check_against_baseline(const IngestBenchReport& r,
 // into a v2 chunk store (never materializing the table), decode it back with
 // a full scan, run the out-of-core streaming study over it, and measure how
 // much of the file a quarter-length time window lets the zone maps skip.
-// The machine-independent ratios (compression vs v1, bytes/row, prune
-// fraction) are what the committed baseline gates on; the throughputs are
-// informational.
+// The machine-independent ratios (bytes/row, prune fraction) are what the
+// committed baseline gates on; the throughputs are informational.
 struct ScaleBenchReport {
   std::size_t records = 0;
   std::uint32_t chunk_rows = 0;
-  std::uint64_t v1_bytes = 0;
   std::uint64_t v2_bytes = 0;
   double write_s = 0.0;   // synth stream -> v2 store on disk
   double decode_s = 0.0;  // full scan, no consumer (pure codec cost)
@@ -693,10 +689,6 @@ struct ScaleBenchReport {
   std::uint32_t chunks_total = 0;
   std::uint32_t chunks_pruned = 0;  // quarter-window scan
 
-  [[nodiscard]] double compression_ratio() const {
-    return v2_bytes == 0 ? 0.0 : static_cast<double>(v1_bytes) /
-                                     static_cast<double>(v2_bytes);
-  }
   [[nodiscard]] double bytes_per_row() const {
     return records == 0 ? 0.0 : static_cast<double>(v2_bytes) /
                                     static_cast<double>(records);
@@ -719,7 +711,6 @@ ScaleBenchReport report_scale(std::size_t records) {
   ScaleBenchReport r;
   r.records = records;
   const std::string v2_path = "/tmp/jsoncdn_bench_scale_v2.jlog";
-  const std::string v1_path = "/tmp/jsoncdn_bench_scale_v1.jlog";
 
   shard::SynthOptions synth;
   synth.records = records;
@@ -740,13 +731,6 @@ ScaleBenchReport report_scale(std::size_t records) {
     r.write_s = timer.seconds();
     r.v2_bytes = stats.file_bytes;
     r.chunks_total = static_cast<std::uint32_t>(stats.chunks);
-  }
-
-  {
-    // The same rows as a v1 row-image sidecar, for the size comparison.
-    shard::ShardReader reader(v2_path);
-    logs::write_jlog(v1_path, reader.read_all());
-    r.v1_bytes = std::filesystem::file_size(v1_path);
   }
 
   {
@@ -786,18 +770,15 @@ ScaleBenchReport report_scale(std::size_t records) {
     r.chunks_pruned = stats.chunks_pruned;
   }
 
-  std::printf(
-      "  v1 %8.1f MiB   v2 %8.1f MiB   compression %5.2fx   %5.1f B/row\n",
-      static_cast<double>(r.v1_bytes) / (1024.0 * 1024.0),
-      static_cast<double>(r.v2_bytes) / (1024.0 * 1024.0),
-      r.compression_ratio(), r.bytes_per_row());
+  std::printf("  v2 %8.1f MiB   %5.1f B/row\n",
+              static_cast<double>(r.v2_bytes) / (1024.0 * 1024.0),
+              r.bytes_per_row());
   std::printf(
       "  write %6.2f Mrec/s   decode %6.2f Mrec/s   stream %6.2f Mrec/s\n",
       r.mrec_s(r.write_s), r.mrec_s(r.decode_s), r.mrec_s(r.e2e_s));
   std::printf(
       "  quarter window pruned %u of %u chunks (%.1f%%) without decoding\n",
       r.chunks_pruned, r.chunks_total, 100.0 * r.prune_fraction());
-  std::remove(v1_path.c_str());
   std::remove(v2_path.c_str());
   return r;
 }
@@ -810,25 +791,21 @@ void write_scale_json(const ScaleBenchReport& r, const std::string& path) {
       "{\n"
       "  \"records\": %zu,\n"
       "  \"chunk_rows\": %u,\n"
-      "  \"v1_bytes\": %llu,\n"
       "  \"v2_bytes\": %llu,\n"
-      "  \"compression_ratio\": %.4f,\n"
       "  \"bytes_per_row\": %.4f,\n"
       "  \"prune_fraction\": %.4f,\n"
       "  \"write_mrec_s\": %.4f,\n"
       "  \"decode_mrec_s\": %.4f,\n"
       "  \"stream_mrec_s\": %.4f\n"
       "}\n",
-      r.records, r.chunk_rows,
-      static_cast<unsigned long long>(r.v1_bytes),
-      static_cast<unsigned long long>(r.v2_bytes), r.compression_ratio(),
+      r.records, r.chunk_rows, static_cast<unsigned long long>(r.v2_bytes),
       r.bytes_per_row(), r.prune_fraction(), r.mrec_s(r.write_s),
       r.mrec_s(r.decode_s), r.mrec_s(r.e2e_s));
   out << buf;
   bench::note("wrote " + path);
 }
 
-// Gates on the machine-independent ratios only: compression and pruning are
+// Gates on the machine-independent ratios only: bytes/row and pruning are
 // properties of the format and the workload, not of the machine. Throughputs
 // are reported but never gated.
 bool check_scale_baseline(const ScaleBenchReport& r,
@@ -881,7 +858,6 @@ bool check_scale_baseline(const ScaleBenchReport& r,
         base, current, ceiling, pass ? "ok" : "REGRESSED");
     if (!pass) ok = false;
   };
-  check_min("compression_ratio", r.compression_ratio());
   check_min("prune_fraction", r.prune_fraction());
   check_max("bytes_per_row", r.bytes_per_row());
   return ok;

@@ -15,7 +15,7 @@
 // first-seen order; sort_by_time() is a stable timestamp sort. Analyses
 // take a TableView (a row selection), so the full and the JSON-only inputs
 // share one implementation, and every report is bit-identical across
-// thread counts and ingest paths (TSV, .jlog v1, .jlog v2).
+// thread counts and ingest paths (TSV, .jlog v2).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@
 #include "logs/record.h"
 
 namespace jsoncdn::shard {
-class ChunkCodec;  // shard/chunk.h — fills columns directly, like JlogReader
+class ChunkCodec;  // shard/chunk.h — fills columns directly
 }  // namespace jsoncdn::shard
 
 namespace jsoncdn::logs {
@@ -312,8 +312,7 @@ class LogTable {
   std::unordered_map<std::uint64_t, Symbol> client_pair_cache_;
   std::string key_scratch_;  // reused buffer for new pairs
 
-  friend class JlogReader;  // the .jlog v1 reader fills columns directly
-  friend class jsoncdn::shard::ChunkCodec;  // the v2 chunk codec, likewise
+  friend class jsoncdn::shard::ChunkCodec;  // the .jlog v2 chunk codec
 };
 
 // Non-owning selection of rows of one LogTable, in selection order. The

@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "logs/jlog.h"
 #include "shard/varint.h"
 
 namespace jsoncdn::shard {
@@ -68,7 +67,7 @@ void decode_delta_column(std::string_view payload, std::size_t& pos,
   scratch.resize(n);
   DeltaDecoder dec;
   if (!dec.get_n(payload, pos, scratch.data(), n)) {
-    logs::jlog_corrupt(path, "truncated chunk column");
+    jlog_corrupt(path, "truncated chunk column");
   }
   col.reserve(col.size() + n);
   for (std::uint32_t i = 0; i < n; ++i) col.push_back(convert(scratch[i]));
@@ -91,17 +90,44 @@ void decode_enum3(std::string_view payload, std::size_t& pos, std::uint32_t n,
                   const std::string& path, const char* what) {
   std::vector<std::uint8_t> packed(n);
   if (!unpack3(payload, pos, packed.data(), n)) {
-    logs::jlog_corrupt(path, "truncated chunk enum column");
+    jlog_corrupt(path, "truncated chunk enum column");
   }
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (packed[i] >= limit) logs::jlog_corrupt(path, what);
+    if (packed[i] >= limit) jlog_corrupt(path, what);
     col.push_back(static_cast<E>(packed[i]));
+  }
+}
+
+// Dictionary block: count, lengths, bytes.
+void write_dictionary(BinaryWriter& out, const logs::StringInterner& dict) {
+  out.pod<std::uint32_t>(static_cast<std::uint32_t>(dict.size()));
+  for (std::size_t s = 0; s < dict.size(); ++s) {
+    out.pod<std::uint32_t>(static_cast<std::uint32_t>(
+        dict.view(static_cast<logs::StringInterner::Symbol>(s)).size()));
+  }
+  for (std::size_t s = 0; s < dict.size(); ++s) {
+    const auto v = dict.view(static_cast<logs::StringInterner::Symbol>(s));
+    out.raw(v.data(), v.size());
+  }
+}
+
+void read_dictionary(BinaryReader& in, logs::StringInterner& dict,
+                     const std::string& path) {
+  const auto count = in.pod<std::uint32_t>();
+  const auto lengths = in.column<std::uint32_t>(count);
+  dict.reserve(count);
+  for (std::uint32_t s = 0; s < count; ++s) {
+    const auto before = dict.size();
+    dict.intern(in.bytes(lengths[s]));
+    if (dict.size() != before + 1) {
+      jlog_corrupt(path, "duplicate dictionary entry");
+    }
   }
 }
 
 }  // namespace
 
-void write_chunk_meta(logs::BinaryWriter& out, const ChunkMeta& meta) {
+void write_chunk_meta(BinaryWriter& out, const ChunkMeta& meta) {
   out.pod<std::uint64_t>(meta.offset);
   out.pod<std::uint64_t>(meta.payload_bytes);
   out.pod<std::uint64_t>(meta.checksum);
@@ -114,7 +140,7 @@ void write_chunk_meta(logs::BinaryWriter& out, const ChunkMeta& meta) {
   }
 }
 
-ChunkMeta read_chunk_meta(logs::BinaryReader& in) {
+ChunkMeta read_chunk_meta(BinaryReader& in) {
   ChunkMeta meta;
   meta.offset = in.pod<std::uint64_t>();
   meta.payload_bytes = in.pod<std::uint64_t>();
@@ -185,10 +211,10 @@ ChunkMeta ChunkCodec::encode(const logs::LogTable& table, std::uint32_t begin,
 void ChunkCodec::decode(std::string_view payload, const ChunkMeta& meta,
                         logs::LogTable& table, const std::string& path) {
   if (payload.size() != meta.payload_bytes) {
-    logs::jlog_corrupt(path, "chunk payload length mismatch");
+    jlog_corrupt(path, "chunk payload length mismatch");
   }
   if (payload_checksum(payload) != meta.checksum) {
-    logs::jlog_corrupt(path, "chunk payload checksum mismatch");
+    jlog_corrupt(path, "chunk payload checksum mismatch");
   }
   const std::uint32_t n = meta.row_count;
   const std::size_t first = table.size();
@@ -206,7 +232,7 @@ void ChunkCodec::decode(std::string_view payload, const ChunkMeta& meta,
         const auto s = static_cast<std::int64_t>(v);
         if (s < std::numeric_limits<std::int32_t>::min() ||
             s > std::numeric_limits<std::int32_t>::max()) {
-          logs::jlog_corrupt(path, "status value out of range");
+          jlog_corrupt(path, "status value out of range");
         }
         return static_cast<std::int32_t>(s);
       });
@@ -217,7 +243,7 @@ void ChunkCodec::decode(std::string_view payload, const ChunkMeta& meta,
   decode_delta_column(
       payload, pos, n, table.edge_, scratch, path, [&](std::uint64_t v) {
         if (v > 0xffffffffULL) {
-          logs::jlog_corrupt(path, "edge id out of range");
+          jlog_corrupt(path, "edge id out of range");
         }
         return static_cast<std::uint32_t>(v);
       });
@@ -238,13 +264,13 @@ void ChunkCodec::decode(std::string_view payload, const ChunkMeta& meta,
     decode_delta_column(
         payload, pos, n, *sc.col, scratch, path, [&](std::uint64_t v) {
           if (v >= sc.dict->size()) {
-            logs::jlog_corrupt(path, "symbol out of dictionary range");
+            jlog_corrupt(path, "symbol out of dictionary range");
           }
           return static_cast<std::uint32_t>(v);
         });
   }
   if (pos != payload.size()) {
-    logs::jlog_corrupt(path, "trailing bytes in chunk payload");
+    jlog_corrupt(path, "trailing bytes in chunk payload");
   }
 
   // Recompute the zone map from the decoded rows and hold the directory to
@@ -258,29 +284,28 @@ void ChunkCodec::decode(std::string_view payload, const ChunkMeta& meta,
     }
   }
   if (!zone.matches(meta)) {
-    logs::jlog_corrupt(path, "zone map does not match chunk contents");
+    jlog_corrupt(path, "zone map does not match chunk contents");
   }
 }
 
-void ChunkCodec::write_dictionaries(logs::BinaryWriter& out,
+void ChunkCodec::write_dictionaries(BinaryWriter& out,
                                     const logs::LogTable& table) {
-  logs::write_jlog_dictionary(out, table.url_dict_);
-  logs::write_jlog_dictionary(out, table.client_id_dict_);
-  logs::write_jlog_dictionary(out, table.ua_dict_);
-  logs::write_jlog_dictionary(out, table.domain_dict_);
-  logs::write_jlog_dictionary(out, table.ctype_dict_);
-  logs::write_jlog_dictionary(out, table.client_dict_);
+  write_dictionary(out, table.url_dict_);
+  write_dictionary(out, table.client_id_dict_);
+  write_dictionary(out, table.ua_dict_);
+  write_dictionary(out, table.domain_dict_);
+  write_dictionary(out, table.ctype_dict_);
+  write_dictionary(out, table.client_dict_);
 }
 
-void ChunkCodec::read_dictionaries(logs::BinaryReader& in,
-                                   logs::LogTable& table,
+void ChunkCodec::read_dictionaries(BinaryReader& in, logs::LogTable& table,
                                    const std::string& path) {
-  logs::read_jlog_dictionary(in, table.url_dict_, path);
-  logs::read_jlog_dictionary(in, table.client_id_dict_, path);
-  logs::read_jlog_dictionary(in, table.ua_dict_, path);
-  logs::read_jlog_dictionary(in, table.domain_dict_, path);
-  logs::read_jlog_dictionary(in, table.ctype_dict_, path);
-  logs::read_jlog_dictionary(in, table.client_dict_, path);
+  read_dictionary(in, table.url_dict_, path);
+  read_dictionary(in, table.client_id_dict_, path);
+  read_dictionary(in, table.ua_dict_, path);
+  read_dictionary(in, table.domain_dict_, path);
+  read_dictionary(in, table.ctype_dict_, path);
+  read_dictionary(in, table.client_dict_, path);
 }
 
 }  // namespace jsoncdn::shard

@@ -26,7 +26,6 @@
 #include <string>
 #include <string_view>
 
-#include "logs/jlog.h"
 #include "logs/table.h"
 #include "shard/format.h"
 
@@ -35,11 +34,11 @@ namespace jsoncdn::shard {
 // Fixed 92-byte directory-entry serialization (field-by-field, never struct
 // memcpy — padding must not reach the file). The reader's bounds checks make
 // a truncated directory throw before any entry is used.
-void write_chunk_meta(logs::BinaryWriter& out, const ChunkMeta& meta);
-[[nodiscard]] ChunkMeta read_chunk_meta(logs::BinaryReader& in);
+void write_chunk_meta(BinaryWriter& out, const ChunkMeta& meta);
+[[nodiscard]] ChunkMeta read_chunk_meta(BinaryReader& in);
 
-// Friend of logs::LogTable — reads/fills columns directly, like the v1
-// JlogReader, so no per-row accessor or interning cost on either side.
+// Friend of logs::LogTable — reads/fills columns directly, so no per-row
+// accessor or interning cost on either side.
 class ChunkCodec {
  public:
   // Encodes rows [begin, end) of `table`, appending the payload to `out`.
@@ -54,15 +53,17 @@ class ChunkCodec {
   // loads them from the footer first). Fully validated: the payload must
   // decode to exactly row_count rows with no bytes left over, enums and
   // symbols must be in range, and the recomputed zone map must equal
-  // `meta`. Throws std::runtime_error via logs::jlog_corrupt otherwise.
+  // `meta`. Throws std::runtime_error via jlog_corrupt otherwise.
   static void decode(std::string_view payload, const ChunkMeta& meta,
                      logs::LogTable& table, const std::string& path);
 
-  // Footer dictionaries, straight into/out of the table's interners (the
-  // same block encoding .jlog v1 uses, via the shared read/write helpers).
-  static void write_dictionaries(logs::BinaryWriter& out,
+  // Footer dictionaries, straight into/out of the table's interners. The
+  // reader requires every block to come out dense, unique and in file
+  // order: a duplicate entry would silently remap every row referencing
+  // the later copy.
+  static void write_dictionaries(BinaryWriter& out,
                                  const logs::LogTable& table);
-  static void read_dictionaries(logs::BinaryReader& in, logs::LogTable& table,
+  static void read_dictionaries(BinaryReader& in, logs::LogTable& table,
                                 const std::string& path);
 };
 

@@ -5,7 +5,8 @@
 //   magic            8 bytes  "jlogcdn2"
 //   chunk payloads   back-to-back compressed column chunks (see chunk.h)
 //   footer           written last, once every dictionary is known:
-//     6 dictionaries     v1 encoding (count, lengths, bytes), in order
+//     6 dictionaries     each a block of count u32, count × length u32,
+//                        then the concatenated string bytes, in order
 //                        url, client_id, user_agent, domain, content_type,
 //                        client_key — symbols are file-global
 //     chunk_target_rows  u32   rows per full chunk (last chunk may be short)
@@ -37,24 +38,33 @@
 // [min_sym, max_sym]. Pruning is conservative — a surviving chunk may still
 // contain zero matching rows; the row-level predicate re-filters after
 // decode, so pruned and unpruned scans select identical rows.
+//
+// This module is the only one that knows the binary format. A file opening
+// with the retired v1 magic (an uncompressed whole-table image) is rejected
+// by detect_log_format (shard/reader.h) with the command that regenerates
+// it as v2.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "stats/hash.h"
 
 namespace jsoncdn::shard {
 
-// Tail magic closing a complete v2 file ("jlogcdn2" opens it; see
-// logs::jlog_v2_magic()).
+// Magics opening and closing a complete v2 file.
+inline constexpr std::string_view kJlogV2Magic = "jlogcdn2";
 inline constexpr std::string_view kJlogV2TailMagic = "jlogend2";
 
 // Trailer: footer_offset u64 + footer_checksum u64 + tail magic.
 inline constexpr std::size_t kTrailerBytes = 8 + 8 + 8;
 
-// Indices into ChunkMeta::symbols — the dictionary order every .jlog
-// version shares.
+// Indices into ChunkMeta::symbols, in footer dictionary order.
 inline constexpr std::size_t kSymUrl = 0;
 inline constexpr std::size_t kSymClientId = 1;
 inline constexpr std::size_t kSymUserAgent = 2;
@@ -91,5 +101,76 @@ inline constexpr std::size_t kChunkMetaBytes =
     std::string_view bytes) noexcept {
   return stats::fnv1a64(bytes);
 }
+
+// Throws the uniform corruption error every .jlog check uses. Binary
+// corruption is structural, so unlike TSV there is no per-line permissive
+// skip: the first failed check rejects the file.
+[[noreturn]] void jlog_corrupt(const std::string& path, const char* what);
+
+// Bounds-checked little-endian cursor over an in-memory byte image (an
+// mmapped file in practice). Every accessor throws via jlog_corrupt()
+// instead of reading out of range.
+class BinaryReader {
+ public:
+  BinaryReader(std::string_view bytes, const std::string& path) noexcept
+      : data_(bytes.data()), size_(bytes.size()), path_(path) {}
+
+  template <typename T>
+  T pod() {
+    T v;
+    need(sizeof(T), "truncated scalar");
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return v;
+  }
+  template <typename T>
+  std::vector<T> column(std::size_t count) {
+    // Division-form bound is overflow-safe for attacker-chosen counts.
+    if (count > (size_ - pos_) / sizeof(T)) {
+      jlog_corrupt(path_, "truncated column");
+    }
+    std::vector<T> col(count);
+    if (count > 0) std::memcpy(col.data(), data_ + pos_, count * sizeof(T));
+    pos_ += count * sizeof(T);
+    return col;
+  }
+  std::string_view bytes(std::size_t n) {
+    need(n, "truncated dictionary bytes");
+    const std::string_view v(data_ + pos_, n);
+    pos_ += n;
+    return v;
+  }
+  [[nodiscard]] bool exhausted() const noexcept { return pos_ == size_; }
+  void need(std::size_t n, const char* what) const {
+    if (n > size_ - pos_) jlog_corrupt(path_, what);
+  }
+
+ private:
+  const char* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  const std::string& path_;
+};
+
+// Little-endian plain-old-data writer that counts the bytes it emits (the
+// writer's chunk offsets are its running total).
+class BinaryWriter {
+ public:
+  explicit BinaryWriter(std::ostream& os) noexcept : os_(os) {}
+  template <typename T>
+  void pod(T v) {
+    raw(&v, sizeof(T));
+  }
+  void raw(const void* p, std::size_t n) {
+    if (n == 0) return;
+    os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+    written_ += n;
+  }
+  [[nodiscard]] std::uint64_t written() const noexcept { return written_; }
+
+ private:
+  std::ostream& os_;
+  std::uint64_t written_ = 0;
+};
 
 }  // namespace jsoncdn::shard

@@ -1,6 +1,7 @@
 #include "shard/reader.h"
 
 #include <algorithm>
+#include <fstream>
 #include <stdexcept>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -9,7 +10,6 @@
 #include <unistd.h>
 #endif
 
-#include "logs/jlog.h"
 #include "shard/chunk.h"
 
 namespace jsoncdn::shard {
@@ -30,6 +30,31 @@ bool contains(const std::vector<std::uint32_t>& sorted,
 }
 
 }  // namespace
+
+void jlog_corrupt(const std::string& path, const char* what) {
+  throw std::runtime_error("corrupt .jlog file " + path + ": " + what);
+}
+
+LogFormat detect_log_format(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  char head[kJlogV2Magic.size()] = {};
+  is.read(head, sizeof(head));
+  if (is.gcount() != static_cast<std::streamsize>(sizeof(head))) {
+    return LogFormat::kText;
+  }
+  const std::string_view magic(head, sizeof(head));
+  if (magic == kJlogV2Magic) return LogFormat::kJlogV2;
+  if (magic == "jlogcdn1") {
+    // v1 files (uncompressed whole-table images) were always derived from
+    // a TSV log or a generator run, so name how to rebuild one rather than
+    // misreading the bytes as text.
+    throw std::runtime_error(
+        path + ": retired .jlog v1 file (magic jlogcdn1). Regenerate it as "
+               ".jlog v2 with `jsoncdn-generate ... --jlog-v2 " +
+        path + "` or `jsoncdn-jlog convert LOG.tsv " + path + "`");
+  }
+  return LogFormat::kText;
+}
 
 bool ScanPredicate::selects(const ChunkMeta& meta) const noexcept {
   if (meta.row_count == 0) return false;
@@ -68,33 +93,31 @@ ShardReader::ShardReader(const std::string& path,
     throw std::runtime_error("cannot open .jlog file: " + path_);
   }
   const std::string_view bytes = file_->view();
-  const auto magic = logs::jlog_v2_magic();
-  if (bytes.size() < magic.size() + kTrailerBytes) {
-    logs::jlog_corrupt(path_, "file shorter than v2 magic + trailer");
+  if (bytes.size() < kJlogV2Magic.size() + kTrailerBytes) {
+    jlog_corrupt(path_, "file shorter than v2 magic + trailer");
   }
-  if (bytes.substr(0, magic.size()) != magic) {
-    logs::jlog_corrupt(path_, "bad magic (not a .jlog v2 file)");
+  if (bytes.substr(0, kJlogV2Magic.size()) != kJlogV2Magic) {
+    jlog_corrupt(path_, "bad magic (not a .jlog v2 file)");
   }
   if (bytes.substr(bytes.size() - kJlogV2TailMagic.size()) !=
       kJlogV2TailMagic) {
-    logs::jlog_corrupt(path_, "bad tail magic (truncated v2 file)");
+    jlog_corrupt(path_, "bad tail magic (truncated v2 file)");
   }
 
-  logs::BinaryReader trailer(bytes.substr(bytes.size() - kTrailerBytes),
-                             path_);
+  BinaryReader trailer(bytes.substr(bytes.size() - kTrailerBytes), path_);
   footer_offset_ = trailer.pod<std::uint64_t>();
   const auto footer_checksum = trailer.pod<std::uint64_t>();
-  if (footer_offset_ < magic.size() ||
+  if (footer_offset_ < kJlogV2Magic.size() ||
       footer_offset_ > bytes.size() - kTrailerBytes) {
-    logs::jlog_corrupt(path_, "footer offset out of range");
+    jlog_corrupt(path_, "footer offset out of range");
   }
   const std::string_view footer_bytes = bytes.substr(
       footer_offset_, bytes.size() - kTrailerBytes - footer_offset_);
   if (payload_checksum(footer_bytes) != footer_checksum) {
-    logs::jlog_corrupt(path_, "footer checksum mismatch");
+    jlog_corrupt(path_, "footer checksum mismatch");
   }
 
-  logs::BinaryReader footer(footer_bytes, path_);
+  BinaryReader footer(footer_bytes, path_);
   ChunkCodec::read_dictionaries(footer, scratch_, path_);
   chunk_target_rows_ = footer.pod<std::uint32_t>();
   const auto chunk_count = footer.pod<std::uint32_t>();
@@ -108,31 +131,31 @@ ShardReader::ShardReader(const std::string& path,
   }
   row_count_ = footer.pod<std::uint64_t>();
   if (!footer.exhausted()) {
-    logs::jlog_corrupt(path_, "trailing bytes in footer");
+    jlog_corrupt(path_, "trailing bytes in footer");
   }
   if (chunk_count > 0 && chunk_target_rows_ == 0) {
-    logs::jlog_corrupt(path_, "chunk target rows is zero");
+    jlog_corrupt(path_, "chunk target rows is zero");
   }
 
   // Chunk payloads must tile [magic, footer) exactly: no gaps (bytes no
   // checksum covers), no overlaps, in file order.
-  std::uint64_t expected = magic.size();
+  std::uint64_t expected = kJlogV2Magic.size();
   std::uint64_t rows = 0;
   for (const auto& meta : directory_) {
     if (meta.offset != expected) {
-      logs::jlog_corrupt(path_, "chunk directory does not tile the file");
+      jlog_corrupt(path_, "chunk directory does not tile the file");
     }
     if (meta.payload_bytes > footer_offset_ - expected) {
-      logs::jlog_corrupt(path_, "chunk payload exceeds file bounds");
+      jlog_corrupt(path_, "chunk payload exceeds file bounds");
     }
     expected += meta.payload_bytes;
     rows += meta.row_count;
   }
   if (expected != footer_offset_) {
-    logs::jlog_corrupt(path_, "chunk payloads do not reach the footer");
+    jlog_corrupt(path_, "chunk payloads do not reach the footer");
   }
   if (rows != row_count_) {
-    logs::jlog_corrupt(path_, "directory row sum does not match row count");
+    jlog_corrupt(path_, "directory row sum does not match row count");
   }
 
   // Page-release cadence: default every 64 MiB of scanned payload; a tight
@@ -146,7 +169,7 @@ ShardReader::ShardReader(const std::string& path,
                                                    1ull << 20, kDefaultInterval);
     }
   }
-  advise_mark_ = magic.size();
+  advise_mark_ = kJlogV2Magic.size();
 }
 
 void ShardReader::release_scanned_pages(std::uint64_t scanned_up_to) {
@@ -205,13 +228,13 @@ ScanStats ShardReader::scan(
 
 logs::LogTable ShardReader::read_all(logs::IngestReport* report) {
   if (row_count_ > 0xffffffffULL) {
-    logs::jlog_corrupt(path_, "row count exceeds u32 range");
+    jlog_corrupt(path_, "row count exceeds u32 range");
   }
   // A fresh table needs its own dictionaries (interners are not copyable):
   // re-parse them from the footer, then append every chunk.
   logs::LogTable table;
   const std::string_view bytes = file_->view();
-  logs::BinaryReader footer(
+  BinaryReader footer(
       bytes.substr(footer_offset_,
                    bytes.size() - kTrailerBytes - footer_offset_),
       path_);
@@ -239,13 +262,8 @@ std::size_t ShardReader::resident_bytes() const noexcept {
 logs::LogTable load_table_auto(const std::string& path,
                                const logs::IngestOptions& options,
                                logs::IngestReport* report) {
-  switch (logs::detect_log_format(path)) {
-    case logs::LogFormat::kJlogV1:
-      return logs::read_jlog(path, report);
-    case logs::LogFormat::kJlogV2:
-      return ShardReader(path).read_all(report);
-    case logs::LogFormat::kText:
-      break;
+  if (detect_log_format(path) == LogFormat::kJlogV2) {
+    return ShardReader(path).read_all(report);
   }
   return logs::read_log_table(path, options, report);
 }

@@ -90,8 +90,9 @@ class ShardReader {
                                std::span<const std::uint32_t> selected)>& fn);
 
   // Materializes the whole file as one LogTable (the batch-mode path).
-  // Throws when row_count exceeds the u32 row-index range, like the v1
-  // reader. Fills *report the way the other binary readers do.
+  // Throws when row_count exceeds the u32 row-index range. Fills *report as
+  // if a clean TSV of the same rows had been ingested (header_seen, records
+  // == row count), so tools report ingest state uniformly across formats.
   [[nodiscard]] logs::LogTable read_all(logs::IngestReport* report = nullptr);
 
   // Approximate heap held by the reader (dictionaries + directory + scratch
@@ -113,11 +114,19 @@ class ShardReader {
   std::uint64_t advise_mark_ = 0;      // file offset already released
 };
 
+// What kind of log file `path` holds, decided by its leading magic (never
+// by extension). Anything unreadable, shorter than a magic, or without the
+// v2 magic is kText — the TSV reader then produces the authoritative error.
+// A file opening with the retired v1 magic throws std::runtime_error naming
+// the file and the commands that regenerate it as v2.
+enum class LogFormat { kText, kJlogV2 };
+[[nodiscard]] LogFormat detect_log_format(const std::string& path);
+
 // Loads any supported log format into a LogTable, dispatching on the
-// leading magic (logs::detect_log_format): text logs go through the
-// zero-copy TSV path with `options`, .jlog v1 and v2 through their binary
-// readers (which ignore `options` — binary corruption is structural, never
-// permissively skipped). The one loader every tool shares.
+// leading magic (detect_log_format): text logs go through the zero-copy
+// TSV path with `options`, .jlog v2 through ShardReader::read_all (which
+// ignores `options` — binary corruption is structural, never permissively
+// skipped). The one loader every tool shares.
 [[nodiscard]] logs::LogTable load_table_auto(
     const std::string& path, const logs::IngestOptions& options = {},
     logs::IngestReport* report = nullptr);

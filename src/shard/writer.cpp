@@ -18,8 +18,7 @@ ShardWriter::ShardWriter(const std::string& path, ShardWriterOptions options)
   if (!os_) {
     throw std::runtime_error("cannot create .jlog file: " + path_);
   }
-  const auto magic = logs::jlog_v2_magic();
-  out_.raw(magic.data(), magic.size());
+  out_.raw(kJlogV2Magic.data(), kJlogV2Magic.size());
   pending_.reserve(options_.chunk_rows);
 }
 
@@ -67,7 +66,7 @@ ShardWriteStats ShardWriter::finalize() {
   // the bytes that land in the file.
   std::ostringstream footer_os(std::ios::binary);
   {
-    logs::BinaryWriter footer(footer_os);
+    BinaryWriter footer(footer_os);
     ChunkCodec::write_dictionaries(footer, pending_);
     footer.pod<std::uint32_t>(options_.chunk_rows);
     footer.pod<std::uint32_t>(static_cast<std::uint32_t>(directory_.size()));

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "logs/jlog.h"
 #include "logs/record.h"
 #include "logs/table.h"
 #include "shard/format.h"
@@ -51,7 +50,7 @@ class ShardWriter {
                      std::uint64_t response_bytes, std::uint64_t request_bytes,
                      logs::CacheStatus cache_status, std::uint32_t edge_id);
 
-  // Appends every row of `table` (the v1 → v2 conversion path).
+  // Appends every row of an in-memory table.
   void append(const logs::LogTable& table);
 
   // Flushes the pending chunk, writes footer + trailer, and closes the
@@ -68,7 +67,7 @@ class ShardWriter {
 
   std::string path_;
   std::ofstream os_;
-  logs::BinaryWriter out_;
+  BinaryWriter out_;
   ShardWriterOptions options_;
   logs::LogTable pending_;  // rows of the open chunk; dicts are file-global
   std::vector<ChunkMeta> directory_;

@@ -1,6 +1,5 @@
 // Columnar log store: interner symbol/view stability, the LogTable row proxy
-// against the records it was built from, the zero-copy file ingest, and the
-// .jlog binary sidecar round-trip (including corruption rejection).
+// against the records it was built from, and the zero-copy file ingest.
 #include "logs/table.h"
 
 #include <gtest/gtest.h>
@@ -16,8 +15,9 @@
 #include "http/mime.h"
 #include "logs/csv.h"
 #include "logs/interner.h"
-#include "logs/jlog.h"
 #include "logs/zerocopy.h"
+#include "shard/reader.h"
+#include "shard/writer.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::logs {
@@ -260,8 +260,8 @@ TEST(LogTable, TimeRangeAndDistincts) {
 TEST(LogTable, AppendAfterJlogLoadKeepsInterningConsistent) {
   const auto ds = make_records(300);
   const std::string path = testing::TempDir() + "append_after_load.jlog";
-  write_jlog(path, table_of(ds));
-  auto table = read_jlog(path);
+  shard::write_jlog_v2(path, table_of(ds));
+  auto table = shard::ShardReader(path).read_all();
   // Appending a record whose client pair already exists must reuse its
   // symbol even though the pair cache was rebuilt from the file.
   const auto& first = ds.front();
@@ -366,96 +366,6 @@ TEST(ZeroCopyIngest, HandlesMissingFinalNewlineAndCrlf) {
   EXPECT_EQ(table.size(), 2u);
   EXPECT_EQ(report.records, 2u);
   EXPECT_EQ(report.malformed, 0u);
-  std::remove(path.c_str());
-}
-
-// ---- .jlog sidecar --------------------------------------------------------
-
-TEST(Jlog, RoundTripsTableExactly) {
-  auto ds = make_records(2500);
-  sort_by_time(ds);
-  const auto table = table_of(ds);
-  const std::string path = testing::TempDir() + "roundtrip.jlog";
-  write_jlog(path, table);
-
-  EXPECT_TRUE(is_jlog_file(path));
-  IngestReport report;
-  const auto loaded = read_jlog(path, &report);
-  expect_same_records(ds, loaded);
-  EXPECT_EQ(report.records, ds.size());
-  EXPECT_EQ(report.lines, ds.size());
-  EXPECT_TRUE(report.header_seen);
-  std::remove(path.c_str());
-}
-
-TEST(Jlog, RejectsBadMagicAndTruncation) {
-  const auto ds = make_records(400);
-  const std::string path = testing::TempDir() + "corrupt.jlog";
-  write_jlog(path, table_of(ds));
-
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(bytes.size(), 64u);
-
-  // Truncate at several depths: header, dictionaries, columns, last byte.
-  for (const std::size_t keep :
-       {std::size_t{4}, std::size_t{20}, bytes.size() / 2, bytes.size() - 1}) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep));
-    out.close();
-    EXPECT_THROW((void)read_jlog(path), std::runtime_error) << keep;
-  }
-
-  // Flip the magic.
-  {
-    std::string bad = bytes;
-    bad[0] ^= 0x40;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-  }
-  EXPECT_FALSE(is_jlog_file(path));
-  EXPECT_THROW((void)read_jlog(path), std::runtime_error);
-
-  // Trailing garbage after a valid image is corruption, not slack.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out << "extra";
-  }
-  EXPECT_THROW((void)read_jlog(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Jlog, RejectsOutOfRangeEnumAndSymbol) {
-  const auto ds = make_records(50);
-  const std::string path = testing::TempDir() + "ranges.jlog";
-  write_jlog(path, table_of(ds));
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-
-  // Corrupting interior bytes must never crash: every read is bounds- and
-  // range-checked, so the only acceptable outcomes are a clean throw or a
-  // (for bytes inside string payloads) differing but well-formed table.
-  stats::Rng rng(7);
-  for (int trial = 0; trial < 64; ++trial) {
-    std::string bad = bytes;
-    const auto pos = static_cast<std::size_t>(rng.uniform_int(
-        8, static_cast<std::int64_t>(bad.size() - 1)));
-    bad[pos] = static_cast<char>(bad[pos] ^ 0xff);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-    out.close();
-    try {
-      const auto table = read_jlog(path);
-      EXPECT_EQ(table.size(), ds.size());  // row count guarded by checks
-    } catch (const std::runtime_error&) {
-      // rejected — the expected path for structural corruption
-    }
-  }
   std::remove(path.c_str());
 }
 

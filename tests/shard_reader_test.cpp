@@ -1,18 +1,18 @@
 // End-to-end tests of the `.jlog` v2 store: write/read round trips against
-// the v1 image, magic-based format detection, zone-map pruning semantics,
-// and adversarial robustness (truncation at every prefix class, bit flips
-// anywhere in the file).
+// a reference table, magic-based format detection (and the rejection of
+// retired v1 files), zone-map pruning semantics, and adversarial robustness
+// (truncation at every prefix class, bit flips anywhere in the file).
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "logs/csv.h"
-#include "logs/jlog.h"
 #include "logs/record.h"
 #include "logs/table.h"
 #include "shard/format.h"
@@ -126,31 +126,15 @@ TEST_F(TempDir, V2RoundTripMatchesReferenceAcrossChunkGeometries) {
   }
 }
 
-TEST_F(TempDir, V2MatchesV1RowForRow) {
-  const auto options = small_workload(3000);
-  const LogTable reference = reference_table(options);
-  const auto v1 = path("image.jlog");
-  const auto v2 = path("store.jlog");
-  jsoncdn::logs::write_jlog(v1, reference);
-  write_v2(v2, options, 256);
-
-  const LogTable from_v1 = jsoncdn::logs::read_jlog(v1);
-  const LogTable from_v2 = ShardReader(v2).read_all();
-  expect_tables_equal(from_v1, from_v2);
-
-  // The whole point of v2: same rows, smaller file.
-  EXPECT_LT(std::filesystem::file_size(v2), std::filesystem::file_size(v1));
-}
-
 TEST_F(TempDir, DetectLogFormatDispatchesOnMagic) {
-  using jsoncdn::logs::LogFormat;
+  using jsoncdn::shard::detect_log_format;
+  using jsoncdn::shard::LogFormat;
   const auto options = small_workload(100);
   const LogTable reference = reference_table(options);
 
   const auto v1 = path("image.jlog");
   const auto v2 = path("store.jlog");
   const auto text = path("log.tsv");
-  jsoncdn::logs::write_jlog(v1, reference);
   write_v2(v2, options, 64);
   {
     std::ofstream os(text);
@@ -159,18 +143,41 @@ TEST_F(TempDir, DetectLogFormatDispatchesOnMagic) {
       writer.write(reference.record(static_cast<std::uint32_t>(i)));
     }
   }
+  {
+    // A retired v1 image: only its magic is ever read.
+    std::ofstream os(v1, std::ios::binary);
+    os << "jlogcdn1" << std::string(64, '\0');
+  }
 
-  EXPECT_EQ(jsoncdn::logs::detect_log_format(v1), LogFormat::kJlogV1);
-  EXPECT_EQ(jsoncdn::logs::detect_log_format(v2), LogFormat::kJlogV2);
-  EXPECT_EQ(jsoncdn::logs::detect_log_format(text), LogFormat::kText);
-  EXPECT_EQ(jsoncdn::logs::detect_log_format(path("missing")),
-            LogFormat::kText);
+  EXPECT_EQ(detect_log_format(v2), LogFormat::kJlogV2);
+  EXPECT_EQ(detect_log_format(text), LogFormat::kText);
+  EXPECT_EQ(detect_log_format(path("missing")), LogFormat::kText);
 
-  // load_table_auto must produce identical rows for both binary encodings.
-  for (const auto& file : {v1, v2}) {
+  // The v1 magic throws a message naming the file and both regeneration
+  // commands, from the detector and from the loader every tool uses.
+  const auto expect_retired = [&](const std::function<void()>& load) {
+    try {
+      load();
+      ADD_FAILURE() << "a jlogcdn1 file was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("retired .jlog v1 file"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("jsoncdn-generate ... --jlog-v2 " + v1),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("jsoncdn-jlog convert LOG.tsv " + v1),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_retired([&] { (void)detect_log_format(v1); });
+  expect_retired([&] { (void)jsoncdn::shard::load_table_auto(v1); });
+
+  // load_table_auto reproduces the v2 rows exactly.
+  {
     jsoncdn::logs::IngestReport report;
-    const LogTable loaded =
-        jsoncdn::shard::load_table_auto(file, {}, &report);
+    const LogTable loaded = jsoncdn::shard::load_table_auto(v2, {}, &report);
     EXPECT_EQ(report.records, reference.size());
     expect_tables_equal(reference, loaded);
   }

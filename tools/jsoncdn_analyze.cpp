@@ -7,9 +7,9 @@
 //
 // Consumes the TSV format written by jsoncdn-generate (or any producer of
 // the same schema) and prints the corresponding figures/tables. Exactly the
-// paper's situation: the analyst sees only the logs. A `.jlog` columnar
-// sidecar (written by jsoncdn-generate --jlog) is detected by magic and
-// loaded directly — no re-parse, no re-validation.
+// paper's situation: the analyst sees only the logs. A `.jlog` v2 chunk
+// store (written by jsoncdn-generate --jlog-v2 or jsoncdn-jlog convert) is
+// detected by magic and loaded directly — no re-parse, no re-validation.
 //
 // The file is parsed exactly once, zero-copy, into a columnar LogTable;
 // the batch and streaming paths both consume views of that one table, so a
@@ -18,8 +18,9 @@
 // Ingestion is hardened: by default malformed lines are skipped, counted
 // per reason, and (with --quarantine) preserved for inspection; the run
 // fails if the rejected share exceeds --max-error-share. --strict instead
-// aborts on the first bad line, naming it. An empty or unreadable log is
-// always an error — analyses over zero records are never silently printed.
+// aborts on the first bad line, naming it. An empty or unreadable log, or a
+// --time-from/--time-to window that selects no record, is always an error —
+// analyses over zero records are never silently printed.
 //
 // --streaming switches to the one-pass bounded-memory pipeline
 // (stream::StreamingStudy): the table is consumed in --chunk-size record
@@ -38,7 +39,6 @@
 // clean against the in-memory run.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -47,6 +47,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -54,6 +55,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "cli_flags.h"
 #include "core/characterization.h"
 #include "core/ngram.h"
 #include "core/period_detector.h"
@@ -61,7 +63,6 @@
 #include "core/report.h"
 #include "http/mime.h"
 #include "logs/csv.h"
-#include "logs/jlog.h"
 #include "logs/table.h"
 #include "logs/zerocopy.h"
 #include "shard/reader.h"
@@ -94,23 +95,26 @@ void usage() {
 }
 
 // Parses "4096", "64k", "512m", "1g" (case-insensitive suffixes, powers of
-// 1024) into bytes. Returns false on anything else.
-bool parse_size(const char* text, std::uint64_t& out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || value < 0) return false;
+// 1024) into bytes: digits, then at most one suffix, with the product inside
+// 64 bits. Exits 2 naming `flag` on anything else.
+std::uint64_t parse_size(std::string_view flag, const char* text) {
+  std::string_view digits(text);
   std::uint64_t unit = 1;
-  if (*end != '\0') {
-    switch (*end | 0x20) {
+  if (!digits.empty()) {
+    switch (digits.back() | 0x20) {
       case 'k': unit = 1ull << 10; break;
       case 'm': unit = 1ull << 20; break;
       case 'g': unit = 1ull << 30; break;
-      default: return false;
+      default: break;
     }
-    if (end[1] != '\0') return false;
+    if (unit != 1) digits.remove_suffix(1);
   }
-  out = static_cast<std::uint64_t>(value * static_cast<double>(unit));
-  return true;
+  std::uint64_t value = 0;
+  if (!jsoncdn::cli::parse_number(digits, value) ||
+      value > std::numeric_limits<std::uint64_t>::max() / unit) {
+    jsoncdn::cli::bad_flag_value(flag, text);
+  }
+  return value * unit;
 }
 
 // Ingest-side knobs shared by the batch and streaming paths.
@@ -160,6 +164,13 @@ struct TimeWindow {
   }
 };
 
+// A window that selects no record is an error, like an empty log.
+int no_records_in(const TimeWindow& window) {
+  std::fprintf(stderr, "error: no records in [%g, %g]\n", window.from,
+               window.to);
+  return 1;
+}
+
 // One-pass streaming path over the already-loaded table, consumed in file
 // order (the order the stream would arrive) in --chunk-size chunks — the
 // same chunk geometry the old parse-as-you-go path produced, so summaries
@@ -183,6 +194,7 @@ int run_streaming(const jsoncdn::logs::LogTable& table,
     const auto row = static_cast<RowIndex>(i);
     if (window.contains(table.timestamp(row))) order.push_back(row);
   }
+  if (order.empty()) return no_records_in(window);
   for (std::size_t begin = 0; begin < order.size(); begin += chunk_size) {
     const std::size_t len = std::min(chunk_size, order.size() - begin);
     study.ingest(table, std::span<const RowIndex>(&order[begin], len));
@@ -273,6 +285,7 @@ int run_streaming_v2(jsoncdn::shard::ShardReader& reader,
         }
       });
   print_scan_stats("scan", stats);
+  if (stats.rows_selected == 0) return no_records_in(window);
 
   const auto summary = study.summary();
   std::printf("streamed %llu records (%llu JSON) from %s in chunks of %zu\n\n",
@@ -405,10 +418,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--streaming") {
       streaming = true;
     } else if (arg == "--chunk-size" && i + 1 < argc) {
-      chunk_size = static_cast<std::size_t>(std::atoll(argv[++i]));
+      chunk_size = cli::flag_value<std::size_t>(arg, argv[++i]);
       if (chunk_size == 0) chunk_size = 1;
     } else if (arg == "--permutations" && i + 1 < argc) {
-      permutations = static_cast<std::size_t>(std::atoll(argv[++i]));
+      permutations = cli::flag_value<std::size_t>(arg, argv[++i]);
     } else if (arg == "--detector" && i + 1 < argc) {
       try {
         detector = core::detector_strategy_from_name(argv[++i]);
@@ -417,27 +430,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+      threads = cli::flag_value<std::size_t>(arg, argv[++i]);
     } else if (arg == "--strict") {
       flags.strict = true;
     } else if (arg == "--quarantine" && i + 1 < argc) {
       flags.quarantine_path = argv[++i];
     } else if (arg == "--max-error-share" && i + 1 < argc) {
-      flags.max_error_share = std::atof(argv[++i]);
+      flags.max_error_share = cli::flag_value<double>(arg, argv[++i]);
     } else if (arg == "--time-from" && i + 1 < argc) {
-      window.from = std::atof(argv[++i]);
+      window.from = cli::flag_value<double>(arg, argv[++i]);
     } else if (arg == "--time-to" && i + 1 < argc) {
-      window.to = std::atof(argv[++i]);
+      window.to = cli::flag_value<double>(arg, argv[++i]);
     } else if (arg == "--max-memory" && i + 1 < argc) {
-      if (!parse_size(argv[++i], max_memory)) {
-        std::fprintf(stderr, "bad --max-memory size: %s\n", argv[i]);
-        return 2;
-      }
+      max_memory = parse_size(arg, argv[++i]);
     } else if (arg == "--assert-max-rss" && i + 1 < argc) {
-      if (!parse_size(argv[++i], assert_max_rss)) {
-        std::fprintf(stderr, "bad --assert-max-rss size: %s\n", argv[i]);
-        return 2;
-      }
+      assert_max_rss = parse_size(arg, argv[++i]);
     } else if (arg == "--no-zone-maps") {
       use_zone_maps = false;
     } else {
@@ -451,6 +458,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --time-from/--time-to require --streaming (batch "
                  "analyses always cover the whole log)\n");
+    return 2;
+  }
+  if (window.from > window.to) {
+    std::fprintf(stderr, "error: --time-from %g is after --time-to %g\n",
+                 window.from, window.to);
     return 2;
   }
   const std::size_t effective_threads = jsoncdn::stats::resolve_threads(threads);
@@ -471,10 +483,16 @@ int main(int argc, char** argv) {
       flags.strict ? logs::ParseMode::kStrict : logs::ParseMode::kPermissive;
   options.quarantine = quarantine ? &*quarantine : nullptr;
 
-  // A v2 chunk store under --streaming never materializes the table: the
-  // shard reader feeds the study chunk by chunk, out of core.
-  if (streaming && logs::detect_log_format(path) == logs::LogFormat::kJlogV2) {
-    try {
+  // Single ingest, dispatched on the leading magic. A v2 chunk store under
+  // --streaming never materializes the table: the shard reader feeds the
+  // study chunk by chunk, out of core. Every other mode loads one table:
+  // the zero-copy TSV parse, or a v2 store materialized through its chunk
+  // reader.
+  logs::IngestReport report;
+  logs::LogTable table;
+  try {
+    if (streaming &&
+        shard::detect_log_format(path) == shard::LogFormat::kJlogV2) {
       shard::ShardReader reader(path, max_memory);
       if (reader.row_count() == 0) {
         std::fprintf(stderr,
@@ -487,20 +505,8 @@ int main(int argc, char** argv) {
           run_streaming_v2(reader, path, periodicity, chunk_size, permutations,
                            detector, effective_threads, window, use_zone_maps);
       if (rc != 0) return rc;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
+      return assert_max_rss > 0 && !check_max_rss(assert_max_rss) ? 1 : 0;
     }
-    if (assert_max_rss > 0 && !check_max_rss(assert_max_rss)) return 1;
-    return 0;
-  }
-
-  // Single ingest for every other mode, dispatched on the leading magic:
-  // zero-copy TSV parse into the columnar table, or a direct binary load
-  // (v1 image, or v2 materialized through its chunk reader).
-  logs::IngestReport report;
-  logs::LogTable table;
-  try {
     table = shard::load_table_auto(path, options, &report);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

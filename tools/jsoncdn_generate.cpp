@@ -2,18 +2,17 @@
 //
 //   jsoncdn-generate [--scenario short|long] [--scale S] [--seed N]
 //                    [--out FILE] [--json-only] [--ground-truth FILE]
-//                    [--jlog FILE]
+//                    [--jlog-v2 FILE] [--jlog-chunk-rows N]
 //                    [--fault-rate F] [--fault-seed N] [--fault-outages N]
 //
 // Writes the TSV log format (logs/csv.h) that jsoncdn-analyze consumes, so
 // the full pipeline can be driven from the shell exactly like the paper's:
 // collect logs on the edge, analyze offline.
 //
-// --jlog additionally writes the columnar binary sidecar (logs/jlog.h) of
-// the same records; jsoncdn-analyze loads it directly, skipping the TSV
-// parse entirely. --jlog-v2 writes the compressed chunk store instead
-// (shard/format.h) — smaller on disk, and analyzable out of core with
-// jsoncdn-analyze --streaming; --jlog-chunk-rows tunes its chunk geometry.
+// --jlog-v2 additionally writes the same records as a compressed `.jlog`
+// chunk store (shard/format.h): jsoncdn-analyze loads it directly, skipping
+// the TSV parse entirely, or analyzes it out of core with --streaming;
+// --jlog-chunk-rows tunes its chunk geometry.
 //
 // --ground-truth additionally writes the oracle sidecar (oracle/ground_truth.h)
 // holding the generator's labels keyed the way the log keys clients, so
@@ -34,9 +33,9 @@
 #include <string>
 
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "faults/plan.h"
 #include "logs/csv.h"
-#include "logs/jlog.h"
 #include "logs/table.h"
 #include "oracle/ground_truth.h"
 #include "shard/writer.h"
@@ -52,8 +51,6 @@ void usage() {
                "                        [--scale S]\n"
                "                        [--seed N] [--out FILE] [--json-only]\n"
                "                        [--ground-truth FILE] (oracle "
-               "sidecar)\n"
-               "                        [--jlog FILE]       (columnar binary "
                "sidecar)\n"
                "                        [--jlog-v2 FILE]    (compressed chunk "
                "store sidecar)\n"
@@ -77,7 +74,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::string out_path = "jsoncdn.log";
   std::string truth_path;
-  std::string jlog_path;
   std::string jlog_v2_path;
   std::uint32_t jlog_chunk_rows = 65536;
   bool json_only = false;
@@ -103,25 +99,23 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--hostile-share") {
-      hostile_share = std::atof(next());
+      hostile_share = cli::flag_value<double>(arg, next());
       if (hostile_share < 0.0 || hostile_share >= 1.0) {
         std::fprintf(stderr, "--hostile-share must be in [0, 1)\n");
         return 2;
       }
     } else if (arg == "--scale") {
-      scale = std::atof(next());
+      scale = cli::flag_value<double>(arg, next());
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = cli::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--ground-truth") {
       truth_path = next();
-    } else if (arg == "--jlog") {
-      jlog_path = next();
     } else if (arg == "--jlog-v2") {
       jlog_v2_path = next();
     } else if (arg == "--jlog-chunk-rows") {
-      jlog_chunk_rows = static_cast<std::uint32_t>(std::atoll(next()));
+      jlog_chunk_rows = cli::flag_value<std::uint32_t>(arg, next());
       if (jlog_chunk_rows == 0) {
         std::fprintf(stderr, "--jlog-chunk-rows must be positive\n");
         return 2;
@@ -129,15 +123,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--json-only") {
       json_only = true;
     } else if (arg == "--fault-rate") {
-      fault_rate = std::atof(next());
+      fault_rate = cli::flag_value<double>(arg, next());
       if (fault_rate < 0.0 || fault_rate > 1.0) {
         std::fprintf(stderr, "--fault-rate must be in [0, 1]\n");
         return 2;
       }
     } else if (arg == "--fault-seed") {
-      fault_seed = static_cast<std::uint64_t>(std::atoll(next()));
+      fault_seed = cli::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--fault-outages") {
-      fault_outages = static_cast<std::size_t>(std::atoll(next()));
+      fault_outages = cli::flag_value<std::size_t>(arg, next());
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -210,16 +204,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "wrote %llu records to %s\n",
                static_cast<unsigned long long>(writer.written()),
                out_path.c_str());
-
-  if (!jlog_path.empty()) {
-    try {
-      logs::write_jlog(jlog_path, table);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "jlog: %s\n", e.what());
-      return 1;
-    }
-    std::fprintf(stderr, "wrote columnar sidecar to %s\n", jlog_path.c_str());
-  }
 
   if (!jlog_v2_path.empty()) {
     try {

@@ -1,28 +1,27 @@
-// jsoncdn-jlog — inspect, verify, convert, and synthesize `.jlog` files.
+// jsoncdn-jlog — inspect, verify, convert, and synthesize `.jlog` v2 chunk
+// stores.
 //
 //   jsoncdn-jlog inspect FILE [--chunks]
 //   jsoncdn-jlog verify FILE
-//   jsoncdn-jlog convert IN OUT [--to v1|v2] [--chunk-rows N]
+//   jsoncdn-jlog convert IN OUT [--chunk-rows N]
 //   jsoncdn-jlog synth --records N --out FILE [--seed S] [--chunk-rows N]
 //                      [--clients N] [--urls N] [--duration SECONDS]
 //
-// inspect prints the format, row/chunk counts, dictionary sizes, and time
-// range without decoding row data (for v2, only footer metadata is read);
-// --chunks adds one line per chunk with its zone map. verify decodes every
-// row through the full bounds/checksum/zone-map validation and exits
-// non-zero on the first corruption. convert re-encodes any readable log
-// (TSV, v1, v2) as a v1 image or v2 chunk store. synth streams the
-// deterministic scale workload (shard/synth.h) straight into a v2 store —
-// bounded memory at any record count, the generator for out-of-core scale
-// tests.
+// inspect prints the row/chunk counts, dictionary sizes, and time range
+// from the footer metadata alone, without decoding row data; --chunks adds
+// one line per chunk with its zone map. verify decodes every row through
+// the full bounds/checksum/zone-map validation and exits non-zero on the
+// first corruption. convert re-encodes any readable log (TSV or v2) as a v2
+// chunk store. synth streams the deterministic scale workload
+// (shard/synth.h) straight into a v2 store — bounded memory at any record
+// count, the generator for out-of-core scale tests.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 
-#include "logs/csv.h"
-#include "logs/jlog.h"
+#include "cli_flags.h"
 #include "logs/table.h"
 #include "shard/reader.h"
 #include "shard/synth.h"
@@ -35,40 +34,20 @@ void usage() {
       stderr,
       "usage: jsoncdn-jlog inspect FILE [--chunks]\n"
       "       jsoncdn-jlog verify FILE\n"
-      "       jsoncdn-jlog convert IN OUT [--to v1|v2] [--chunk-rows N]\n"
+      "       jsoncdn-jlog convert IN OUT [--chunk-rows N]\n"
       "       jsoncdn-jlog synth --records N --out FILE [--seed S]\n"
       "                          [--chunk-rows N] [--clients N] [--urls N]\n"
       "                          [--duration SECONDS]\n");
 }
 
-const char* format_name(jsoncdn::logs::LogFormat format) {
-  switch (format) {
-    case jsoncdn::logs::LogFormat::kJlogV1: return "jlog v1 (columnar image)";
-    case jsoncdn::logs::LogFormat::kJlogV2: return "jlog v2 (chunk store)";
-    case jsoncdn::logs::LogFormat::kText: break;
-  }
-  return "text";
-}
-
 int cmd_inspect(const std::string& path, bool chunks) {
   using namespace jsoncdn;
-  const auto format = logs::detect_log_format(path);
-  std::printf("%s: %s\n", path.c_str(), format_name(format));
-  if (format == logs::LogFormat::kText) {
+  if (shard::detect_log_format(path) != shard::LogFormat::kJlogV2) {
+    std::printf("%s: text\n", path.c_str());
     std::fprintf(stderr, "not a .jlog file (no binary magic)\n");
     return 1;
   }
-  if (format == logs::LogFormat::kJlogV1) {
-    const auto table = logs::read_jlog(path);
-    const auto [lo, hi] = table.time_range();
-    std::printf("rows: %zu\ntime range: [%.3f, %.3f]\n", table.size(), lo, hi);
-    std::printf("dictionaries: %zu urls, %zu client ids, %zu user agents, "
-                "%zu domains, %zu content types, %zu client keys\n",
-                table.urls().size(), table.client_ids().size(),
-                table.user_agents().size(), table.domains().size(),
-                table.content_types().size(), table.client_keys().size());
-    return 0;
-  }
+  std::printf("%s: jlog v2 (chunk store)\n", path.c_str());
   shard::ShardReader reader(path);
   const auto& dicts = reader.dictionaries();
   double lo = 0.0;
@@ -115,16 +94,10 @@ int cmd_inspect(const std::string& path, bool chunks) {
 
 int cmd_verify(const std::string& path) {
   using namespace jsoncdn;
-  const auto format = logs::detect_log_format(path);
-  if (format == logs::LogFormat::kText) {
+  if (shard::detect_log_format(path) != shard::LogFormat::kJlogV2) {
     std::fprintf(stderr, "%s: not a .jlog file (no binary magic)\n",
                  path.c_str());
     return 1;
-  }
-  if (format == logs::LogFormat::kJlogV1) {
-    const auto table = logs::read_jlog(path);
-    std::printf("ok: v1, %zu rows\n", table.size());
-    return 0;
   }
   shard::ShardReader reader(path);
   // Decode every chunk through the full validation path (checksums, range
@@ -141,31 +114,20 @@ int cmd_verify(const std::string& path) {
 }
 
 int cmd_convert(const std::string& in_path, const std::string& out_path,
-                const std::string& to, std::uint32_t chunk_rows) {
+                std::uint32_t chunk_rows) {
   using namespace jsoncdn;
-  logs::IngestReport report;
-  const auto table = shard::load_table_auto(in_path, {}, &report);
+  const auto table = shard::load_table_auto(in_path);
   if (table.empty()) {
     std::fprintf(stderr, "no records in %s\n", in_path.c_str());
     return 1;
   }
-  if (to == "v1") {
-    logs::write_jlog(out_path, table);
-    std::printf("wrote v1, %zu rows to %s\n", table.size(), out_path.c_str());
-  } else if (to == "v2") {
-    shard::ShardWriterOptions options;
-    options.chunk_rows = chunk_rows;
-    const auto stats = shard::write_jlog_v2(out_path, table, options);
-    std::printf("wrote v2, %llu rows in %u chunks (%.1f MiB) to %s\n",
-                static_cast<unsigned long long>(stats.rows),
-                stats.chunks,
-                static_cast<double>(stats.file_bytes) / (1 << 20),
-                out_path.c_str());
-  } else {
-    std::fprintf(stderr, "unknown --to format: %s (want v1 or v2)\n",
-                 to.c_str());
-    return 2;
-  }
+  shard::ShardWriterOptions options;
+  options.chunk_rows = chunk_rows;
+  const auto stats = shard::write_jlog_v2(out_path, table, options);
+  std::printf("wrote v2, %llu rows in %u chunks (%.1f MiB) to %s\n",
+              static_cast<unsigned long long>(stats.rows), stats.chunks,
+              static_cast<double>(stats.file_bytes) / (1 << 20),
+              out_path.c_str());
   return 0;
 }
 
@@ -196,6 +158,7 @@ int cmd_synth(const jsoncdn::shard::SynthOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
+  using namespace jsoncdn;
   if (argc < 2) {
     usage();
     return 2;
@@ -231,20 +194,17 @@ int main(int argc, char** argv) {
       }
       const std::string in_path = argv[2];
       const std::string out_path = argv[3];
-      std::string to = "v2";
       std::uint32_t chunk_rows = 65536;
       for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--to" && i + 1 < argc) {
-          to = argv[++i];
-        } else if (arg == "--chunk-rows" && i + 1 < argc) {
-          chunk_rows = static_cast<std::uint32_t>(std::atoll(argv[++i]));
+        if (arg == "--chunk-rows" && i + 1 < argc) {
+          chunk_rows = cli::flag_value<std::uint32_t>(arg, argv[++i]);
         } else {
           usage();
           return 2;
         }
       }
-      return cmd_convert(in_path, out_path, to, chunk_rows);
+      return cmd_convert(in_path, out_path, chunk_rows);
     }
     if (command == "synth") {
       jsoncdn::shard::SynthOptions options;
@@ -260,19 +220,19 @@ int main(int argc, char** argv) {
           return argv[++i];
         };
         if (arg == "--records") {
-          options.records = static_cast<std::uint64_t>(std::atoll(next()));
+          options.records = cli::flag_value<std::uint64_t>(arg, next());
         } else if (arg == "--out") {
           out_path = next();
         } else if (arg == "--seed") {
-          options.seed = static_cast<std::uint64_t>(std::atoll(next()));
+          options.seed = cli::flag_value<std::uint64_t>(arg, next());
         } else if (arg == "--chunk-rows") {
-          chunk_rows = static_cast<std::uint32_t>(std::atoll(next()));
+          chunk_rows = cli::flag_value<std::uint32_t>(arg, next());
         } else if (arg == "--clients") {
-          options.clients = static_cast<std::uint32_t>(std::atoll(next()));
+          options.clients = cli::flag_value<std::uint32_t>(arg, next());
         } else if (arg == "--urls") {
-          options.urls = static_cast<std::uint32_t>(std::atoll(next()));
+          options.urls = cli::flag_value<std::uint32_t>(arg, next());
         } else if (arg == "--duration") {
-          options.duration = std::atof(next());
+          options.duration = cli::flag_value<double>(arg, next());
         } else {
           usage();
           return 2;

@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/period_detector.h"
 #include "logs/csv.h"
-#include "logs/jlog.h"
 #include "logs/table.h"
 #include "logs/zerocopy.h"
 #include "oracle/conformance.h"
@@ -73,8 +73,8 @@ std::vector<std::uint64_t> parse_seed_list(const std::string& arg) {
       seeds.clear();
       return seeds;
     }
-    seeds.push_back(static_cast<std::uint64_t>(std::strtoull(
-        token.c_str(), nullptr, 10)));
+    seeds.push_back(jsoncdn::cli::flag_value<std::uint64_t>(
+        "--seed-sweep", token.c_str()));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -135,11 +135,11 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = cli::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--scenario") {
       config.scenario = next();
     } else if (arg == "--hostile-share") {
-      const double share = std::atof(next());
+      const double share = cli::flag_value<double>(arg, next());
       if (share < 0.0 || share >= 1.0) {
         std::fprintf(stderr, "--hostile-share must be in [0, 1)\n");
         return 2;
@@ -147,19 +147,19 @@ int main(int argc, char** argv) {
       config.hostile_share = share;
       overload_config.hostile_share = share;
     } else if (arg == "--clients") {
-      config.n_clients = static_cast<std::size_t>(std::atoll(next()));
+      config.n_clients = cli::flag_value<std::size_t>(arg, next());
       overload_config.n_clients = config.n_clients;
     } else if (arg == "--duration") {
-      config.duration_seconds = std::atof(next());
+      config.duration_seconds = cli::flag_value<double>(arg, next());
       overload_config.duration_seconds = config.duration_seconds;
     } else if (arg == "--scale") {
-      config.scale = std::atof(next());
+      config.scale = cli::flag_value<double>(arg, next());
       overload_config.scale = config.scale;
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoll(next()));
+      threads = cli::flag_value<std::size_t>(arg, next());
       config.thread_counts = {threads};
     } else if (arg == "--context") {
-      config.ngram_context = static_cast<std::size_t>(std::atoll(next()));
+      config.ngram_context = cli::flag_value<std::size_t>(arg, next());
     } else if (arg == "--no-streaming") {
       config.check_streaming = false;
     } else if (arg == "--markdown") {
@@ -214,8 +214,8 @@ int main(int argc, char** argv) {
       return 2;
     }
     logs::IngestReport ingest;
-    // Zero-copy columnar ingest (or a direct .jlog v1/v2 load — dispatched
-    // on the leading magic): same rows in every format.
+    // Zero-copy columnar ingest (or a direct .jlog v2 load — dispatched on
+    // the leading magic): same rows in either format.
     const auto table =
         shard::load_table_auto(log_path, logs::IngestOptions{}, &ingest);
     if (table.empty()) {
