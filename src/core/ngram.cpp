@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "core/url_cluster.h"
 #include "stats/hash.h"
@@ -43,17 +42,18 @@ std::string NgramModel::context_key(std::span<const TokenId> context) const {
 
 void NgramModel::observe_sequence(std::span<const std::string> tokens) {
   if (tokens.size() < 2) return;
+  thaw();
   std::vector<TokenId> ids;
   ids.reserve(tokens.size());
   for (const auto& t : tokens) ids.push_back(intern(t));
 
   for (std::size_t i = 0; i < ids.size(); ++i) {
     if (i > 0) ++transitions_;
-    ++unigrams_[ids[i]];
+    ++std::get<CountMap>(unigrams_)[ids[i]];
     // Transitions into position i from contexts of length 1..max_context_.
     for (std::size_t len = 1; len <= max_context_ && len <= i; ++len) {
       const std::span<const TokenId> context(&ids[i - len], len);
-      ++tables_[len - 1][context_key(context)][ids[i]];
+      ++std::get<CountMap>(tables_[len - 1][context_key(context)])[ids[i]];
     }
   }
 }
@@ -61,29 +61,72 @@ void NgramModel::observe_sequence(std::span<const std::string> tokens) {
 void NgramModel::merge(const NgramModel& other) {
   if (other.max_context_ != max_context_)
     throw std::invalid_argument("NgramModel::merge: max_context mismatch");
+  thaw();
   // Remap the other model's token ids into this vocabulary.
   std::vector<TokenId> remap(other.token_names_.size());
   for (std::size_t i = 0; i < other.token_names_.size(); ++i)
     remap[i] = intern(other.token_names_[i]);
 
-  for (const auto& [id, count] : other.unigrams_)
-    unigrams_[remap[id]] += count;
+  // `other` may be frozen, so read its counts in either form.
+  const auto add = [&](Distribution& dst, const Distribution& src) {
+    auto& counts = std::get<CountMap>(dst);
+    if (const auto* ranked = std::get_if<Ranked>(&src)) {
+      for (const auto& [id, count] : ranked->entries) counts[remap[id]] += count;
+    } else {
+      for (const auto& [id, count] : std::get<CountMap>(src))
+        counts[remap[id]] += count;
+    }
+  };
+  add(unigrams_, other.unigrams_);
   transitions_ += other.transitions_;
 
   std::vector<TokenId> context;
   for (std::size_t len = 1; len <= max_context_; ++len) {
-    for (const auto& [key, counts] : other.tables_[len - 1]) {
+    for (const auto& [key, next] : other.tables_[len - 1]) {
       context.resize(len);
       std::memcpy(context.data(), key.data(), key.size());
       for (auto& id : context) id = remap[id];
-      auto& dst = tables_[len - 1][context_key(context)];
-      for (const auto& [id, count] : counts) dst[remap[id]] += count;
+      add(tables_[len - 1][context_key(context)], next);
     }
   }
 }
 
+void NgramModel::freeze() {
+  if (frozen_) return;
+  const auto rank = [&](Distribution& d) {
+    const auto& counts = std::get<CountMap>(d);
+    Ranked ranked{{counts.begin(), counts.end()}, 0};
+    std::sort(ranked.entries.begin(), ranked.entries.end(),
+              [&](const auto& a, const auto& b) {
+                if (a.second != b.second) return a.second > b.second;
+                return token_names_[a.first] < token_names_[b.first];  // determinism
+              });
+    for (const auto& [id, count] : ranked.entries) ranked.total += count;
+    d = std::move(ranked);
+  };
+  for (auto& table : tables_)
+    for (auto& [key, next] : table) rank(next);
+  rank(unigrams_);
+  frozen_ = true;
+}
+
+void NgramModel::thaw() {
+  if (!frozen_) return;
+  const auto unrank = [](Distribution& d) {
+    const auto& entries = std::get<Ranked>(d).entries;
+    d = CountMap(entries.begin(), entries.end());
+  };
+  for (auto& table : tables_)
+    for (auto& [key, next] : table) unrank(next);
+  unrank(unigrams_);
+  frozen_ = false;
+}
+
 std::vector<NgramModel::Prediction> NgramModel::predict(
     std::span<const std::string> history, std::size_t k) const {
+  if (!frozen_)
+    throw std::logic_error(
+        "NgramModel::predict: model changed since its last freeze()");
   std::vector<Prediction> out;
   if (k == 0) return out;
 
@@ -91,79 +134,44 @@ std::vector<NgramModel::Prediction> NgramModel::predict(
   // them, which backoff handles naturally.
   std::vector<TokenId> ids;
   ids.reserve(history.size());
-  bool tail_known = true;
   for (const auto& t : history) {
     const auto it = vocab_.find(t);
     if (it == vocab_.end()) {
       ids.clear();  // everything before an unknown token is unusable
-      tail_known = false;
       continue;
     }
     ids.push_back(it->second);
-    tail_known = true;
   }
-  (void)tail_known;
 
-  std::unordered_set<TokenId> chosen;
+  // Walks one ranked level, skipping tokens a longer context already
+  // picked. It stops after the k-th pick, so it reads k + skipped entries.
+  std::vector<TokenId> chosen;
+  chosen.reserve(k);
   double level_scale = 1.0;
+  const auto take = [&](const Distribution& d) {
+    const auto& level = std::get<Ranked>(d);
+    const auto total = static_cast<double>(level.total);
+    for (const auto& [id, count] : level.entries) {
+      if (out.size() >= k) break;
+      if (std::find(chosen.begin(), chosen.end(), id) != chosen.end())
+        continue;
+      chosen.push_back(id);
+      out.push_back(
+          {token_names_[id], level_scale * static_cast<double>(count) / total});
+    }
+  };
   const std::size_t longest = std::min(max_context_, ids.size());
   for (std::size_t len = longest; len > 0 && out.size() < k; --len) {
     const std::span<const TokenId> context(&ids[ids.size() - len], len);
     const auto& table = tables_[len - 1];
     const auto it = table.find(context_key(context));
     if (it != table.end()) {
-      // Rank continuations of this context by count. Only the prefix the
-      // selection loop can reach needs ordering: it stops after k picks and
-      // skips at most chosen.size() already-picked tokens, so a partial
-      // sort of k + chosen.size() entries yields the identical prefix the
-      // full sort produced — at O(n log prefix) instead of O(n log n).
-      std::vector<std::pair<TokenId, std::uint32_t>> ranked(
-          it->second.begin(), it->second.end());
-      const std::size_t prefix =
-          std::min(ranked.size(), k - out.size() + chosen.size());
-      std::partial_sort(
-          ranked.begin(), ranked.begin() + prefix, ranked.end(),
-          [&](const auto& a, const auto& b) {
-            if (a.second != b.second) return a.second > b.second;
-            return token_names_[a.first] < token_names_[b.first];  // determinism
-          });
-      // Exact integer total (counts are integers, so the double sum the
-      // sorted loop accumulated equals this in any order).
-      std::uint64_t total_count = 0;
-      for (const auto& [id, count] : ranked) total_count += count;
-      const auto total = static_cast<double>(total_count);
-      for (std::size_t p = 0; p < prefix; ++p) {
-        const auto [id, count] = ranked[p];
-        if (out.size() >= k) break;
-        if (!chosen.insert(id).second) continue;
-        out.push_back(
-            {token_names_[id], level_scale * static_cast<double>(count) / total});
-      }
+      take(it->second);
       level_scale *= kBackoffDiscount;
     }
   }
-  if (out.size() < k && !unigrams_.empty()) {
-    // Final backoff: global popularity prior, same partial-sort bound.
-    std::vector<std::pair<TokenId, std::uint32_t>> ranked(unigrams_.begin(),
-                                                          unigrams_.end());
-    const std::size_t prefix =
-        std::min(ranked.size(), k - out.size() + chosen.size());
-    std::partial_sort(ranked.begin(), ranked.begin() + prefix, ranked.end(),
-                      [&](const auto& a, const auto& b) {
-                        if (a.second != b.second) return a.second > b.second;
-                        return token_names_[a.first] < token_names_[b.first];
-                      });
-    std::uint64_t total_count = 0;
-    for (const auto& [id, count] : ranked) total_count += count;
-    const auto total = static_cast<double>(total_count);
-    for (std::size_t p = 0; p < prefix; ++p) {
-      const auto [id, count] = ranked[p];
-      if (out.size() >= k) break;
-      if (!chosen.insert(id).second) continue;
-      out.push_back(
-          {token_names_[id], level_scale * static_cast<double>(count) / total});
-    }
-  }
+  // Final backoff: the global popularity prior.
+  if (out.size() < k) take(unigrams_);
   return out;
 }
 
@@ -214,30 +222,32 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
 
   stats::ThreadPool pool(config.threads);
 
-  // Token extraction is per-flow independent: index-ordered parallel map.
-  const auto train_tokens = stats::parallel_map<std::vector<std::string>>(
-      pool, train_flows.size(),
-      [&](std::size_t i) { return tokens_of(*train_flows[i]); });
-
   // Sharded count-then-merge training. Shards are contiguous chunks of the
   // flow order and merge ascending, so the merged model carries exactly the
   // counts (and first-seen vocabulary order) of serial training.
   NgramModel model(config.context_len);
-  const std::size_t shards = stats::chunk_count(pool, train_flows.size());
-  if (shards <= 1) {
-    for (const auto& tokens : train_tokens) model.observe_sequence(tokens);
-  } else {
-    std::vector<NgramModel> shard_models(shards,
-                                         NgramModel(config.context_len));
-    stats::parallel_for(pool, train_flows.size(),
-                        [&](std::size_t begin, std::size_t end,
-                            std::size_t shard) {
-                          for (std::size_t i = begin; i < end; ++i)
-                            shard_models[shard].observe_sequence(
-                                train_tokens[i]);
-                        });
-    for (const auto& shard_model : shard_models) model.merge(shard_model);
-  }
+  {
+    // Token extraction is per-flow independent: index-ordered parallel map.
+    const auto train_tokens = stats::parallel_map<std::vector<std::string>>(
+        pool, train_flows.size(),
+        [&](std::size_t i) { return tokens_of(*train_flows[i]); });
+    const std::size_t shards = stats::chunk_count(pool, train_flows.size());
+    if (shards <= 1) {
+      for (const auto& tokens : train_tokens) model.observe_sequence(tokens);
+    } else {
+      std::vector<NgramModel> shard_models(shards,
+                                           NgramModel(config.context_len));
+      stats::parallel_for(pool, train_flows.size(),
+                          [&](std::size_t begin, std::size_t end,
+                              std::size_t shard) {
+                            for (std::size_t i = begin; i < end; ++i)
+                              shard_models[shard].observe_sequence(
+                                  train_tokens[i]);
+                          });
+      for (const auto& shard_model : shard_models) model.merge(shard_model);
+    }
+  }  // the tokens are dead once counted: freed before ranking reuses them
+  model.freeze();
 
   const std::size_t max_k =
       *std::max_element(config.ks.begin(), config.ks.end());

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "logs/table.h"
@@ -37,12 +38,21 @@ class NgramModel {
   // exactly and ranking ties break on token text, never on id.
   void merge(const NgramModel& other);
 
+  // Ranks every context's continuations, and the unigram prior, once: count
+  // descending, then token name ascending. Call it after the last
+  // observe_sequence()/merge() and before predict(); training again
+  // afterwards needs another freeze().
+  void freeze();
+
   struct Prediction {
     std::string token;
     double score = 0.0;  // backoff-discounted relative frequency
   };
 
-  // Top-k next-token predictions for a history (most recent token last).
+  // Top-k next-token predictions for a history (most recent token last),
+  // read off the lists freeze() ranked. Throws std::logic_error when the
+  // model has changed since its last freeze(). Safe to call from several
+  // threads at once.
   [[nodiscard]] std::vector<Prediction> predict(
       std::span<const std::string> history, std::size_t k) const;
 
@@ -64,9 +74,20 @@ class NgramModel {
  private:
   using TokenId = std::uint32_t;
   using CountMap = std::unordered_map<TokenId, std::uint32_t>;
+  // A distribution's counts, in predict()'s order, with their exact
+  // integer total.
+  struct Ranked {
+    std::vector<std::pair<TokenId, std::uint32_t>> entries;
+    std::uint64_t total = 0;
+  };
+  // One next-token distribution, held once: a CountMap while training, the
+  // same counts Ranked after freeze(), and a CountMap again once a later
+  // observe_sequence()/merge() thaws the model.
+  using Distribution = std::variant<CountMap, Ranked>;
 
   TokenId intern(std::string_view token);
   [[nodiscard]] std::string context_key(std::span<const TokenId> context) const;
+  void thaw();
 
   std::size_t max_context_;
   // Transparent hashing: interning and prediction look tokens up by
@@ -76,9 +97,10 @@ class NgramModel {
       vocab_;
   std::vector<std::string> token_names_;
   // One table per context length; contexts serialized to byte-string keys.
-  std::vector<std::unordered_map<std::string, CountMap>> tables_;
-  CountMap unigrams_;
+  std::vector<std::unordered_map<std::string, Distribution>> tables_;
+  Distribution unigrams_ = Ranked{};
   std::uint64_t transitions_ = 0;
+  bool frozen_ = true;  // an untrained model is trivially ranked
 };
 
 // ---- Table 3 evaluation ---------------------------------------------------

@@ -410,16 +410,12 @@ class AutoperiodDetector final : public PeriodDetector {
     null_power.clear();
     null_power.reserve(params.permutations);
     std::size_t exceed = 0;
-    auto& shuffled = s.spec.shuffled;
-    shuffled.assign(s.source.begin(), s.source.end());
-    for (std::size_t p = 0; p < params.permutations; ++p) {
-      std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
-      stats::spectral_analysis(shuffled, source_lag, s.spec.workspace,
-                               s.spec.null_spectral);
-      const double w = detail::max_power(s.spec.null_spectral.pgram_power);
-      null_power.push_back(w);
-      if (w >= observed && ++exceed >= 2) return out;
-    }
+    if (!detail::permutation_null(s.source, source_lag, params.permutations,
+                                  rng, s.spec, [&](double, double w) {
+                                    null_power.push_back(w);
+                                    return w >= observed && ++exceed >= 2;
+                                  }))
+      return out;
     std::sort(null_power.begin(), null_power.end());
     const double power_threshold = null_power[params.permutations - 2];
 

@@ -1,6 +1,7 @@
 #include "core/periodicity.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -73,6 +74,39 @@ BinnedFlow bin_flow(const DetectorParams& params,
   return out;
 }
 
+bool permutation_null(std::span<const double> source, std::size_t max_lag,
+                      std::size_t permutations, stats::Rng& rng,
+                      DetectScratch& scratch,
+                      const std::function<bool(double, double)>& stop) {
+  constexpr std::size_t kLanes = stats::kSpectralLanes;
+  const std::size_t n = source.size();
+  scratch.shuffled.resize(kLanes * n);
+  // Engine state after each lane's shuffle but the batch's last: a stop at
+  // lane j rewinds to snapshot j, undoing the later lanes' draws.
+  std::array<std::mt19937_64, kLanes - 1> snapshots;
+  std::array<const double*, kLanes> lanes{};
+  const double* previous = source.data();
+  for (std::size_t p = 0; p < permutations; p += kLanes) {
+    const std::size_t live = std::min(kLanes, permutations - p);
+    for (std::size_t l = 0; l < live; ++l) {
+      double* lane = scratch.shuffled.data() + l * n;
+      std::copy(previous, previous + n, lane);
+      std::shuffle(lane, lane + n, rng.engine());
+      if (l + 1 < live) snapshots[l] = rng.engine();
+      lanes[l] = previous = lane;
+    }
+    const auto maxima = stats::spectral_maxima(
+        std::span(lanes.data(), live), n, max_lag, scratch.workspace);
+    for (std::size_t l = 0; l < live; ++l) {
+      if (stop(maxima.acf_peak[l], maxima.power[l])) {
+        if (l + 1 < live) rng.engine() = snapshots[l];
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 FlowAnalysis analyze_signal(const DetectorParams& params,
                             std::span<const double> signal, double dt,
                             double span, std::size_t max_lag,
@@ -110,21 +144,16 @@ FlowAnalysis analyze_signal(const DetectorParams& params,
   null_power_max.reserve(params.permutations);
   std::size_t acf_exceed = 0;
   std::size_t power_exceed = 0;
-  auto& shuffled = scratch.shuffled;
-  shuffled.assign(signal.begin(), signal.end());
-  for (std::size_t p = 0; p < params.permutations; ++p) {
-    std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
-    stats::spectral_analysis(shuffled, max_lag, scratch.workspace,
-                             scratch.null_spectral);
-    const auto& nspec = scratch.null_spectral;
-    const double a = max_acf_peak(nspec.acf);
-    const double w = max_power(nspec.pgram_power);
-    null_acf_max.push_back(a);
-    null_power_max.push_back(w);
-    if (a >= observed_acf_max) ++acf_exceed;
-    if (w >= observed_power_max) ++power_exceed;
-    if (acf_exceed >= 2 || power_exceed >= 2) return out;  // cannot pass
-  }
+  const bool completed = permutation_null(
+      signal, max_lag, params.permutations, rng, scratch,
+      [&](double a, double w) {
+        null_acf_max.push_back(a);
+        null_power_max.push_back(w);
+        if (a >= observed_acf_max) ++acf_exceed;
+        if (w >= observed_power_max) ++power_exceed;
+        return acf_exceed >= 2 || power_exceed >= 2;  // cannot pass
+      });
+  if (!completed) return out;
   // "(x-1)th largest" == second largest when sorted ascending: index x-2.
   std::sort(null_acf_max.begin(), null_acf_max.end());
   std::sort(null_power_max.begin(), null_power_max.end());

@@ -91,10 +91,9 @@ struct PeriodDetection {
 // Contents carry no state between calls; never share one across threads.
 struct DetectScratch {
   stats::SpectralWorkspace workspace;
-  stats::SpectralAnalysis spectral;       // observed signal
-  stats::SpectralAnalysis null_spectral;  // reused per permutation
+  stats::SpectralAnalysis spectral;  // observed signal
   std::vector<double> signal;
-  std::vector<double> shuffled;
+  std::vector<double> shuffled;      // one batch of shuffles, lane by lane
   std::vector<double> null_acf_max;
   std::vector<double> null_power_max;
 };

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,6 +61,21 @@ struct BinnedFlow {
 [[nodiscard]] BinnedFlow bin_flow(const DetectorParams& params,
                                   std::span<const double> times,
                                   std::vector<double>& signal);
+
+// The permutation null (steps 2-3), shared by every binned strategy. Draws
+// `permutations` successive shuffles of `source` from rng — each shuffle
+// permutes the previous one, as one buffer shuffled in place would — and
+// passes each permutation's (max ACF peak, max periodogram power) to
+// `stop` in draw order until `stop` returns true. Shuffles are drawn and
+// transformed kSpectralLanes at a time (stats::spectral_maxima), yet a stop
+// after any permutation leaves rng.engine() exactly where the
+// one-at-a-time loop would, so callers that keep drawing from rng (the
+// multi-period residual loop, direct detect()/detect_all() callers) see
+// the same stream. Returns false when `stop` ended the run.
+bool permutation_null(std::span<const double> source, std::size_t max_lag,
+                      std::size_t permutations, stats::Rng& rng,
+                      DetectScratch& scratch,
+                      const std::function<bool(double, double)>& stop);
 
 // Per-signal analysis: fused spectral pass, permutation thresholds, and the
 // list of significant (frequency, ACF-peak) matches.

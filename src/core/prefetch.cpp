@@ -56,6 +56,7 @@ NgramModel train_prefetch_model(const logs::TableView& view,
       tokens.emplace_back(view.table().url(view[idx]));
     model.observe_sequence(tokens);
   }
+  model.freeze();
   return model;
 }
 

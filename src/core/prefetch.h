@@ -63,7 +63,7 @@ class NgramPrefetcher final : public cdn::PrefetchPolicy {
 };
 
 // Convenience: train a raw-URL ngram model from a (typically historical)
-// log view, one observation sequence per client flow.
+// log view, one observation sequence per client flow. Returned frozen.
 [[nodiscard]] NgramModel train_prefetch_model(const logs::TableView& view,
                                               std::size_t context_len = 1,
                                               std::size_t min_flow_requests = 2);

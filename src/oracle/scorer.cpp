@@ -220,6 +220,7 @@ NgramScore score_ngram(const logs::TableView& json, const TruthSidecar& truth,
       test_sessions.push_back(&session);
     }
   }
+  model.freeze();
   score.skyline.train_clients = train_clients.size();
   score.skyline.test_clients = test_clients.size();
 

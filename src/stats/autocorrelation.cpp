@@ -101,6 +101,23 @@ void spectral_analysis(std::span<const double> signal, std::size_t max_lag,
                        out.acf.data());
 }
 
+SpectralMaxima spectral_maxima(std::span<const double* const> signals,
+                               std::size_t n, std::size_t max_lag,
+                               SpectralWorkspace& ws) {
+  if (n == 0) throw std::invalid_argument("autocorrelation: empty signal");
+  if (signals.empty() || signals.size() > kSpectralLanes)
+    throw std::invalid_argument("spectral_maxima: 1 to 4 signals");
+  const std::size_t padded = next_pow2(2 * n);
+  const FftPlan& plan = fft_plan(padded);
+  ws.lanes.resize(8 * padded);
+  SpectralMaxima out;
+  kernels::spectral_maxima4(signals.data(), signals.size(), n, max_lag, padded,
+                            plan.fwd.data(), plan.inv.data(),
+                            plan.bitrev.data(), ws.lanes.data(),
+                            out.acf_peak.data(), out.power.data());
+  return out;
+}
+
 std::vector<std::size_t> acf_peaks(std::span<const double> r) {
   std::vector<std::size_t> peaks;
   for (std::size_t k = 1; k < r.size(); ++k) {

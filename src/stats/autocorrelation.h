@@ -4,6 +4,7 @@
 // the detector uses for long flows.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <span>
 #include <vector>
@@ -55,11 +56,33 @@ struct SpectralAnalysis {
 struct SpectralWorkspace {
   std::vector<double> centered;
   std::vector<std::complex<double>> freq;
+  std::vector<double> lanes;  // spectral_maxima's lane-interleaved buffer
 };
 
 // Allocation-free variant (after warm-up): identical results to the
 // two-argument overload, written into `out` whose vectors are reused.
 void spectral_analysis(std::span<const double> signal, std::size_t max_lag,
                        SpectralWorkspace& ws, SpectralAnalysis& out);
+
+// The permutation test reads only two numbers from each shuffled signal's
+// spectral pass: the largest ACF value at a peak lag (acf_peaks; 0 when
+// there is none) and the largest periodogram power (0-seeded).
+// spectral_maxima computes them for up to kSpectralLanes equal-length
+// signals at once, transforming them side by side in one vectorized pass
+// (kernels::spectral_maxima4). acf_peak[l] and power[l] are bit-identical
+// to the maxima of spectral_analysis(signals[l], max_lag), and so do not
+// depend on which lane or batch a signal lands in. Throws
+// std::invalid_argument for an empty signal or a lane count outside
+// 1..kSpectralLanes.
+inline constexpr std::size_t kSpectralLanes = 4;
+
+struct SpectralMaxima {
+  std::array<double, kSpectralLanes> acf_peak{};
+  std::array<double, kSpectralLanes> power{};
+};
+
+[[nodiscard]] SpectralMaxima spectral_maxima(
+    std::span<const double* const> signals, std::size_t n,
+    std::size_t max_lag, SpectralWorkspace& ws);
 
 }  // namespace jsoncdn::stats

@@ -11,46 +11,38 @@ namespace jsoncdn::stats {
 
 namespace {
 
-// Per-stage twiddle factors for an n-point transform, concatenated in stage
-// order (len = 2, 4, ..., n). Each stage's entries are generated by the same
-// repeated-multiplication chain (w = 1; w *= wlen) the pre-table butterfly
-// loop ran, so table[k] is bit-identical to the w the original code used at
-// that (stage, k) — table-driven butterflies reproduce the serial output
-// exactly while freeing the k-loop from the loop-carried multiply.
-struct TwiddleTable {
-  std::size_t n = 0;
-  std::vector<std::complex<double>> fwd;
-  std::vector<std::complex<double>> inv;
-
-  void build(std::size_t target_n) {
-    n = target_n;
-    fwd.clear();
-    inv.clear();
-    fwd.reserve(target_n);
-    inv.reserve(target_n);
-    for (int direction = 0; direction < 2; ++direction) {
-      const bool inverse = direction == 1;
-      auto& out = inverse ? inv : fwd;
-      for (std::size_t len = 2; len <= target_n; len <<= 1) {
-        const double angle = 2.0 * std::numbers::pi /
-                             static_cast<double>(len) * (inverse ? 1 : -1);
-        const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-        std::complex<double> w(1.0, 0.0);
-        for (std::size_t k = 0; k < len / 2; ++k) {
-          out.push_back(w);
-          w *= wlen;
-        }
+// Each stage's twiddles come from the same repeated-multiplication chain
+// (w = 1; w *= wlen) the pre-table butterfly loop ran, so table[k] is
+// bit-identical to the w the original code used at that (stage, k) —
+// table-driven butterflies reproduce the serial output exactly while freeing
+// the k-loop from the loop-carried multiply.
+void build_plan(FftPlan& plan, std::size_t n) {
+  plan.n = n;
+  plan.fwd.clear();
+  plan.inv.clear();
+  plan.fwd.reserve(n);
+  plan.inv.reserve(n);
+  for (int direction = 0; direction < 2; ++direction) {
+    const bool inverse = direction == 1;
+    auto& out = inverse ? plan.inv : plan.fwd;
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double angle = 2.0 * std::numbers::pi / static_cast<double>(len) *
+                           (inverse ? 1 : -1);
+      const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+      std::complex<double> w(1.0, 0.0);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        out.push_back(w);
+        w *= wlen;
       }
     }
   }
-};
-
-// The permutation gate runs hundreds of same-size transforms per flow, so
-// the table is cached per thread and rebuilt only when the size changes.
-const TwiddleTable& twiddles_for(std::size_t n) {
-  thread_local TwiddleTable table;
-  if (table.n != n) table.build(n);
-  return table;
+  plan.bitrev.assign(n, 0);
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    plan.bitrev[i] = j;
+  }
 }
 
 }  // namespace
@@ -64,20 +56,25 @@ std::size_t next_pow2(std::size_t n) noexcept {
   return p;
 }
 
+const FftPlan& fft_plan(std::size_t n) {
+  // The permutation test runs hundreds of same-size transforms per flow, so
+  // one plan per thread, rebuilt only when the size changes, is enough.
+  thread_local FftPlan plan;
+  if (plan.n != n) build_plan(plan, n);
+  return plan;
+}
+
 void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
   const std::size_t n = data.size();
   if (n == 0 || (n & (n - 1)) != 0)
     throw std::invalid_argument("fft_inplace: size must be a power of two");
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
+  const FftPlan& plan = fft_plan(n);
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = plan.bitrev[i];
     if (i < j) std::swap(data[i], data[j]);
   }
   // Butterfly passes, one vectorized kernel call per stage.
-  const TwiddleTable& table = twiddles_for(n);
-  const auto& tw = inverse ? table.inv : table.fwd;
+  const auto& tw = inverse ? plan.inv : plan.fwd;
   std::size_t offset = 0;
   for (std::size_t len = 2; len <= n; len <<= 1) {
     kernels::fft_pass(data.data(), n, len, tw.data() + offset);

@@ -21,6 +21,23 @@ namespace jsoncdn::stats {
 // inverse (ifft() below does this).
 void fft_inplace(std::vector<std::complex<double>>& data, bool inverse);
 
+// What an n-point transform reuses across calls: the per-stage twiddle
+// factors, concatenated in stage order (len = 2, 4, ..., n; len/2 entries
+// each), and the bit-reversal permutation (bitrev[i] is i with its log2(n)
+// bits reversed). fft_inplace and the batched null kernel both read it, so
+// every transform of one size uses the same twiddles bit for bit.
+struct FftPlan {
+  std::size_t n = 0;
+  std::vector<std::complex<double>> fwd;
+  std::vector<std::complex<double>> inv;
+  std::vector<std::size_t> bitrev;
+};
+
+// The plan for an n-point transform (n a power of two), cached per thread
+// and rebuilt only when n changes. The reference stays valid until the
+// calling thread asks for another size.
+[[nodiscard]] const FftPlan& fft_plan(std::size_t n);
+
 // Forward FFT of a real signal, zero-padded to the next power of two.
 [[nodiscard]] std::vector<std::complex<double>> fft_real(
     std::span<const double> signal);

@@ -23,6 +23,13 @@ namespace jsoncdn::stats::kernels {
                    double scale, double energy, double* out);                 \
   void acf_direct(const double* x, std::size_t n, std::size_t max_lag,        \
                   double energy, double* r);                                  \
+  void spectral_maxima4(const double* const* signals, std::size_t lanes,      \
+                        std::size_t n, std::size_t max_lag,                   \
+                        std::size_t padded,                                   \
+                        const std::complex<double>* fwd,                      \
+                        const std::complex<double>* inv,                      \
+                        const std::size_t* bitrev, double* work,              \
+                        double* acf_peak, double* power);                     \
   void bin_events(const double* times, std::size_t n, double t_begin,         \
                   double t_end, double dt, double* bins, std::size_t nbins);  \
   double max_value(const double* x, std::size_t n, double init) noexcept;     \
@@ -83,6 +90,21 @@ void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
     kernels_simd::acf_direct(x, n, max_lag, energy, r);
   } else {
     kernels_scalar::acf_direct(x, n, max_lag, energy, r);
+  }
+}
+
+void spectral_maxima4(const double* const* signals, std::size_t lanes,
+                      std::size_t n, std::size_t max_lag, std::size_t padded,
+                      const std::complex<double>* fwd,
+                      const std::complex<double>* inv,
+                      const std::size_t* bitrev, double* work,
+                      double* acf_peak, double* power) {
+  if (simd_enabled()) {
+    kernels_simd::spectral_maxima4(signals, lanes, n, max_lag, padded, fwd,
+                                   inv, bitrev, work, acf_peak, power);
+  } else {
+    kernels_scalar::spectral_maxima4(signals, lanes, n, max_lag, padded, fwd,
+                                     inv, bitrev, work, acf_peak, power);
   }
 }
 

@@ -51,6 +51,24 @@ void acf_extract(const std::complex<double>* corr, std::size_t count,
 void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
                 double energy, double* r);
 
+// Batched null pass of the §5.1 permutation test: for each of the first
+// `lanes` (1..4) signals, all `n` long, the two maxima the test reads from
+// spectral_analysis(signal, max_lag) — acf_peak[l], the largest ACF value
+// at a peak lag (stats::acf_peaks; 0 when there is none or the signal is
+// constant), and power[l], the largest periodogram power (0-seeded). The
+// four transforms run side by side, one lane per signal: every lane
+// evaluates the single-signal path's exact expressions (serial index-order
+// mean and energy, the plan's twiddles, fft_pass's butterfly, complex_norm,
+// pgram_extract, acf_extract), so each lane's maxima are bit-identical to
+// it. `padded` is next_pow2(2 * n); fwd, inv and bitrev come from
+// fft_plan(padded); `work` holds 8 * padded doubles.
+void spectral_maxima4(const double* const* signals, std::size_t lanes,
+                      std::size_t n, std::size_t max_lag, std::size_t padded,
+                      const std::complex<double>* fwd,
+                      const std::complex<double>* inv,
+                      const std::size_t* bitrev, double* work,
+                      double* acf_peak, double* power);
+
 // Time-binning: bins[(t - t_begin) / dt] += 1.0 for every t in
 // [t_begin, t_end), bin clamped to nbins-1 against top-edge round-off.
 // The quotient is always the exact division (never a reciprocal multiply),

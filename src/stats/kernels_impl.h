@@ -341,6 +341,231 @@ void bin_events(const double* times, std::size_t n, double t_begin,
   }
 }
 
+namespace {
+
+// Four doubles, one per lane of the batched null pass (GCC vector
+// extension). The SIMD build holds one in an AVX register, the scalar build
+// in two SSE2 halves; either way each element is its own IEEE-754
+// operation, so lane l evaluates exactly the single-signal expression. A
+// plain four-iteration lane loop is not enough: GCC 12 leaves it scalar.
+typedef double v4d __attribute__((vector_size(32)));
+
+// Lane-interleaved complex buffer: point i holds the four lanes' real parts
+// at work[8i .. 8i+3] and their imaginary parts at work[8i+4 .. 8i+7]. The
+// helpers take vectors by reference: a v4d passed or returned by value
+// would use a different calling convention in the two builds.
+[[gnu::always_inline]] inline void load4(v4d& v, const double* p) noexcept {
+  std::memcpy(&v, p, sizeof(v));
+}
+
+[[gnu::always_inline]] inline void store4(double* p, const v4d& v) noexcept {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+[[gnu::always_inline]] inline void splat4(v4d& v, double x) noexcept {
+  v = v4d{x, x, x, x};
+}
+
+// fft_pass's butterfly on one pair of points, four lanes at a time:
+// (a, b) <- (a + w*b, a - w*b) with the naive complex product.
+[[gnu::always_inline]] inline void butterfly4(v4d& ar, v4d& ai, v4d& br,
+                                              v4d& bi, const v4d& wr,
+                                              const v4d& wi) noexcept {
+  const v4d vr = br * wr - bi * wi;
+  const v4d vi = br * wi + bi * wr;
+  br = ar - vr;
+  bi = ai - vi;
+  ar = ar + vr;
+  ai = ai + vi;
+}
+
+// Stages len = first, 2 first, ..., last of a transform over the `count`
+// lane-interleaved points at `work` (count a multiple of `last`), with the
+// plan's twiddles (stage len's len/2 entries start at index len/2 - 1).
+// Stages run two at a time: a point quartet {p, p+h, p+2h, p+3h} of a
+// 4h-point block is closed under stages len = 2h and 2len, so both stages'
+// four butterflies on it run in registers, in the stage order fft_pass
+// would — the same operations on the same operands, with half the passes
+// over the buffer. The twiddle index is the outer loop, so each broadcast
+// serves every block.
+void butterfly_stages(double* work, std::size_t count, std::size_t first,
+                      std::size_t last, const double* tw) {
+  std::size_t stages = 0;
+  for (std::size_t len = first; len <= last; len <<= 1) ++stages;
+  std::size_t len = first;
+  if (stages % 2 == 1) {  // odd stage count: the first one runs alone
+    const std::size_t h = len / 2;
+    const double* w = tw + 2 * (h - 1);
+    for (std::size_t k = 0; k < h; ++k) {
+      v4d wr, wi;
+      splat4(wr, w[2 * k]);
+      splat4(wi, w[2 * k + 1]);
+      for (std::size_t i = k; i < count; i += len) {
+        double* a = work + 8 * i;
+        v4d ar, ai, br, bi;
+        load4(ar, a);
+        load4(ai, a + 4);
+        load4(br, a + 8 * h);
+        load4(bi, a + 8 * h + 4);
+        butterfly4(ar, ai, br, bi, wr, wi);
+        store4(a, ar);
+        store4(a + 4, ai);
+        store4(a + 8 * h, br);
+        store4(a + 8 * h + 4, bi);
+      }
+    }
+    len <<= 1;
+  }
+  for (; len < last; len *= 4) {
+    const std::size_t h = len / 2;
+    const double* w1 = tw + 2 * (h - 1);    // stage len
+    const double* w2 = tw + 2 * (len - 1);  // stage 2 * len
+    for (std::size_t k = 0; k < h; ++k) {
+      v4d ar, ai, br, bi, cr, ci;
+      splat4(ar, w1[2 * k]);
+      splat4(ai, w1[2 * k + 1]);
+      splat4(br, w2[2 * k]);
+      splat4(bi, w2[2 * k + 1]);
+      splat4(cr, w2[2 * (k + h)]);
+      splat4(ci, w2[2 * (k + h) + 1]);
+      for (std::size_t i = k; i < count; i += 2 * len) {
+        double* p = work + 8 * i;
+        v4d r0, i0, r1, i1, r2, i2, r3, i3;
+        load4(r0, p);
+        load4(i0, p + 4);
+        load4(r1, p + 8 * h);
+        load4(i1, p + 8 * h + 4);
+        load4(r2, p + 16 * h);
+        load4(i2, p + 16 * h + 4);
+        load4(r3, p + 24 * h);
+        load4(i3, p + 24 * h + 4);
+        butterfly4(r0, i0, r1, i1, ar, ai);  // stage len
+        butterfly4(r2, i2, r3, i3, ar, ai);
+        butterfly4(r0, i0, r2, i2, br, bi);  // stage 2 * len
+        butterfly4(r1, i1, r3, i3, cr, ci);
+        store4(p, r0);
+        store4(p + 4, i0);
+        store4(p + 8 * h, r1);
+        store4(p + 8 * h + 4, i1);
+        store4(p + 16 * h, r2);
+        store4(p + 16 * h + 4, i2);
+        store4(p + 24 * h, r3);
+        store4(p + 24 * h + 4, i3);
+      }
+    }
+  }
+}
+
+// Every butterfly stage of an n-point transform over the lane-interleaved
+// buffer, already in bit-reversed order. A stage of width len only mixes
+// points inside its len-point block, so the stages up to kBlockPoints run
+// block by block while a block (16 KiB) sits in L1; the wider ones then
+// sweep the whole buffer.
+void butterflies4(double* work, std::size_t n,
+                  const std::complex<double>* twiddles) {
+  constexpr std::size_t kBlockPoints = 256;
+  const double* tw = reinterpret_cast<const double*>(twiddles);
+  const std::size_t block = n < kBlockPoints ? n : kBlockPoints;
+  if (block < 2) return;
+  for (std::size_t base = 0; base < n; base += block)
+    butterfly_stages(work + 8 * base, block, 2, block, tw);
+  if (2 * block <= n) butterfly_stages(work, n, 2 * block, n, tw);
+}
+
+}  // namespace
+
+void spectral_maxima4(const double* const* signals, std::size_t lanes,
+                      std::size_t n, std::size_t max_lag, std::size_t padded,
+                      const std::complex<double>* fwd,
+                      const std::complex<double>* inv,
+                      const std::size_t* bitrev, double* work,
+                      double* acf_peak, double* power) {
+  const double* s[4];
+  for (std::size_t l = 0; l < 4; ++l) s[l] = signals[l < lanes ? l : 0];
+  const v4d zero = {0.0, 0.0, 0.0, 0.0};
+
+  // Centring (stats::center): each lane's mean and energy are serial sums
+  // in index order. The centred values go straight to their bit-reversed
+  // slots, which is where fft_inplace's swap pass would move them.
+  v4d mean = zero;
+  for (std::size_t i = 0; i < n; ++i)
+    mean += v4d{s[0][i], s[1][i], s[2][i], s[3][i]};
+  mean /= static_cast<double>(n);
+  v4d energy = zero;
+  for (std::size_t i = 0; i < n; ++i) {
+    const v4d x = v4d{s[0][i], s[1][i], s[2][i], s[3][i]} - mean;
+    energy += x * x;
+    double* slot = work + 8 * bitrev[i];
+    store4(slot, x);
+    store4(slot + 4, zero);
+  }
+  for (std::size_t i = n; i < padded; ++i) {
+    double* slot = work + 8 * bitrev[i];
+    store4(slot, zero);
+    store4(slot + 4, zero);
+  }
+  butterflies4(work, padded, fwd);
+
+  // |X|^2 (complex_norm), the periodogram maximum (pgram_extract, then a
+  // max over bins 1..padded/2 seeded with 0) and the inverse transform's
+  // bit reversal, in one sweep. Powers are finite and non-negative, so the
+  // sweep's bin order cannot change the maximum.
+  const std::size_t half = padded / 2;
+  const auto dpadded = static_cast<double>(padded);
+  v4d pmax = zero;
+  for (std::size_t i = 0; i < padded; ++i) {
+    const std::size_t j = bitrev[i];
+    if (j < i) continue;  // the pair was swapped at index j
+    const std::size_t idx[2] = {i, j};
+    v4d norm[2];
+    for (std::size_t t = 0; t < 2; ++t) {
+      v4d re, im;
+      load4(re, work + 8 * idx[t]);
+      load4(im, work + 8 * idx[t] + 4);
+      norm[t] = re * re + im * im;
+      if (idx[t] >= 1 && idx[t] <= half) {
+        const v4d pw = norm[t] / dpadded;
+        pmax = pmax < pw ? pw : pmax;
+      }
+    }
+    store4(work + 8 * i, norm[1]);
+    store4(work + 8 * i + 4, zero);
+    store4(work + 8 * j, norm[0]);
+    store4(work + 8 * j + 4, zero);
+  }
+  butterflies4(work, padded, inv);
+
+  // ACF lags 0..last (acf_extract) and the maximum over its peaks: lags
+  // k >= 1 with acf[k] > acf[k-1] and, unless k is the last lag,
+  // acf[k] >= acf[k+1] (stats::acf_peaks). Seeded with 0, so a signal
+  // without peaks reports 0, as the single-signal scan does.
+  const std::size_t last = max_lag < n - 1 ? max_lag : n - 1;
+  const double scale = 1.0 / dpadded;
+  v4d best = zero;
+  if (last >= 1) {
+    v4d prev, cur, next;
+    load4(prev, work);
+    prev = (prev * scale) / energy;
+    load4(cur, work + 8);
+    cur = (cur * scale) / energy;
+    for (std::size_t k = 1; k < last; ++k) {
+      load4(next, work + 8 * (k + 1));
+      next = (next * scale) / energy;
+      const auto take = (cur > prev) & (cur >= next) & (best < cur);
+      best = take ? cur : best;
+      prev = cur;
+      cur = next;
+    }
+    const auto take = (cur > prev) & (best < cur);
+    best = take ? cur : best;
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    power[l] = pmax[l];
+    // A constant lane (energy 0) has an all-zero ACF and no peak.
+    acf_peak[l] = energy[l] <= 0.0 ? 0.0 : best[l];
+  }
+}
+
 double max_value(const double* x, std::size_t n, double init) noexcept {
   constexpr std::size_t kLanes = 8;
   double m[kLanes] = {init, init, init, init, init, init, init, init};

@@ -15,6 +15,7 @@ NgramModel chain_model() {
   for (int i = 0; i < 20; ++i) {
     model.observe_sequence(seq({"a", "b", "c", "a", "b", "c"}));
   }
+  model.freeze();
   return model;
 }
 
@@ -102,6 +103,7 @@ TEST(NgramPrefetcher, SuggestsLikelyNextUrls) {
 TEST(NgramPrefetcher, NeverSuggestsTheServedUrl) {
   NgramModel model(1);
   model.observe_sequence(seq({"a", "a", "a", "b"}));
+  model.freeze();
   NgramPrefetcher prefetcher(std::move(model), PrefetcherParams{});
   for (const auto& c : prefetcher.candidates(served("c1", "a"))) {
     EXPECT_NE(c, "a");
@@ -114,6 +116,7 @@ TEST(NgramPrefetcher, UsesPerClientHistory) {
     model.observe_sequence(seq({"a", "b", "x"}));
     model.observe_sequence(seq({"z", "b", "y"}));
   }
+  model.freeze();
   PrefetcherParams params;
   params.top_k = 1;
   NgramPrefetcher prefetcher(std::move(model), params);
@@ -135,6 +138,7 @@ TEST(NgramPrefetcher, ConfidenceFloorFiltersWeakPredictions) {
     const std::vector<std::string> tokens = {"a", "t" + std::to_string(i)};
     model.observe_sequence(tokens);
   }
+  model.freeze();
   PrefetcherParams params;
   params.min_score = 0.05;
   NgramPrefetcher prefetcher(std::move(model), params);

@@ -14,6 +14,7 @@ std::vector<std::string> seq(std::initializer_list<const char*> tokens) {
 TEST(NgramModel, LearnsDeterministicChainExactly) {
   NgramModel model(1);
   for (int i = 0; i < 10; ++i) model.observe_sequence(seq({"a", "b", "c"}));
+  model.freeze();
   const auto after_a = model.predict(seq({"a"}), 1);
   ASSERT_EQ(after_a.size(), 1u);
   EXPECT_EQ(after_a[0].token, "b");
@@ -27,6 +28,7 @@ TEST(NgramModel, RanksByFrequency) {
   NgramModel model(1);
   for (int i = 0; i < 7; ++i) model.observe_sequence(seq({"a", "x"}));
   for (int i = 0; i < 3; ++i) model.observe_sequence(seq({"a", "y"}));
+  model.freeze();
   const auto p = model.predict(seq({"a"}), 2);
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p[0].token, "x");
@@ -41,6 +43,7 @@ TEST(NgramModel, LongerContextBeatsShorterWhenAvailable) {
   model.observe_sequence(seq({"a", "b", "c"}));
   model.observe_sequence(seq({"x", "b", "d"}));
   model.observe_sequence(seq({"y", "b", "d"}));
+  model.freeze();
   const auto p = model.predict(seq({"a", "b"}), 1);
   ASSERT_FALSE(p.empty());
   EXPECT_EQ(p[0].token, "c");  // bigram "b->d" must not override (a,b)->c
@@ -49,6 +52,7 @@ TEST(NgramModel, LongerContextBeatsShorterWhenAvailable) {
 TEST(NgramModel, BacksOffToShorterContext) {
   NgramModel model(2);
   model.observe_sequence(seq({"a", "b", "c"}));
+  model.freeze();
   // Context ("z", "b") unseen; backs off to "b" -> c.
   const auto p = model.predict(seq({"z", "b"}), 1);
   ASSERT_FALSE(p.empty());
@@ -58,6 +62,7 @@ TEST(NgramModel, BacksOffToShorterContext) {
 TEST(NgramModel, BacksOffToUnigramPopularityForUnknownContext) {
   NgramModel model(1);
   model.observe_sequence(seq({"a", "a", "a", "b"}));
+  model.freeze();
   const auto p = model.predict(seq({"never-seen"}), 1);
   ASSERT_FALSE(p.empty());
   EXPECT_EQ(p[0].token, "a");  // most popular token overall
@@ -67,6 +72,7 @@ TEST(NgramModel, BackoffScoresAreDiscounted) {
   NgramModel model(1);
   model.observe_sequence(seq({"a", "b"}));
   model.observe_sequence(seq({"c", "d"}));
+  model.freeze();
   const auto direct = model.predict(seq({"a"}), 4);
   ASSERT_GE(direct.size(), 2u);
   // First entry from the matched context, later ones from the unigram
@@ -78,6 +84,7 @@ TEST(NgramModel, BackoffScoresAreDiscounted) {
 TEST(NgramModel, TopKNeverRepeatsTokens) {
   NgramModel model(2);
   model.observe_sequence(seq({"a", "b", "c", "a", "b", "c"}));
+  model.freeze();
   const auto p = model.predict(seq({"a", "b"}), 10);
   std::set<std::string> unique;
   for (const auto& pred : p) EXPECT_TRUE(unique.insert(pred.token).second);
@@ -87,6 +94,7 @@ TEST(NgramModel, DeterministicTieBreaking) {
   NgramModel model(1);
   model.observe_sequence(seq({"a", "z"}));
   model.observe_sequence(seq({"a", "b"}));  // equal counts
+  model.freeze();
   const auto p = model.predict(seq({"a"}), 2);
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p[0].token, "b");  // lexicographic among ties
@@ -96,6 +104,7 @@ TEST(NgramModel, ShortSequencesIgnored) {
   NgramModel model(1);
   model.observe_sequence(seq({"only"}));
   EXPECT_EQ(model.observed_transitions(), 0u);
+  model.freeze();
   EXPECT_TRUE(model.predict(seq({"only"}), 3).empty());
 }
 
@@ -111,7 +120,26 @@ TEST(NgramModel, KnowsReportsVocabulary) {
 TEST(NgramModel, KZeroYieldsNothing) {
   NgramModel model(1);
   model.observe_sequence(seq({"a", "b"}));
+  model.freeze();
   EXPECT_TRUE(model.predict(seq({"a"}), 0).empty());
+}
+
+TEST(NgramModel, PredictNeedsAFreezeAfterEveryChange) {
+  NgramModel model(1);
+  model.observe_sequence(seq({"a", "x"}));
+  EXPECT_THROW((void)model.predict(seq({"a"}), 1), std::logic_error);
+  model.freeze();
+  EXPECT_EQ(model.predict(seq({"a"}), 1).at(0).token, "x");
+  // New counts are invisible until the next freeze(), so predict refuses.
+  model.observe_sequence(seq({"a", "y"}));
+  model.observe_sequence(seq({"a", "y"}));
+  EXPECT_THROW((void)model.predict(seq({"a"}), 1), std::logic_error);
+  NgramModel other(1);
+  model.freeze();
+  model.merge(other);
+  EXPECT_THROW((void)model.predict(seq({"a"}), 1), std::logic_error);
+  model.freeze();
+  EXPECT_EQ(model.predict(seq({"a"}), 1).at(0).token, "y");
 }
 
 TEST(NgramModel, RejectsZeroContext) {
@@ -122,6 +150,7 @@ TEST(NgramModel, UnknownTokenMidHistoryUsesSuffix) {
   NgramModel model(2);
   model.observe_sequence(seq({"a", "b", "c"}));
   // "?? b" with ?? unknown: only "b" usable -> predicts c.
+  model.freeze();
   const auto p = model.predict(seq({"??", "b"}), 1);
   ASSERT_FALSE(p.empty());
   EXPECT_EQ(p[0].token, "c");

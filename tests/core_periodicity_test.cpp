@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <set>
+#include <span>
 
+#include "core/period_detector.h"
+#include "core/periodicity_internal.h"
+#include "stats/autocorrelation.h"
 #include "workload/sessions.h"
 
 namespace jsoncdn::core {
@@ -152,6 +160,153 @@ TEST(PeriodicityDetector, LongPeriodLongSpanStillResolved) {
   const auto result = detector.detect(times, rng);
   ASSERT_TRUE(result.periodic);
   EXPECT_NEAR(result.period_seconds, 1800.0, 1800.0 * 0.15);
+}
+
+// --- the batched permutation null keeps the serial engine contract --------
+
+// The loop the batched null replaced, kept as the reference: one buffer
+// shuffled in place, one spectral pass per permutation, the stop rule
+// checked after each.
+struct SerialNull {
+  std::vector<double> acf_max;
+  std::vector<double> power_max;
+  bool completed = true;
+};
+
+SerialNull serial_null(std::span<const double> source, std::size_t max_lag,
+                       std::size_t permutations, stats::Rng& rng,
+                       const std::function<bool(double, double)>& stop) {
+  SerialNull out;
+  std::vector<double> shuffled(source.begin(), source.end());
+  stats::SpectralWorkspace ws;
+  stats::SpectralAnalysis spec;
+  for (std::size_t p = 0; p < permutations; ++p) {
+    std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
+    stats::spectral_analysis(shuffled, max_lag, ws, spec);
+    const double a = detail::max_acf_peak(spec.acf);
+    const double w = detail::max_power(spec.pgram_power);
+    out.acf_max.push_back(a);
+    out.power_max.push_back(w);
+    if (stop(a, w)) {
+      out.completed = false;
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(PermutationNull, MatchesTheSerialLoopWhereverItStops) {
+  // A binned Poisson flow: the signal shape the null shuffles.
+  DetectorParams params;
+  std::vector<double> signal;
+  const auto binned =
+      detail::bin_flow(params, poisson_times(1.0 / 20.0, 3000.0, 4), signal);
+  ASSERT_TRUE(binned.usable);
+  constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t permutations : {2u, 3u, 5u, 100u}) {
+    // Stops at every lane position of the first batches (partial ones
+    // too), at the last permutation, and never.
+    std::vector<std::size_t> stops;
+    for (std::size_t p = 0; p < std::min<std::size_t>(permutations, 10); ++p)
+      stops.push_back(p);
+    stops.push_back(permutations - 1);
+    stops.push_back(kNever);
+    for (const std::size_t stop_at : stops) {
+      std::size_t calls = 0;
+      SerialNull batched;
+      stats::Rng rng(11);
+      DetectScratch scratch;
+      batched.completed = detail::permutation_null(
+          signal, binned.max_lag, permutations, rng, scratch,
+          [&](double a, double w) {
+            batched.acf_max.push_back(a);
+            batched.power_max.push_back(w);
+            return calls++ == stop_at;
+          });
+      std::size_t ref_calls = 0;
+      stats::Rng ref_rng(11);
+      const auto ref = serial_null(
+          signal, binned.max_lag, permutations, ref_rng,
+          [&](double, double) { return ref_calls++ == stop_at; });
+      EXPECT_EQ(batched.completed, ref.completed);
+      EXPECT_EQ(batched.acf_max, ref.acf_max);
+      EXPECT_EQ(batched.power_max, ref.power_max);
+      EXPECT_TRUE(rng.engine() == ref_rng.engine())
+          << "permutations=" << permutations << " stop_at=" << stop_at;
+    }
+  }
+}
+
+TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
+  std::vector<std::vector<double>> flows;
+  for (std::uint64_t seed = 0; seed < 24; ++seed)
+    flows.push_back(poisson_times(1.0 / 25.0, 2400.0, seed));
+  flows.push_back(periodic_times(60.0, 40, 0.5, 3));
+  flows.push_back(periodic_times(30.0, 80, 0.0, 5));
+
+  for (const std::size_t permutations : {2u, 3u, 5u, 100u}) {
+    DetectorParams params;
+    params.permutations = permutations;
+    // Where each flow's null stopped: permutation index mod 4, or 4 for a
+    // null that ran to the end. Checked for coverage below.
+    std::set<std::size_t> stop_lanes;
+    for (const auto strategy :
+         {DetectorStrategy::kAcfFft, DetectorStrategy::kMultiPeriod,
+          DetectorStrategy::kAutoperiod}) {
+      const auto detector = make_period_detector(strategy, params);
+      const bool power_only = strategy == DetectorStrategy::kAutoperiod;
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        std::vector<double> signal;
+        const auto binned = detail::bin_flow(params, flows[f], signal);
+        if (!binned.usable) continue;
+        // The observed maxima and stop rule of the strategy's null: the
+        // acf-fft rule (also multi-period's first pass) or autoperiod's
+        // power-only rule over the raw signal.
+        const std::size_t max_lag =
+            power_only ? std::min(binned.max_lag, signal.size() - 1)
+                       : binned.max_lag;
+        const auto observed = stats::spectral_analysis(signal, max_lag);
+        const double acf_obs = detail::max_acf_peak(observed.acf);
+        const double power_obs = detail::max_power(observed.pgram_power);
+        std::size_t acf_exceed = 0;
+        std::size_t power_exceed = 0;
+        stats::Rng ref_rng(100 + f);
+        const auto ref = serial_null(
+            signal, max_lag, permutations, ref_rng, [&](double a, double w) {
+              if (!power_only && a >= acf_obs) ++acf_exceed;
+              if (w >= power_obs) ++power_exceed;
+              return acf_exceed >= 2 || power_exceed >= 2;
+            });
+        stop_lanes.insert(ref.completed ? 4 : (ref.acf_max.size() - 1) % 4);
+
+        // One detection at most, so multi-period runs a single pass.
+        stats::Rng rng(100 + f);
+        const auto detections = detector->detect_all(flows[f], rng, 1);
+        EXPECT_TRUE(rng.engine() == ref_rng.engine())
+            << detector->name() << " permutations=" << permutations
+            << " flow " << f;
+        if (!ref.completed) {
+          EXPECT_TRUE(detections.empty());
+          continue;
+        }
+        auto acf_sorted = ref.acf_max;
+        auto power_sorted = ref.power_max;
+        std::sort(acf_sorted.begin(), acf_sorted.end());
+        std::sort(power_sorted.begin(), power_sorted.end());
+        for (const auto& det : detections) {
+          EXPECT_EQ(det.power_threshold, power_sorted[permutations - 2]);
+          if (!power_only) {
+            EXPECT_EQ(det.acf_threshold, acf_sorted[permutations - 2]);
+          }
+        }
+      }
+    }
+    // The flows exercise a stop in every lane position (a stop needs two
+    // exceedances, so the first permutation never stops) and a full run.
+    if (permutations == 100) {
+      EXPECT_EQ(stop_lanes, (std::set<std::size_t>{0, 1, 2, 3, 4}));
+    }
+  }
 }
 
 // --- dataset-level analysis ------------------------------------------------

@@ -107,6 +107,7 @@ TEST(NgramPrefetcherTiming, FiltersCandidatesOutsideHorizon) {
     ngram.observe_sequence(soon);
     ngram.observe_sequence(late);
   }
+  ngram.freeze();
   InterarrivalModel timing;
   for (int i = 0; i < 5; ++i) {
     timing.observe("a", "soon", 5.0);
@@ -132,6 +133,7 @@ TEST(NgramPrefetcherTiming, NoTimingModelMeansNoFiltering) {
   NgramModel ngram(1);
   std::vector<std::string> tokens = {"a", "b"};
   ngram.observe_sequence(tokens);
+  ngram.freeze();
   PrefetcherParams params;
   params.min_score = 0.0;
   NgramPrefetcher prefetcher(std::move(ngram), params);

@@ -14,11 +14,15 @@
 #include <complex>
 #include <cstdint>
 #include <numbers>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/periodicity_internal.h"
 #include "shard/varint.h"
+#include "stats/autocorrelation.h"
 #include "stats/kernels.h"
 #include "stats/rng.h"
 #include "stats/simd.h"
@@ -189,6 +193,79 @@ TEST(SimdKernels, ComplexNormAndExtractsBitIdenticalAcrossDispatch) {
       EXPECT_TRUE(bits_equal(acf_ref, acf)) << "n=" << n;
     });
   }
+}
+
+// The batched permutation null (stats::spectral_maxima, one lane per
+// signal): each live lane's maxima equal the single-signal path's —
+// spectral_analysis, then max_acf_peak / max_power — bit for bit, in every
+// lane position, with 1 to 4 live lanes, under both dispatch modes.
+TEST(SimdKernels, SpectralMaximaLanesMatchSingleSignalPath) {
+  // 512 pads to 1,024 points and 1,024 to 2,048; 700 is not a power of
+  // two; 3 and 1 are the degenerate short cases (max_lag clamps to n - 1).
+  for (const std::size_t n : {512u, 1024u, 700u, 3u, 1u}) {
+    std::vector<std::vector<double>> signals;
+    // Binned-count lanes (what the null shuffles) and a full-mantissa lane.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      std::vector<double> counts(n);
+      std::uint64_t state = seed * 0x9e37u + n;
+      for (auto& v : counts) {
+        state = stats::splitmix64(state);
+        v = static_cast<double>(state % 5);
+      }
+      signals.push_back(counts);
+    }
+    signals.push_back(random_doubles(n, 0x1a4e5u + n, 3.0));
+    // A constant lane: energy 0, so its ACF is all zeros and has no peak.
+    signals.push_back(std::vector<double>(n, 2.5));
+    const std::size_t max_lag = n / 3 + 1;
+
+    with_both_modes([&](bool) {
+      std::vector<double> ref_acf;
+      std::vector<double> ref_power;
+      stats::SpectralWorkspace ws;
+      stats::SpectralAnalysis spec;
+      for (const auto& signal : signals) {
+        stats::spectral_analysis(signal, max_lag, ws, spec);
+        ref_acf.push_back(core::detail::max_acf_peak(spec.acf));
+        ref_power.push_back(core::detail::max_power(spec.pgram_power));
+      }
+      // Every window of 1..4 consecutive signals, so each signal runs in
+      // each lane position and in partial batches.
+      for (std::size_t lanes = 1; lanes <= stats::kSpectralLanes; ++lanes) {
+        for (std::size_t first = 0; first + lanes <= signals.size();
+             ++first) {
+          std::vector<const double*> ptrs;
+          for (std::size_t l = 0; l < lanes; ++l)
+            ptrs.push_back(signals[first + l].data());
+          const auto got = stats::spectral_maxima(ptrs, n, max_lag, ws);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.acf_peak[l]),
+                      std::bit_cast<std::uint64_t>(ref_acf[first + l]))
+                << "n=" << n << " lanes=" << lanes << " signal "
+                << first + l << " acf " << got.acf_peak[l] << " vs "
+                << ref_acf[first + l];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.power[l]),
+                      std::bit_cast<std::uint64_t>(ref_power[first + l]))
+                << "n=" << n << " lanes=" << lanes << " signal "
+                << first + l;
+          }
+        }
+      }
+    });
+  }
+}
+
+TEST(SimdKernels, SpectralMaximaRejectsEmptyAndOversizedBatches) {
+  const std::vector<double> signal(8, 1.0);
+  const double* five[5] = {signal.data(), signal.data(), signal.data(),
+                           signal.data(), signal.data()};
+  stats::SpectralWorkspace ws;
+  EXPECT_THROW((void)stats::spectral_maxima(std::span(five, 5), 8, 2, ws),
+               std::invalid_argument);
+  EXPECT_THROW((void)stats::spectral_maxima(std::span(five, 0), 8, 2, ws),
+               std::invalid_argument);
+  EXPECT_THROW((void)stats::spectral_maxima(std::span(five, 1), 0, 2, ws),
+               std::invalid_argument);
 }
 
 TEST(SimdKernels, AcfDirectMatchesBaselineAcrossLagCounts) {

@@ -422,6 +422,8 @@ int main(int argc, char** argv) {
       if (chunk_size == 0) chunk_size = 1;
     } else if (arg == "--permutations" && i + 1 < argc) {
       permutations = cli::flag_value<std::size_t>(arg, argv[++i]);
+      // Every detector's null needs at least two shuffles.
+      if (permutations < 2) cli::bad_flag_value(arg, argv[i]);
     } else if (arg == "--detector" && i + 1 < argc) {
       try {
         detector = core::detector_strategy_from_name(argv[++i]);
