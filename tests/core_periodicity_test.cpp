@@ -250,6 +250,7 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
     // Where each flow's null stopped: permutation index mod 4, or 4 for a
     // null that ran to the end. Checked for coverage below.
     std::set<std::size_t> stop_lanes;
+    std::size_t thresholds_checked = 0;
     for (const auto strategy :
          {DetectorStrategy::kAcfFft, DetectorStrategy::kMultiPeriod,
           DetectorStrategy::kAutoperiod}) {
@@ -294,6 +295,7 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
         std::sort(acf_sorted.begin(), acf_sorted.end());
         std::sort(power_sorted.begin(), power_sorted.end());
         for (const auto& det : detections) {
+          ++thresholds_checked;
           EXPECT_EQ(det.power_threshold, power_sorted[permutations - 2]);
           if (!power_only) {
             EXPECT_EQ(det.acf_threshold, acf_sorted[permutations - 2]);
@@ -302,10 +304,12 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
       }
     }
     // The flows exercise a stop in every lane position (a stop needs two
-    // exceedances, so the first permutation never stops) and a full run.
+    // exceedances, so the first permutation never stops), a full run, and
+    // detections whose thresholds the null set.
     if (permutations == 100) {
       EXPECT_EQ(stop_lanes, (std::set<std::size_t>{0, 1, 2, 3, 4}));
     }
+    EXPECT_GT(thresholds_checked, 0u) << "permutations=" << permutations;
   }
 }
 
