@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/period_detector.h"
 #include "core/periodicity.h"
 #include "stats/rng.h"
 
@@ -57,7 +58,8 @@ struct Score {
 
 Score score_detector(const core::DetectorParams& params,
                      const std::vector<Flow>& flows) {
-  core::PeriodicityDetector detector(params);
+  const auto detector =
+      core::make_period_detector(core::DetectorStrategy::kAcfFft, params);
   std::size_t tp = 0;
   std::size_t fp = 0;
   std::size_t truth = 0;
@@ -65,7 +67,7 @@ Score score_detector(const core::DetectorParams& params,
   stats::Rng rng(99);
   for (const auto& flow : flows) {
     if (flow.periodic) ++truth;
-    const auto result = detector.detect(flow.times, rng);
+    const auto result = detector->detect(flow.times, rng);
     if (result.periodic) {
       (flow.periodic ? tp : fp) += 1;
     }

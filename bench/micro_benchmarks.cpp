@@ -24,6 +24,7 @@
 #include "cdn/network.h"
 #include "core/characterization.h"
 #include "core/ngram.h"
+#include "core/period_detector.h"
 #include "core/periodicity.h"
 #include "core/url_cluster.h"
 #include "http/device_db.h"
@@ -36,7 +37,7 @@
 #include "shard/varint.h"
 #include "shard/writer.h"
 #include "stats/autocorrelation.h"
-#include "stats/fft.h"
+#include "stats/descriptive.h"
 #include "stats/kernels.h"
 #include "stats/parallel.h"
 #include "stats/rng.h"
@@ -56,15 +57,6 @@ std::vector<double> random_signal(std::size_t n) {
   return out;
 }
 
-void BM_FftReal(benchmark::State& state) {
-  const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::fft_real(signal));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_FftReal)->RangeMultiplier(4)->Range(256, 16384)->Complexity();
-
 void BM_SpectralAnalysis(benchmark::State& state) {
   const auto signal = random_signal(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -79,10 +71,11 @@ void BM_DetectPeriodicFlow(benchmark::State& state) {
   std::vector<double> times;
   for (int i = 0; i < 40; ++i)
     times.push_back(60.0 * i + rng.normal(0.0, 0.4));
-  core::PeriodicityDetector detector({});
+  const auto detector = core::make_period_detector(
+      core::DetectorStrategy::kAcfFft, core::DetectorParams{});
   for (auto _ : state) {
     stats::Rng prng(11);
-    benchmark::DoNotOptimize(detector.detect(times, prng));
+    benchmark::DoNotOptimize(detector->detect(times, prng));
   }
 }
 BENCHMARK(BM_DetectPeriodicFlow);
@@ -95,10 +88,11 @@ void BM_DetectPoissonFlowEarlyExit(benchmark::State& state) {
     t += rng.exponential(1.0 / 60.0);
     times.push_back(t);
   }
-  core::PeriodicityDetector detector({});
+  const auto detector = core::make_period_detector(
+      core::DetectorStrategy::kAcfFft, core::DetectorParams{});
   for (auto _ : state) {
     stats::Rng prng(12);
-    benchmark::DoNotOptimize(detector.detect(times, prng));
+    benchmark::DoNotOptimize(detector->detect(times, prng));
   }
 }
 BENCHMARK(BM_DetectPoissonFlowEarlyExit);
@@ -541,9 +535,7 @@ PipelineTiming median_timing(const std::vector<PipelineTiming>& runs) {
   const auto median = [&](double PipelineTiming::*field) {
     std::vector<double> values;
     for (const auto& run : runs) values.push_back(run.*field);
-    const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
-    std::nth_element(values.begin(), mid, values.end());
-    return *mid;
+    return stats::percentile(values, 0.5);
   };
   PipelineTiming out = runs.front();
   out.ingest_s = median(&PipelineTiming::ingest_s);
@@ -934,15 +926,18 @@ double measure_rate(double elements_per_call, Fn&& fn) {
   return best;
 }
 
+// Each field is the median over kKernelRepetitions repetitions; `ratio` is
+// the median of the per-repetition SIMD-vs-reference ratios.
 struct KernelBench {
   std::string name;
   double baseline_meps = 0.0;  // pre-kernel reference loop
   double scalar_meps = 0.0;    // kernel body, vectorization disabled
   double simd_meps = 0.0;      // kernel body, vectorized build
-  [[nodiscard]] double ratio() const {
-    return baseline_meps <= 0.0 ? 0.0 : simd_meps / baseline_meps;
-  }
+  double ratio = 0.0;
 };
+
+// Alternating repetitions of each kernel's three variants.
+constexpr std::size_t kKernelRepetitions = 5;
 
 struct KernelBenchReport {
   std::size_t records = 0;
@@ -950,23 +945,44 @@ struct KernelBenchReport {
   std::vector<KernelBench> kernels;
 };
 
+void print_kernel_row(const std::string& name, const std::string& label,
+                      double baseline, double scalar, double simd,
+                      double ratio) {
+  std::printf(
+      "  %-14s %-6s reference %8.1f Melem/s   scalar %8.1f   %-6s %8.1f   "
+      "ratio %5.2fx\n",
+      name.c_str(), label.c_str(), baseline, scalar, stats::simd_isa(), simd,
+      ratio);
+}
+
 // Measures one kernel three ways. `run_kernel` calls the dispatched kernel
 // (measured under both dispatch modes), `run_baseline` the reference loop.
+// A single sample of a ratio can fail the gate on one slow trial, so the
+// three variants alternate kKernelRepetitions times, every repetition is
+// printed, and the report (and the CI gate on it) uses the medians.
 template <typename KernelFn, typename BaselineFn>
 KernelBench bench_kernel(const std::string& name, double elements_per_call,
                          KernelFn&& run_kernel, BaselineFn&& run_baseline) {
+  std::vector<double> baseline, scalar, simd, ratio;
+  for (std::size_t rep = 0; rep < kKernelRepetitions; ++rep) {
+    baseline.push_back(measure_rate(elements_per_call, run_baseline) / 1e6);
+    stats::set_simd_enabled(false);
+    scalar.push_back(measure_rate(elements_per_call, run_kernel) / 1e6);
+    stats::set_simd_enabled(true);
+    simd.push_back(measure_rate(elements_per_call, run_kernel) / 1e6);
+    ratio.push_back(baseline.back() <= 0.0 ? 0.0
+                                           : simd.back() / baseline.back());
+    print_kernel_row(name, "rep " + std::to_string(rep + 1), baseline.back(),
+                     scalar.back(), simd.back(), ratio.back());
+  }
   KernelBench result;
   result.name = name;
-  result.baseline_meps = measure_rate(elements_per_call, run_baseline) / 1e6;
-  stats::set_simd_enabled(false);
-  result.scalar_meps = measure_rate(elements_per_call, run_kernel) / 1e6;
-  stats::set_simd_enabled(true);
-  result.simd_meps = measure_rate(elements_per_call, run_kernel) / 1e6;
-  std::printf(
-      "  %-14s reference %8.1f Melem/s   scalar %8.1f   %-6s %8.1f   "
-      "ratio %5.2fx\n",
-      result.name.c_str(), result.baseline_meps, result.scalar_meps,
-      stats::simd_isa(), result.simd_meps, result.ratio());
+  result.baseline_meps = stats::percentile(baseline, 0.5);
+  result.scalar_meps = stats::percentile(scalar, 0.5);
+  result.simd_meps = stats::percentile(simd, 0.5);
+  result.ratio = stats::percentile(ratio, 0.5);
+  print_kernel_row(name, "median", result.baseline_meps, result.scalar_meps,
+                   result.simd_meps, result.ratio);
   return result;
 }
 
@@ -1236,14 +1252,14 @@ void write_kernels_json(const KernelBenchReport& r, const std::string& path) {
                   "  \"%s_ratio\": %.4f%s\n",
                   k.name.c_str(), k.baseline_meps, k.name.c_str(),
                   k.scalar_meps, k.name.c_str(), k.simd_meps, k.name.c_str(),
-                  k.ratio(), i + 1 < r.kernels.size() ? "," : "");
+                  k.ratio, i + 1 < r.kernels.size() ? "," : "");
     out << buf;
   }
   out << "}\n";
   bench::note("wrote " + path);
 }
 
-// Gates each kernel's SIMD-vs-reference throughput ratio against the
+// Gates each kernel's median SIMD-vs-reference throughput ratio against the
 // committed baseline. Machines without the SIMD build skip the gate (the
 // ratio would measure nothing).
 bool check_kernels_baseline(const KernelBenchReport& r,
@@ -1282,9 +1298,9 @@ bool check_kernels_baseline(const KernelBenchReport& r,
       continue;
     }
     const double floor = base * (1.0 - tolerance);
-    const bool pass = k.ratio() >= floor;
-    std::printf("  %-14s baseline %6.3f   current %6.3f   floor %6.3f   %s\n",
-                (k.name + "_ratio").c_str(), base, k.ratio(), floor,
+    const bool pass = k.ratio >= floor;
+    std::printf("  %-14s baseline %6.3f   median %6.3f   floor %6.3f   %s\n",
+                (k.name + "_ratio").c_str(), base, k.ratio, floor,
                 pass ? "ok" : "REGRESSED");
     if (!pass) ok = false;
   }
@@ -1366,9 +1382,9 @@ int main(int argc, char** argv) {
   // Vectorized-kernel flags (same pattern, stats/kernels dual build):
   //   --kernels              run the per-kernel throughput section
   //   --kernels-json=PATH    write BENCH_kernels.json-style results to PATH
-  //   --kernels-check=PATH   compare SIMD-vs-reference throughput ratios
-  //                          against a baseline, exit non-zero on a >25%
-  //                          regression
+  //   --kernels-check=PATH   compare the median SIMD-vs-reference
+  //                          throughput ratios against a baseline, exit
+  //                          non-zero on a >25% regression
   //   --kernels-records=N    stream length for the array kernels (default
   //                          1,000,000; fft/acf sizes are fixed)
   //   --kernels-only         run only the kernels section

@@ -36,17 +36,65 @@ double parabolic_offset(double y0, double y1, double y2) {
   return std::clamp(0.5 * (y0 - y2) / denom, -0.5, 0.5);
 }
 
+// True when `period` is a near-multiple or near-divisor of a period already
+// accepted: one harmonic family reports once.
+bool in_family(const std::vector<PeriodDetection>& accepted, double period,
+               double tolerance) {
+  return std::any_of(accepted.begin(), accepted.end(),
+                     [&](const PeriodDetection& det) {
+                       return detail::near_multiple(period, det.period_seconds,
+                                                    tolerance);
+                     });
+}
+
+// The one parameter check every strategy shares. A strategy ignores the
+// fields it does not read, but a config that is invalid for one strategy is
+// rejected by all, so switching --detector never turns a bad config good.
+void check_params(const DetectorParams& params) {
+  if (params.sample_interval <= 0.0)
+    throw std::invalid_argument("DetectorParams: sample_interval <= 0");
+  if (params.permutations < 2)
+    throw std::invalid_argument("DetectorParams: permutations < 2");
+  if (params.max_signal_samples < 16)
+    throw std::invalid_argument("DetectorParams: max_signal_samples < 16");
+  if (params.samples_per_event < 4)
+    throw std::invalid_argument("DetectorParams: samples_per_event < 4");
+  if (params.period_match_tolerance <= 0.0 ||
+      params.period_match_tolerance >= 1.0)
+    throw std::invalid_argument("DetectorParams: tolerance outside (0,1)");
+  if (params.min_cycles < 2.0)
+    throw std::invalid_argument("DetectorParams: min_cycles < 2");
+  if (params.ls_oversample < 1.0)
+    throw std::invalid_argument("DetectorParams: ls_oversample < 1");
+  if (params.ls_max_frequencies < 16)
+    throw std::invalid_argument("DetectorParams: ls_max_frequencies < 16");
+  if (params.ls_max_events < 16)
+    throw std::invalid_argument("DetectorParams: ls_max_events < 16");
+  if (params.ls_min_gap_agreement < 0.0 || params.ls_min_gap_agreement > 1.0)
+    throw std::invalid_argument(
+        "DetectorParams: ls_min_gap_agreement outside [0,1]");
+}
+
 }  // namespace
+
+PeriodDetector::PeriodDetector(const DetectorParams& params)
+    : params_(params) {
+  check_params(params_);
+}
+
+bool PeriodDetector::periods_match(double a, double b) const noexcept {
+  return detail::relative_periods_match(a, b, params_.period_match_tolerance);
+}
 
 PeriodDetection PeriodDetector::detect(std::span<const double> times,
                                        stats::Rng& rng) const {
-  const auto scratch = make_scratch();
-  return detect(times, rng, *scratch);
+  DetectScratch scratch;
+  return detect(times, rng, scratch);
 }
 
 PeriodDetection PeriodDetector::detect(std::span<const double> times,
                                        stats::Rng& rng,
-                                       Scratch& scratch) const {
+                                       DetectScratch& scratch) const {
   const auto all = detect_all(times, rng, 1, scratch);
   if (!all.empty()) return all.front();
   return PeriodDetection{};
@@ -55,13 +103,13 @@ PeriodDetection PeriodDetector::detect(std::span<const double> times,
 std::vector<PeriodDetection> PeriodDetector::detect_all(
     std::span<const double> times, stats::Rng& rng,
     std::size_t max_periods) const {
-  const auto scratch = make_scratch();
-  return detect_all(times, rng, max_periods, *scratch);
+  DetectScratch scratch;
+  return detect_all(times, rng, max_periods, scratch);
 }
 
 std::vector<PeriodDetection> PeriodDetector::detect_all(
     std::span<const double> times, stats::Rng& rng, std::size_t max_periods,
-    Scratch& scratch) const {
+    DetectScratch& scratch) const {
   if (max_periods == 0 || !valid_times(times)) return {};
   return do_detect_all(times, rng, max_periods, scratch);
 }
@@ -70,45 +118,33 @@ std::vector<PeriodDetection> PeriodDetector::detect_all(
 
 namespace {
 
-struct AcfScratch final : PeriodDetector::Scratch {
-  DetectScratch inner;
-};
-
+// The paper's §5.1 pipeline: bin the flow, run the spectral pass and the
+// permutation null, then pick the fundamentals among the matched lags.
 class AcfFftDetector final : public PeriodDetector {
  public:
-  explicit AcfFftDetector(const DetectorParams& params) : inner_(params) {}
+  using PeriodDetector::PeriodDetector;
 
   std::string_view name() const noexcept override { return "acf-fft"; }
-  std::unique_ptr<Scratch> make_scratch() const override {
-    return std::make_unique<AcfScratch>();
-  }
-  bool periods_match(double a, double b) const noexcept override {
-    return inner_.periods_match(a, b);
-  }
 
  protected:
   std::vector<PeriodDetection> do_detect_all(std::span<const double> times,
                                              stats::Rng& rng,
                                              std::size_t max_periods,
-                                             Scratch& scratch) const override {
-    auto* typed = dynamic_cast<AcfScratch*>(&scratch);
-    DetectScratch local;
-    return inner_.detect_all(times, rng, max_periods,
-                             typed != nullptr ? typed->inner : local);
+                                             DetectScratch& s) const override {
+    std::vector<PeriodDetection> out;
+    const auto binned = detail::bin_flow(params(), times, s.signal);
+    if (!binned.usable) return out;
+    const auto analysis =
+        detail::analyze_signal(params(), s.signal, binned.dt, binned.span,
+                               binned.max_lag, rng, s);
+    if (analysis.matches.empty()) return out;
+    detail::pick_fundamentals(analysis, params().period_match_tolerance,
+                              max_periods, out);
+    return out;
   }
-
- private:
-  PeriodicityDetector inner_;
 };
 
 // ---- lomb-scargle --------------------------------------------------------
-
-struct LsScratch final : PeriodDetector::Scratch {
-  std::vector<double> rel;                 // event times relative to t0
-  std::vector<std::complex<double>> acc;   // per-frequency phasor sums
-  std::vector<double> power;
-  std::vector<char> masked;
-};
 
 // Schuster/Rayleigh event periodogram over raw timestamps: for unit-weight
 // events the classic Lomb-Scargle statistic degenerates to
@@ -118,53 +154,20 @@ struct LsScratch final : PeriodDetector::Scratch {
 // across bins, which is exactly where the binned default loses power.
 class LombScargleDetector final : public PeriodDetector {
  public:
-  explicit LombScargleDetector(const DetectorParams& params)
-      : params_(params) {
-    if (params.ls_oversample < 1.0)
-      throw std::invalid_argument("LombScargleDetector: ls_oversample < 1");
-    if (params.ls_max_frequencies < 16)
-      throw std::invalid_argument(
-          "LombScargleDetector: ls_max_frequencies < 16");
-    if (params.ls_max_events < 16)
-      throw std::invalid_argument("LombScargleDetector: ls_max_events < 16");
-    if (params.ls_min_gap_agreement < 0.0 ||
-        params.ls_min_gap_agreement > 1.0)
-      throw std::invalid_argument(
-          "LombScargleDetector: ls_min_gap_agreement outside [0,1]");
-    if (params.permutations < 2)
-      throw std::invalid_argument("LombScargleDetector: permutations < 2");
-    if (params.sample_interval <= 0.0)
-      throw std::invalid_argument("LombScargleDetector: sample_interval <= 0");
-    if (params.period_match_tolerance <= 0.0 ||
-        params.period_match_tolerance >= 1.0)
-      throw std::invalid_argument(
-          "LombScargleDetector: tolerance outside (0,1)");
-    if (params.min_cycles < 2.0)
-      throw std::invalid_argument("LombScargleDetector: min_cycles < 2");
-  }
+  using PeriodDetector::PeriodDetector;
 
   std::string_view name() const noexcept override { return "lomb-scargle"; }
-  std::unique_ptr<Scratch> make_scratch() const override {
-    return std::make_unique<LsScratch>();
-  }
-  bool periods_match(double a, double b) const noexcept override {
-    return detail::relative_periods_match(a, b,
-                                          params_.period_match_tolerance);
-  }
 
  protected:
   std::vector<PeriodDetection> do_detect_all(std::span<const double> times,
                                              stats::Rng& /*rng*/,
                                              std::size_t max_periods,
-                                             Scratch& scratch) const override {
+                                             DetectScratch& s) const override {
+    const DetectorParams& params = this->params();
     std::vector<PeriodDetection> out;
-    if (times.size() < params_.min_requests) return out;
+    if (times.size() < params.min_requests) return out;
     const double span = times.back() - times.front();
-    if (span <= params_.sample_interval * 4.0) return out;
-
-    LsScratch local;
-    auto* typed = dynamic_cast<LsScratch*>(&scratch);
-    LsScratch& s = typed != nullptr ? *typed : local;
+    if (span <= params.sample_interval * 4.0) return out;
 
     // Dense flows are strided down to the event cap: every k-th event keeps
     // the span (and the fundamental's spectral line) while bounding the
@@ -172,27 +175,27 @@ class LombScargleDetector final : public PeriodDetector {
     // needs anyway.
     s.rel.clear();
     const std::size_t stride =
-        (times.size() + params_.ls_max_events - 1) / params_.ls_max_events;
+        (times.size() + params.ls_max_events - 1) / params.ls_max_events;
     for (std::size_t i = 0; i < times.size(); i += stride)
       s.rel.push_back(times[i] - times.front());
     const std::size_t m = s.rel.size();
-    if (m < params_.min_requests) return out;
+    if (m < params.min_requests) return out;
 
     // Frequency grid: periods from span/min_cycles (trust floor, same as
     // the default detector) down to twice the jitter floor or a quarter of
     // the mean gap, whichever is coarser — below the mean gap the grid only
     // chases harmonics. Oversampled by ls_oversample relative to the
     // natural resolution 1/span; coarsened, never truncated, past the cap.
-    const double f_min = params_.min_cycles / span;
+    const double f_min = params.min_cycles / span;
     const double mean_gap = span / static_cast<double>(m - 1);
     const double f_max =
-        1.0 / std::max(2.0 * params_.sample_interval, 0.25 * mean_gap);
+        1.0 / std::max(2.0 * params.sample_interval, 0.25 * mean_gap);
     if (f_max <= f_min) return out;
-    double df = 1.0 / (params_.ls_oversample * span);
+    double df = 1.0 / (params.ls_oversample * span);
     std::size_t grid = static_cast<std::size_t>(
                            std::floor((f_max - f_min) / df)) + 1;
-    if (grid > params_.ls_max_frequencies) {
-      grid = params_.ls_max_frequencies;
+    if (grid > params.ls_max_frequencies) {
+      grid = params.ls_max_frequencies;
       df = (f_max - f_min) / static_cast<double>(grid - 1);
     }
     if (grid < 4) return out;
@@ -221,7 +224,7 @@ class LombScargleDetector final : public PeriodDetector {
     // probability alpha at z* = -ln(1 - (1 - alpha)^(1/grid)). A
     // gap-shuffle permutation null is unusable here — a clean periodic
     // flow's near-constant gaps reproduce the flow under any shuffle.
-    const double alpha = 1.0 / static_cast<double>(params_.permutations);
+    const double alpha = 1.0 / static_cast<double>(params.permutations);
     const double threshold =
         -std::log(1.0 -
                   std::pow(1.0 - alpha, 1.0 / static_cast<double>(grid)));
@@ -280,7 +283,7 @@ class LombScargleDetector final : public PeriodDetector {
         // low frequency without the gaps actually repeating. A genuinely
         // periodic flow (even with dropout, which only skips whole ticks)
         // keeps most gaps near a multiple of the period.
-        if (gap_agreement(times, period) < params_.ls_min_gap_agreement)
+        if (gap_agreement(times, period) < params.ls_min_gap_agreement)
           break;
       }
 
@@ -289,7 +292,7 @@ class LombScargleDetector final : public PeriodDetector {
       det.period_seconds = period;
       det.acf_peak_value = gap_agreement(times, period);
       det.periodogram_power = s.power[chosen];
-      det.acf_threshold = params_.ls_min_gap_agreement;
+      det.acf_threshold = params.ls_min_gap_agreement;
       det.power_threshold = threshold;
       out.push_back(det);
 
@@ -298,10 +301,7 @@ class LombScargleDetector final : public PeriodDetector {
       for (std::size_t k = 0; k < grid; ++k) {
         if (s.masked[k] != 0) continue;
         const double f = f_min + static_cast<double>(k) * df;
-        const double ratio = f >= f_ref ? f / f_ref : f_ref / f;
-        const double nearest = std::max(1.0, std::round(ratio));
-        if (std::abs(ratio - nearest) / nearest <=
-            params_.period_match_tolerance)
+        if (detail::near_multiple(f, f_ref, params.period_match_tolerance))
           s.masked[k] = 1;
       }
     }
@@ -320,61 +320,42 @@ class LombScargleDetector final : public PeriodDetector {
     }
     return static_cast<double>(ok) / static_cast<double>(times.size() - 1);
   }
-
-  DetectorParams params_;
 };
 
 // ---- autoperiod / cfd-autoperiod -----------------------------------------
-
-struct ApScratch final : PeriodDetector::Scratch {
-  DetectScratch spec;                       // signal + ACF + null buffers
-  stats::SpectralAnalysis source_spectral;  // periodogram of the source
-  std::vector<double> source;               // raw or first-differenced
-};
 
 // Vlachos et al.'s autoperiod: the periodogram proposes candidate periods
 // (cheap, frequency-resolution-limited), the ACF confirms each as a "hill" —
 // a positive interior local maximum inside the candidate's tolerance window
 // — and the hill apex, parabola-refined, is the reported period. The CFD
-// variant first-differences the signal before the periodogram (suppressing
+// variant linearly detrends the signal before the periodogram (suppressing
 // trend/drift leakage into low frequencies) and clusters adjacent candidate
 // bins so one true period proposes one validation instead of several.
 class AutoperiodDetector final : public PeriodDetector {
  public:
   AutoperiodDetector(const DetectorParams& params, bool clustered)
-      : inner_(params), clustered_(clustered) {}
+      : PeriodDetector(params), clustered_(clustered) {}
 
   std::string_view name() const noexcept override {
     return clustered_ ? "cfd-autoperiod" : "autoperiod";
-  }
-  std::unique_ptr<Scratch> make_scratch() const override {
-    return std::make_unique<ApScratch>();
-  }
-  bool periods_match(double a, double b) const noexcept override {
-    return inner_.periods_match(a, b);
   }
 
  protected:
   std::vector<PeriodDetection> do_detect_all(std::span<const double> times,
                                              stats::Rng& rng,
                                              std::size_t max_periods,
-                                             Scratch& scratch) const override {
+                                             DetectScratch& s) const override {
     std::vector<PeriodDetection> out;
-    const DetectorParams& params = inner_.params();
+    const DetectorParams& params = this->params();
 
-    ApScratch local;
-    auto* typed = dynamic_cast<ApScratch*>(&scratch);
-    ApScratch& s = typed != nullptr ? *typed : local;
-
-    const auto binned = detail::bin_flow(params, times, s.spec.signal);
+    const auto binned = detail::bin_flow(params, times, s.signal);
     if (!binned.usable) return out;
-    const auto& signal = s.spec.signal;
+    const auto& signal = s.signal;
     const double dt = binned.dt;
 
     // ACF of the raw signal — validation always runs against the original.
-    stats::spectral_analysis(signal, binned.max_lag, s.spec.workspace,
-                             s.spec.spectral);
-    const auto& acf = s.spec.spectral.acf;
+    stats::spectral_analysis(signal, binned.max_lag, s.workspace, s.spectral);
+    const auto& acf = s.spectral.acf;
 
     // Periodogram source: raw signal, or linearly detrended (CFD). The
     // detrend removes ramps (session build-up, drifting rates) that leak
@@ -399,19 +380,19 @@ class AutoperiodDetector final : public PeriodDetector {
     if (s.source.size() < 4) return out;
     const std::size_t source_lag =
         std::min(binned.max_lag, s.source.size() - 1);
-    stats::spectral_analysis(s.source, source_lag, s.spec.workspace,
+    stats::spectral_analysis(s.source, source_lag, s.workspace,
                              s.source_spectral);
 
     // Permutation significance on the periodogram only (the ACF hill check
     // replaces the default's ACF threshold). Same shuffle null and exact
     // early termination as the default pipeline.
     const double observed = detail::max_power(s.source_spectral.pgram_power);
-    auto& null_power = s.spec.null_power_max;
+    auto& null_power = s.null_power_max;
     null_power.clear();
     null_power.reserve(params.permutations);
     std::size_t exceed = 0;
     if (!detail::permutation_null(s.source, source_lag, params.permutations,
-                                  rng, s.spec, [&](double, double w) {
+                                  rng, s, [&](double, double w) {
                                     null_power.push_back(w);
                                     return w >= observed && ++exceed >= 2;
                                   }))
@@ -488,19 +469,7 @@ class AutoperiodDetector final : public PeriodDetector {
       const double period = (static_cast<double>(apex) + offset) * dt;
 
       // Near-multiples of an already-accepted period are the same family.
-      bool family = false;
-      for (const auto& accepted : out) {
-        const double ratio = period >= accepted.period_seconds
-                                 ? period / accepted.period_seconds
-                                 : accepted.period_seconds / period;
-        const double nearest = std::max(1.0, std::round(ratio));
-        if (std::abs(ratio - nearest) / nearest <=
-            params.period_match_tolerance) {
-          family = true;
-          break;
-        }
-      }
-      if (family) continue;
+      if (in_family(out, period, params.period_match_tolerance)) continue;
 
       PeriodDetection det;
       det.periodic = true;
@@ -515,18 +484,10 @@ class AutoperiodDetector final : public PeriodDetector {
   }
 
  private:
-  PeriodicityDetector inner_;  // validated params + periods_match
   bool clustered_;
 };
 
 // ---- multi-period --------------------------------------------------------
-
-struct MpScratch final : PeriodDetector::Scratch {
-  DetectScratch spec;
-  std::vector<double> residual;
-  std::vector<double> profile;         // per-phase sums of the fold
-  std::vector<std::size_t> phase_count;
-};
 
 // Folds `signal` at a real-valued period (in bins) and fills per-phase sums
 // and counts; returns the fold energy sum(acc^2/count). A fractional-bin
@@ -557,42 +518,31 @@ double fold_at(std::span<const double> signal, double period_bins,
 // each other in a single pass surface one at a time.
 class MultiPeriodDetector final : public PeriodDetector {
  public:
-  explicit MultiPeriodDetector(const DetectorParams& params)
-      : inner_(params) {}
+  using PeriodDetector::PeriodDetector;
 
   static constexpr std::size_t kMaxDetections = 4;
 
   std::string_view name() const noexcept override { return "multi-period"; }
-  std::unique_ptr<Scratch> make_scratch() const override {
-    return std::make_unique<MpScratch>();
-  }
   std::size_t max_detections() const noexcept override {
     return kMaxDetections;
-  }
-  bool periods_match(double a, double b) const noexcept override {
-    return inner_.periods_match(a, b);
   }
 
  protected:
   std::vector<PeriodDetection> do_detect_all(std::span<const double> times,
                                              stats::Rng& rng,
                                              std::size_t max_periods,
-                                             Scratch& scratch) const override {
+                                             DetectScratch& s) const override {
     std::vector<PeriodDetection> out;
-    const DetectorParams& params = inner_.params();
+    const DetectorParams& params = this->params();
 
-    MpScratch local;
-    auto* typed = dynamic_cast<MpScratch*>(&scratch);
-    MpScratch& s = typed != nullptr ? *typed : local;
-
-    const auto binned = detail::bin_flow(params, times, s.spec.signal);
+    const auto binned = detail::bin_flow(params, times, s.signal);
     if (!binned.usable) return out;
-    s.residual.assign(s.spec.signal.begin(), s.spec.signal.end());
+    s.residual.assign(s.signal.begin(), s.signal.end());
 
     while (out.size() < max_periods) {
       const auto analysis =
           detail::analyze_signal(params, s.residual, binned.dt, binned.span,
-                                 binned.max_lag, rng, s.spec);
+                                 binned.max_lag, rng, s);
       if (analysis.matches.empty()) break;
       std::vector<PeriodDetection> one;
       detail::pick_fundamentals(analysis, params.period_match_tolerance, 1,
@@ -602,19 +552,8 @@ class MultiPeriodDetector final : public PeriodDetector {
 
       // Subtraction leaving the component's family detectable again would
       // loop forever on the same period; treat that as convergence.
-      bool family = false;
-      for (const auto& accepted : out) {
-        const double ratio = det.period_seconds >= accepted.period_seconds
-                                 ? det.period_seconds / accepted.period_seconds
-                                 : accepted.period_seconds / det.period_seconds;
-        const double nearest = std::max(1.0, std::round(ratio));
-        if (std::abs(ratio - nearest) / nearest <=
-            params.period_match_tolerance) {
-          family = true;
-          break;
-        }
-      }
-      if (family) break;
+      if (in_family(out, det.period_seconds, params.period_match_tolerance))
+        break;
       out.push_back(det);
 
       // Remove the component: subtract the per-phase mean of a fractional
@@ -653,9 +592,6 @@ class MultiPeriodDetector final : public PeriodDetector {
     }
     return out;
   }
-
- private:
-  PeriodicityDetector inner_;
 };
 
 constexpr DetectorInfo kRegistry[] = {

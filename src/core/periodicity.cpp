@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "core/period_detector.h"
@@ -16,28 +15,6 @@
 #include "stats/timeseries.h"
 
 namespace jsoncdn::core {
-
-PeriodicityDetector::PeriodicityDetector(const DetectorParams& params)
-    : params_(params) {
-  if (params.sample_interval <= 0.0)
-    throw std::invalid_argument("PeriodicityDetector: sample_interval <= 0");
-  if (params.permutations < 2)
-    throw std::invalid_argument("PeriodicityDetector: permutations < 2");
-  if (params.max_signal_samples < 16)
-    throw std::invalid_argument("PeriodicityDetector: max_signal_samples < 16");
-  if (params.period_match_tolerance <= 0.0 ||
-      params.period_match_tolerance >= 1.0)
-    throw std::invalid_argument(
-        "PeriodicityDetector: tolerance outside (0,1)");
-  if (params.samples_per_event < 4)
-    throw std::invalid_argument("PeriodicityDetector: samples_per_event < 4");
-  if (params.min_cycles < 2.0)
-    throw std::invalid_argument("PeriodicityDetector: min_cycles < 2");
-}
-
-bool PeriodicityDetector::periods_match(double a, double b) const noexcept {
-  return detail::relative_periods_match(a, b, params_.period_match_tolerance);
-}
 
 namespace detail {
 
@@ -244,43 +221,6 @@ void pick_fundamentals(const FlowAnalysis& analysis, double tolerance,
 
 }  // namespace detail
 
-PeriodDetection PeriodicityDetector::detect(std::span<const double> times,
-                                            stats::Rng& rng) const {
-  DetectScratch scratch;
-  return detect(times, rng, scratch);
-}
-
-PeriodDetection PeriodicityDetector::detect(std::span<const double> times,
-                                            stats::Rng& rng,
-                                            DetectScratch& scratch) const {
-  const auto all = detect_all(times, rng, 1, scratch);
-  if (!all.empty()) return all.front();
-  PeriodDetection out;
-  return out;
-}
-
-std::vector<PeriodDetection> PeriodicityDetector::detect_all(
-    std::span<const double> times, stats::Rng& rng,
-    std::size_t max_periods) const {
-  DetectScratch scratch;
-  return detect_all(times, rng, max_periods, scratch);
-}
-
-std::vector<PeriodDetection> PeriodicityDetector::detect_all(
-    std::span<const double> times, stats::Rng& rng, std::size_t max_periods,
-    DetectScratch& scratch) const {
-  std::vector<PeriodDetection> out;
-  const auto binned = detail::bin_flow(params_, times, scratch.signal);
-  if (!binned.usable) return out;
-  const auto analysis =
-      detail::analyze_signal(params_, scratch.signal, binned.dt, binned.span,
-                             binned.max_lag, rng, scratch);
-  if (analysis.matches.empty()) return out;
-  detail::pick_fundamentals(analysis, params_.period_match_tolerance,
-                            max_periods, out);
-  return out;
-}
-
 namespace {
 
 // The per-object-flow unit of parallel work: the object flow's detection
@@ -290,7 +230,7 @@ namespace {
 ObjectPeriodicity analyze_object_flow(const PeriodDetector& detector,
                                       const logs::ObjectFlow& flow,
                                       const stats::Rng& root,
-                                      PeriodDetector::Scratch& scratch) {
+                                      DetectScratch& scratch) {
   ObjectPeriodicity obj;
   obj.url = flow.url;
   obj.total_requests = flow.total_requests;
@@ -377,10 +317,9 @@ PeriodicityReport analyze_flows(const std::vector<logs::ObjectFlow>& flows,
   stats::parallel_for(
       pool, flows.size(),
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        const auto scratch = detector->make_scratch();
+        DetectScratch scratch;
         for (std::size_t i = begin; i < end; ++i)
-          objects[i] =
-              analyze_object_flow(*detector, flows[i], root, *scratch);
+          objects[i] = analyze_object_flow(*detector, flows[i], root, scratch);
       });
 
   std::uint64_t periodic_uncacheable_weight = 0;

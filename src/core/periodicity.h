@@ -12,19 +12,17 @@
 //       period — or no period at all, after noise thresholding.
 //
 // A client-object flow is labelled periodic iff both it and its object flow
-// have a detected period and the two match. The detector returns at most one
-// period per flow (multi-period analysis is future work in the paper too).
+// have a detected period and the two match. The paper's detector returns at
+// most one period per flow; the multi-period strategy (core/period_detector.h)
+// takes up the paper's multi-period future work.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "logs/table.h"
-#include "stats/autocorrelation.h"
-#include "stats/rng.h"
 
 namespace jsoncdn::core {
 
@@ -81,58 +79,6 @@ struct PeriodDetection {
   double periodogram_power = 0.0;
   double acf_threshold = 0.0;     // permutation-derived
   double power_threshold = 0.0;
-};
-
-// Reusable buffers for detect()/detect_all(): the binned signal, its
-// shuffled copies, the fused-FFT workspace/outputs, and the permutation
-// maxima. The permutation test runs ~100 spectral passes per flow across
-// thousands of flows, so carrying one scratch per worker thread removes
-// every per-permutation (and per-flow) allocation from the hot loop.
-// Contents carry no state between calls; never share one across threads.
-struct DetectScratch {
-  stats::SpectralWorkspace workspace;
-  stats::SpectralAnalysis spectral;  // observed signal
-  std::vector<double> signal;
-  std::vector<double> shuffled;      // one batch of shuffles, lane by lane
-  std::vector<double> null_acf_max;
-  std::vector<double> null_power_max;
-};
-
-class PeriodicityDetector {
- public:
-  explicit PeriodicityDetector(const DetectorParams& params);
-
-  // Detects the most significant period of an ascending timestamp sequence.
-  // `rng` drives the permutation null model only.
-  [[nodiscard]] PeriodDetection detect(std::span<const double> times,
-                                       stats::Rng& rng) const;
-  // Same, with caller-owned scratch buffers (hot-loop variant).
-  [[nodiscard]] PeriodDetection detect(std::span<const double> times,
-                                       stats::Rng& rng,
-                                       DetectScratch& scratch) const;
-
-  // Multi-period extension (the paper's future work: "we assume a flow only
-  // contains one significant period and leave multi-period analysis for
-  // future work"). Returns every distinct significant period, strongest ACF
-  // peak first; periods that are near-multiples of an already-accepted
-  // period are folded into it rather than reported again. detect() is
-  // equivalent to detect_all(...).front() when non-empty.
-  [[nodiscard]] std::vector<PeriodDetection> detect_all(
-      std::span<const double> times, stats::Rng& rng,
-      std::size_t max_periods = 4) const;
-  [[nodiscard]] std::vector<PeriodDetection> detect_all(
-      std::span<const double> times, stats::Rng& rng, std::size_t max_periods,
-      DetectScratch& scratch) const;
-
-  [[nodiscard]] const DetectorParams& params() const noexcept {
-    return params_;
-  }
-
-  // True when a and b agree within the configured relative tolerance.
-  [[nodiscard]] bool periods_match(double a, double b) const noexcept;
-
- private:
-  DetectorParams params_;
 };
 
 // ---- Log-level analysis --------------------------------------------------

@@ -1,9 +1,9 @@
 // Shared internals of the §5.1 detector pipeline, split out so the strategy
 // implementations in period_detector.cpp can reuse the exact binning,
 // spectral-significance, and fundamental-extraction steps instead of
-// re-deriving them. Everything here is code moved verbatim out of
-// periodicity.cpp — the default ACF+FFT path composes these pieces in the
-// same order it always ran them, so its output is bit-identical.
+// re-deriving them. The acf-fft strategy is exactly bin_flow ->
+// analyze_signal -> pick_fundamentals, in the order the paper's pipeline
+// always ran them, so its output is bit-identical.
 //
 // Not part of the public core API; include only from core/*.cpp.
 #pragma once
@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/period_detector.h"
 #include "core/periodicity.h"
 #include "stats/kernels.h"
 #include "stats/rng.h"
@@ -21,12 +22,22 @@
 namespace jsoncdn::core::detail {
 
 // Relative-tolerance period equality shared by every strategy (and by
-// PeriodicityDetector::periods_match): |a - b| / max(a, b) <= tol.
+// PeriodDetector::periods_match): |a - b| / max(a, b) <= tol.
 [[nodiscard]] inline bool relative_periods_match(double a, double b,
                                                  double tol) noexcept {
   if (a <= 0.0 || b <= 0.0) return false;
   const double ref = std::max(a, b);
   return std::abs(a - b) / ref <= tol;
+}
+
+// Harmonic-family test: the larger of a and b lies within relative
+// tolerance `tol` of a whole multiple of the smaller (equal values are the
+// first multiple). Works on periods or frequencies alike; a and b > 0.
+[[nodiscard]] inline bool near_multiple(double a, double b,
+                                        double tol) noexcept {
+  const double ratio = a >= b ? a / b : b / a;
+  const double nearest = std::max(1.0, std::round(ratio));
+  return std::abs(ratio - nearest) / nearest <= tol;
 }
 
 // Max ACF value over peak lags >= 1 (0 when no peaks). Same peak definition

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <stdexcept>
 
 #include "stats/fft.h"
@@ -44,25 +45,6 @@ std::vector<double> autocorrelation_direct(std::span<const double> signal,
   return r;
 }
 
-std::vector<double> autocorrelation_fft(std::span<const double> signal,
-                                        std::size_t max_lag) {
-  std::vector<double> x;
-  const double energy = center(signal, x);
-  max_lag = std::min(max_lag, x.size() - 1);
-  std::vector<double> r(max_lag + 1, 0.0);
-  if (energy <= 0.0) return r;
-
-  // Pad to >= 2n so the circular correlation equals the linear one.
-  const std::size_t padded = next_pow2(2 * x.size());
-  std::vector<std::complex<double>> buf(padded);
-  for (std::size_t i = 0; i < x.size(); ++i) buf[i] = x[i];
-  fft_inplace(buf, /*inverse=*/false);
-  kernels::complex_norm(buf.data(), buf.size());  // |X|^2, imaginary part zero
-  const auto corr = ifft(std::move(buf));
-  for (std::size_t k = 0; k <= max_lag; ++k) r[k] = corr[k].real() / energy;
-  return r;
-}
-
 SpectralAnalysis spectral_analysis(std::span<const double> signal,
                                    std::size_t max_lag) {
   SpectralWorkspace ws;
@@ -93,8 +75,8 @@ void spectral_analysis(std::span<const double> signal, std::size_t max_lag,
                          out.pgram_power.data());
   if (energy <= 0.0) return;  // constant signal
 
-  // Unscaled inverse transform, scaling applied per used lag: exactly the
-  // ifft() arithmetic without surrendering the buffer.
+  // Unscaled inverse transform, scaling applied per used lag (1/padded, then
+  // the energy normalization).
   fft_inplace(ws.freq, /*inverse=*/true);
   const double scale = 1.0 / static_cast<double>(padded);
   kernels::acf_extract(ws.freq.data(), max_lag + 1, scale, energy,
@@ -109,12 +91,20 @@ SpectralMaxima spectral_maxima(std::span<const double* const> signals,
     throw std::invalid_argument("spectral_maxima: 1 to 4 signals");
   const std::size_t padded = next_pow2(2 * n);
   const FftPlan& plan = fft_plan(padded);
-  ws.lanes.resize(8 * padded);
+  // Each point's eight doubles (four lanes, real then imaginary) fill one
+  // 64-byte cache line only when the buffer starts on a line boundary;
+  // malloc guarantees 16 bytes, and a misaligned buffer splits half the
+  // kernel's loads and stores across two lines (~35 % slower per call).
+  constexpr std::size_t kLine = 64 / sizeof(double);
+  ws.lanes.resize(8 * padded + kLine);
+  const auto address = reinterpret_cast<std::uintptr_t>(ws.lanes.data());
+  double* work =
+      ws.lanes.data() + (kLine - address / sizeof(double) % kLine) % kLine;
   SpectralMaxima out;
   kernels::spectral_maxima4(signals.data(), signals.size(), n, max_lag, padded,
                             plan.fwd.data(), plan.inv.data(),
-                            plan.bitrev.data(), ws.lanes.data(),
-                            out.acf_peak.data(), out.power.data());
+                            plan.bitrev.data(), work, out.acf_peak.data(),
+                            out.power.data());
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Autocorrelation of uniformly sampled signals — the time-domain half of the
 // paper's periodicity detector. Computed two ways: a direct O(n^2) reference
-// (kept for tests) and the FFT route via the Wiener-Khinchin theorem, which
-// the detector uses for long flows.
+// (kept for tests) and, for the detector, the FFT route via the
+// Wiener-Khinchin theorem in spectral_analysis, which yields the periodogram
+// from the same transform.
 #pragma once
 
 #include <array>
@@ -18,12 +19,6 @@ namespace jsoncdn::stats {
 [[nodiscard]] std::vector<double> autocorrelation_direct(
     std::span<const double> signal, std::size_t max_lag);
 
-// Same contract as autocorrelation_direct, computed as ifft(|fft(x)|^2) with
-// zero-padding to avoid circular wrap-around. Agrees with the direct method
-// to floating-point tolerance (property-tested).
-[[nodiscard]] std::vector<double> autocorrelation_fft(
-    std::span<const double> signal, std::size_t max_lag);
-
 // Indices k in [1, r.size()) that are strict local maxima of r (r[k] > r[k-1]
 // and r[k] >= r[k+1]; the final lag qualifies when rising). Lag 0 never
 // counts.
@@ -34,7 +29,8 @@ namespace jsoncdn::stats {
 // its inverse FFT is the autocorrelation (Wiener-Khinchin). The periodicity
 // detector runs this once per permutation, so sharing the forward FFT
 // matters. `pgram_power[k]` corresponds to FFT bin k+1 of the padded signal
-// (`padded_size` long), matching Periodogram's indexing.
+// (`padded_size` long): bin 0 (DC) is excluded because the mean carries no
+// period.
 struct SpectralAnalysis {
   std::vector<double> acf;          // lags 0..max_lag, normalized
   std::vector<double> pgram_power;  // bins 1..padded/2, scaled by 1/padded

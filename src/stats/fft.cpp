@@ -82,39 +82,4 @@ void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
   }
 }
 
-std::vector<std::complex<double>> fft_real(std::span<const double> signal) {
-  std::vector<std::complex<double>> data(next_pow2(signal.size()));
-  for (std::size_t i = 0; i < signal.size(); ++i) data[i] = signal[i];
-  fft_inplace(data, /*inverse=*/false);
-  return data;
-}
-
-std::vector<std::complex<double>> ifft(std::vector<std::complex<double>> data) {
-  fft_inplace(data, /*inverse=*/true);
-  const double scale = 1.0 / static_cast<double>(data.size());
-  for (auto& v : data) v *= scale;
-  return data;
-}
-
-Periodogram periodogram(std::span<const double> signal) {
-  if (signal.empty()) throw std::invalid_argument("periodogram: empty signal");
-  double mean = 0.0;
-  for (double v : signal) mean += v;
-  mean /= static_cast<double>(signal.size());
-
-  std::vector<double> centered(signal.size());
-  for (std::size_t i = 0; i < signal.size(); ++i) centered[i] = signal[i] - mean;
-
-  const auto spectrum = fft_real(centered);
-  Periodogram out;
-  out.padded_size = spectrum.size();
-  const std::size_t half = spectrum.size() / 2;
-  out.power.reserve(half);
-  for (std::size_t k = 1; k <= half; ++k) {
-    out.power.push_back(std::norm(spectrum[k]) /
-                        static_cast<double>(spectrum.size()));
-  }
-  return out;
-}
-
 }  // namespace jsoncdn::stats

@@ -1,11 +1,11 @@
-// Radix-2 FFT and periodogram, implemented from scratch (no external DSP
-// dependency). The periodicity detector (§5.1 of the paper) uses the
-// periodogram on the frequency domain side and an FFT-accelerated
-// autocorrelation on the time domain side.
+// Radix-2 FFT, implemented from scratch (no external DSP dependency). The
+// periodicity detector (§5.1 of the paper) reaches it through
+// spectral_analysis and spectral_maxima (stats/autocorrelation.h), which
+// derive the periodogram and the autocorrelation from one transform.
 #pragma once
 
 #include <complex>
-#include <span>
+#include <cstddef>
 #include <vector>
 
 namespace jsoncdn::stats {
@@ -18,7 +18,7 @@ namespace jsoncdn::stats {
 // In-place iterative radix-2 Cooley-Tukey FFT. Requires data.size() to be a
 // power of two (throws std::invalid_argument otherwise). `inverse` computes
 // the unscaled inverse transform; callers divide by N if they need the true
-// inverse (ifft() below does this).
+// inverse.
 void fft_inplace(std::vector<std::complex<double>>& data, bool inverse);
 
 // What an n-point transform reuses across calls: the per-stage twiddle
@@ -37,34 +37,5 @@ struct FftPlan {
 // and rebuilt only when n changes. The reference stays valid until the
 // calling thread asks for another size.
 [[nodiscard]] const FftPlan& fft_plan(std::size_t n);
-
-// Forward FFT of a real signal, zero-padded to the next power of two.
-[[nodiscard]] std::vector<std::complex<double>> fft_real(
-    std::span<const double> signal);
-
-// True inverse FFT (scaled by 1/N). Requires power-of-two size.
-[[nodiscard]] std::vector<std::complex<double>> ifft(
-    std::vector<std::complex<double>> data);
-
-// Periodogram: squared magnitude of FFT bins 1..N/2 of the mean-removed,
-// zero-padded signal, normalized by N. Index k of the returned vector
-// corresponds to FFT bin k+1, i.e. frequency (k+1) / (N * dt) with N the
-// padded length. Bin 0 (DC) is excluded because the mean carries no period.
-struct Periodogram {
-  std::vector<double> power;  // power[k] for FFT bin k+1
-  std::size_t padded_size = 0;
-
-  // Frequency (cycles per sample) of entry k.
-  [[nodiscard]] double frequency(std::size_t k) const {
-    return static_cast<double>(k + 1) / static_cast<double>(padded_size);
-  }
-  // Period in samples of entry k.
-  [[nodiscard]] double period(std::size_t k) const {
-    return static_cast<double>(padded_size) / static_cast<double>(k + 1);
-  }
-};
-
-// Requires a non-empty signal.
-[[nodiscard]] Periodogram periodogram(std::span<const double> signal);
 
 }  // namespace jsoncdn::stats

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/period_detector.h"
 #include "core/periodicity.h"
 #include "stats/rng.h"
 
@@ -33,7 +34,8 @@ class DetectorDropoutTest : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(DetectorDropoutTest, RecallSurvivesDropout) {
   const auto [dropout, ticks] = GetParam();
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   int detected = 0;
   const int trials = 8;
   for (int t = 0; t < trials; ++t) {
@@ -41,7 +43,7 @@ TEST_P(DetectorDropoutTest, RecallSurvivesDropout) {
         planted(60.0, ticks, 0.4, dropout, 1000 + static_cast<unsigned>(t));
     if (times.size() < 10) continue;
     stats::Rng rng(2000 + static_cast<unsigned>(t));
-    const auto result = detector.detect(times, rng);
+    const auto result = detector->detect(times, rng);
     if (result.periodic &&
         std::abs(result.period_seconds - 60.0) <= 60.0 * 0.15) {
       ++detected;
@@ -77,9 +79,10 @@ TEST_P(DetectorNoiseTest, BurstyTrafficFlagsBurstRecurrenceScale) {
     }
     t += gen.uniform(200.0, 700.0);  // silence
   }
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(GetParam() + 99);
-  const auto result = detector.detect(times, rng);
+  const auto result = detector->detect(times, rng);
   if (result.periodic) {
     EXPECT_GT(result.period_seconds, 150.0) << "seed " << GetParam();
     EXPECT_LT(result.period_seconds, 1200.0) << "seed " << GetParam();
@@ -91,9 +94,10 @@ TEST_P(DetectorNoiseTest, UniformRandomTimesRejected) {
   std::vector<double> times;
   for (int i = 0; i < 60; ++i) times.push_back(gen.uniform(0.0, 3600.0));
   std::sort(times.begin(), times.end());
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(GetParam() + 7);
-  EXPECT_FALSE(detector.detect(times, rng).periodic);
+  EXPECT_FALSE(detector->detect(times, rng).periodic);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DetectorNoiseTest,
@@ -101,11 +105,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DetectorNoiseTest,
 
 TEST(DetectorProperty, PeriodRecoveryScalesWithPeriod) {
   // Relative error stays bounded across two orders of magnitude of period.
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   for (const double period : {20.0, 60.0, 240.0, 1200.0}) {
     const auto times = planted(period, 40, period * 0.01, 0.02, 77);
     stats::Rng rng(78);
-    const auto result = detector.detect(times, rng);
+    const auto result = detector->detect(times, rng);
     ASSERT_TRUE(result.periodic) << period;
     EXPECT_NEAR(result.period_seconds, period, period * 0.15) << period;
   }
@@ -113,9 +118,10 @@ TEST(DetectorProperty, PeriodRecoveryScalesWithPeriod) {
 
 TEST(DetectorProperty, ThresholdsReportedOnDetection) {
   const auto times = planted(60.0, 40, 0.3, 0.0, 5);
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(6);
-  const auto result = detector.detect(times, rng);
+  const auto result = detector->detect(times, rng);
   ASSERT_TRUE(result.periodic);
   EXPECT_GT(result.acf_peak_value, result.acf_threshold);
   EXPECT_GT(result.periodogram_power, result.power_threshold);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/period_detector.h"
 #include "core/periodicity.h"
 
 namespace jsoncdn::core {
@@ -22,20 +23,22 @@ std::vector<double> comb(double period, std::size_t count, double phase,
 
 TEST(DetectAll, SinglePeriodFlowYieldsOneDetection) {
   const auto times = comb(60.0, 40, 0.0, 0.4, 1);
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(2);
-  const auto all = detector.detect_all(times, rng);
+  const auto all = detector->detect_all(times, rng, 4);
   ASSERT_EQ(all.size(), 1u);
   EXPECT_NEAR(all.front().period_seconds, 60.0, 9.0);
 }
 
 TEST(DetectAll, FrontMatchesDetect) {
   const auto times = comb(120.0, 40, 3.0, 1.0, 3);
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng r1(7);
   stats::Rng r2(7);
-  const auto all = detector.detect_all(times, r1);
-  const auto one = detector.detect(times, r2);
+  const auto all = detector->detect_all(times, r1, 4);
+  const auto one = detector->detect(times, r2);
   ASSERT_FALSE(all.empty());
   ASSERT_TRUE(one.periodic);
   EXPECT_DOUBLE_EQ(all.front().period_seconds, one.period_seconds);
@@ -51,9 +54,10 @@ TEST(DetectAll, FindsTwoInterleavedPeriods) {
   times.insert(times.end(), second.begin(), second.end());
   std::sort(times.begin(), times.end());
 
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(6);
-  const auto all = detector.detect_all(times, rng, 4);
+  const auto all = detector->detect_all(times, rng, 4);
   ASSERT_GE(all.size(), 1u);
   bool found70 = false;
   for (const auto& det : all) {
@@ -80,9 +84,10 @@ TEST(DetectAll, HarmonicsAreFoldedIntoTheFundamental) {
   // A clean comb has ACF peaks at every multiple of the period; detect_all
   // must report only the fundamental, not 2T/3T/4T as separate periods.
   const auto times = comb(60.0, 50, 0.0, 0.3, 8);
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(9);
-  const auto all = detector.detect_all(times, rng, 4);
+  const auto all = detector->detect_all(times, rng, 4);
   ASSERT_EQ(all.size(), 1u);
   EXPECT_NEAR(all.front().period_seconds, 60.0, 9.0);
 }
@@ -95,16 +100,18 @@ TEST(DetectAll, AperiodicFlowYieldsNothing) {
     t += gen.exponential(1.0 / 45.0);
     times.push_back(t);
   }
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(11);
-  EXPECT_TRUE(detector.detect_all(times, rng).empty());
+  EXPECT_TRUE(detector->detect_all(times, rng, 4).empty());
 }
 
 TEST(DetectAll, RespectsMaxPeriods) {
   const auto times = comb(60.0, 50, 0.0, 0.3, 12);
-  PeriodicityDetector detector({});
+  const auto detector =
+      make_period_detector(DetectorStrategy::kAcfFft, DetectorParams{});
   stats::Rng rng(13);
-  const auto all = detector.detect_all(times, rng, 0);
+  const auto all = detector->detect_all(times, rng, 0);
   EXPECT_TRUE(all.empty());
 }
 

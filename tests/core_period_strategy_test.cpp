@@ -1,8 +1,7 @@
-// The detector portfolio: registry round-trips, the default strategy's
-// bit-equivalence with the pre-refactor PeriodicityDetector, each
-// alternative strategy's recall on the regime it exists for, and the
-// strategy-routed check_period second pass changing its verdict where the
-// binned default goes blind.
+// The detector portfolio: registry round-trips, each alternative strategy's
+// recall on the regime it exists for, and the strategy-routed check_period
+// second pass changing its verdict where the binned default goes blind. The
+// default strategy's output is pinned to the bit by PeriodicityGolden.
 #include "core/period_detector.h"
 
 #include <gtest/gtest.h>
@@ -65,27 +64,6 @@ TEST(DetectorRegistry, DefaultStrategyIsSinglePeriod) {
   const auto multi = make_period_detector(DetectorStrategy::kMultiPeriod,
                                           fast_params());
   EXPECT_GT(multi->max_detections(), 1u);
-}
-
-// --- default equivalence ---------------------------------------------------
-
-TEST(DetectorPortfolio, AcfFftStrategyBitEqualsLegacyDetector) {
-  const auto params = fast_params();
-  const PeriodicityDetector legacy(params);
-  const auto strategy = make_period_detector(DetectorStrategy::kAcfFft,
-                                             params);
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    // Periodic and aperiodic flows; identical rng streams on both sides.
-    const auto periodic = comb(45.0, 40, 1.0, 10 + seed);
-    stats::Rng r1(100 + seed), r2(100 + seed);
-    const auto a = legacy.detect(periodic, r1);
-    const auto b = strategy->detect(periodic, r2);
-    EXPECT_EQ(a.periodic, b.periodic);
-    EXPECT_EQ(a.period_seconds, b.period_seconds);  // bit-identical
-    EXPECT_EQ(a.acf_peak_value, b.acf_peak_value);
-    EXPECT_EQ(a.acf_threshold, b.acf_threshold);
-    EXPECT_EQ(a.power_threshold, b.power_threshold);
-  }
 }
 
 // --- per-strategy recall on its home regime --------------------------------

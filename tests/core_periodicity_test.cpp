@@ -6,8 +6,11 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
+#include <string>
+#include <utility>
 
 #include "core/period_detector.h"
 #include "core/periodicity_internal.h"
@@ -51,6 +54,10 @@ DetectorParams fast_params() {
   return params;
 }
 
+std::unique_ptr<PeriodDetector> acf_fft(const DetectorParams& params) {
+  return make_period_detector(DetectorStrategy::kAcfFft, params);
+}
+
 // --- detector on planted periods, across period x jitter ------------------
 
 struct PlantedCase {
@@ -63,9 +70,9 @@ class PlantedPeriodTest : public ::testing::TestWithParam<PlantedCase> {};
 TEST_P(PlantedPeriodTest, DetectsWithinTolerance) {
   const auto [period, jitter] = GetParam();
   const auto times = periodic_times(period, 40, jitter, 7, 0.02);
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng rng(1);
-  const auto result = detector.detect(times, rng);
+  const auto result = detector->detect(times, rng);
   ASSERT_TRUE(result.periodic) << "period=" << period << " jitter=" << jitter;
   EXPECT_NEAR(result.period_seconds, period, period * 0.15);
   EXPECT_GT(result.acf_peak_value, result.acf_threshold);
@@ -79,13 +86,13 @@ INSTANTIATE_TEST_SUITE_P(
                       PlantedCase{900.0, 5.0}, PlantedCase{1800.0, 10.0}));
 
 TEST(PeriodicityDetector, RejectsPoissonTraffic) {
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   int false_positives = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const auto times = poisson_times(1.0 / 30.0, 2400.0, seed);
     if (times.size() < 10) continue;
     stats::Rng rng(seed + 100);
-    if (detector.detect(times, rng).periodic) ++false_positives;
+    if (detector->detect(times, rng).periodic) ++false_positives;
   }
   // The threshold targets ~p=0.01 per test; a couple of hits in 20 noisy
   // flows would already be unusual.
@@ -93,35 +100,35 @@ TEST(PeriodicityDetector, RejectsPoissonTraffic) {
 }
 
 TEST(PeriodicityDetector, RejectsTooFewRequests) {
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng rng(1);
   const std::vector<double> times = {0.0, 30.0, 60.0};
-  EXPECT_FALSE(detector.detect(times, rng).periodic);
+  EXPECT_FALSE(detector->detect(times, rng).periodic);
 }
 
 TEST(PeriodicityDetector, RejectsBurstOfSimultaneousRequests) {
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng rng(1);
   std::vector<double> times(50, 1.0);  // zero span
-  EXPECT_FALSE(detector.detect(times, rng).periodic);
+  EXPECT_FALSE(detector->detect(times, rng).periodic);
 }
 
 TEST(PeriodicityDetector, NeedsMinCyclesInWindow) {
   // Period 1000 s but only ~2 cycles observed: must not report it.
   const auto times = periodic_times(1000.0, 3, 0.0, 1);
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng rng(2);
-  const auto result = detector.detect(times, rng);
+  const auto result = detector->detect(times, rng);
   EXPECT_FALSE(result.periodic);
 }
 
 TEST(PeriodicityDetector, DeterministicGivenSameRngSeed) {
   const auto times = periodic_times(60.0, 30, 0.5, 3);
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng r1(5);
   stats::Rng r2(5);
-  const auto a = detector.detect(times, r1);
-  const auto b = detector.detect(times, r2);
+  const auto a = detector->detect(times, r1);
+  const auto b = detector->detect(times, r2);
   EXPECT_EQ(a.periodic, b.periodic);
   EXPECT_DOUBLE_EQ(a.period_seconds, b.period_seconds);
 }
@@ -129,35 +136,57 @@ TEST(PeriodicityDetector, DeterministicGivenSameRngSeed) {
 TEST(PeriodicityDetector, PeriodsMatchTolerance) {
   DetectorParams params;
   params.period_match_tolerance = 0.15;
-  PeriodicityDetector detector(params);
-  EXPECT_TRUE(detector.periods_match(30.0, 30.0));
-  EXPECT_TRUE(detector.periods_match(30.0, 33.0));
-  EXPECT_FALSE(detector.periods_match(30.0, 40.0));
-  EXPECT_FALSE(detector.periods_match(30.0, 60.0));
-  EXPECT_FALSE(detector.periods_match(0.0, 30.0));
+  const auto detector = acf_fft(params);
+  EXPECT_TRUE(detector->periods_match(30.0, 30.0));
+  EXPECT_TRUE(detector->periods_match(30.0, 33.0));
+  EXPECT_FALSE(detector->periods_match(30.0, 40.0));
+  EXPECT_FALSE(detector->periods_match(30.0, 60.0));
+  EXPECT_FALSE(detector->periods_match(0.0, 30.0));
 }
 
 TEST(PeriodicityDetector, RejectsBadParams) {
-  DetectorParams params;
-  params.sample_interval = 0.0;
-  EXPECT_THROW(PeriodicityDetector{params}, std::invalid_argument);
-  params = {};
-  params.permutations = 1;
-  EXPECT_THROW(PeriodicityDetector{params}, std::invalid_argument);
-  params = {};
-  params.period_match_tolerance = 1.5;
-  EXPECT_THROW(PeriodicityDetector{params}, std::invalid_argument);
-  params = {};
-  params.min_cycles = 1.0;
-  EXPECT_THROW(PeriodicityDetector{params}, std::invalid_argument);
+  // Every strategy runs the same check over the same ten fields.
+  using Spoil = std::function<void(DetectorParams&)>;
+  const std::vector<std::pair<std::string, Spoil>> bad = {
+      {"sample_interval", [](DetectorParams& p) { p.sample_interval = 0.0; }},
+      {"permutations", [](DetectorParams& p) { p.permutations = 1; }},
+      {"max_signal_samples",
+       [](DetectorParams& p) { p.max_signal_samples = 15; }},
+      {"samples_per_event",
+       [](DetectorParams& p) { p.samples_per_event = 3; }},
+      {"period_match_tolerance high",
+       [](DetectorParams& p) { p.period_match_tolerance = 1.5; }},
+      {"period_match_tolerance zero",
+       [](DetectorParams& p) { p.period_match_tolerance = 0.0; }},
+      {"min_cycles", [](DetectorParams& p) { p.min_cycles = 1.0; }},
+      {"ls_oversample", [](DetectorParams& p) { p.ls_oversample = 0.5; }},
+      {"ls_max_frequencies",
+       [](DetectorParams& p) { p.ls_max_frequencies = 15; }},
+      {"ls_max_events", [](DetectorParams& p) { p.ls_max_events = 15; }},
+      {"ls_min_gap_agreement negative",
+       [](DetectorParams& p) { p.ls_min_gap_agreement = -0.1; }},
+      {"ls_min_gap_agreement high",
+       [](DetectorParams& p) { p.ls_min_gap_agreement = 1.5; }},
+  };
+  for (const auto& info : detector_registry()) {
+    EXPECT_NO_THROW((void)make_period_detector(info.strategy, {}))
+        << info.name;
+    for (const auto& [field, spoil] : bad) {
+      DetectorParams params;
+      spoil(params);
+      EXPECT_THROW((void)make_period_detector(info.strategy, params),
+                   std::invalid_argument)
+          << info.name << ": " << field;
+    }
+  }
 }
 
 TEST(PeriodicityDetector, LongPeriodLongSpanStillResolved) {
   // 30-minute period over a day: exercises the adaptive re-binning path.
   const auto times = periodic_times(1800.0, 48, 5.0, 9);
-  PeriodicityDetector detector(fast_params());
+  const auto detector = acf_fft(fast_params());
   stats::Rng rng(10);
-  const auto result = detector.detect(times, rng);
+  const auto result = detector->detect(times, rng);
   ASSERT_TRUE(result.periodic);
   EXPECT_NEAR(result.period_seconds, 1800.0, 1800.0 * 0.15);
 }

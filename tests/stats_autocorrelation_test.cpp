@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "stats/fft.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stats {
@@ -29,20 +28,26 @@ TEST(Autocorrelation, ConstantSignalIsAllZero) {
   for (const double v : autocorrelation_direct(signal, 8)) {
     EXPECT_DOUBLE_EQ(v, 0.0);
   }
-  for (const double v : autocorrelation_fft(signal, 8)) {
+  const auto spec = spectral_analysis(signal, 8);
+  for (const double v : spec.acf) {
     EXPECT_DOUBLE_EQ(v, 0.0);
+  }
+  // Mean removal leaves nothing, and the DC bin is excluded.
+  ASSERT_FALSE(spec.pgram_power.empty());
+  for (const double p : spec.pgram_power) {
+    EXPECT_DOUBLE_EQ(p, 0.0);
   }
 }
 
 TEST(Autocorrelation, MaxLagClampedToSizeMinusOne) {
   const auto signal = random_signal(10, 2);
   EXPECT_EQ(autocorrelation_direct(signal, 100).size(), 10u);
-  EXPECT_EQ(autocorrelation_fft(signal, 100).size(), 10u);
+  EXPECT_EQ(spectral_analysis(signal, 100).acf.size(), 10u);
 }
 
 TEST(Autocorrelation, RejectsEmptySignal) {
   EXPECT_THROW((void)autocorrelation_direct({}, 5), std::invalid_argument);
-  EXPECT_THROW((void)autocorrelation_fft({}, 5), std::invalid_argument);
+  EXPECT_THROW((void)spectral_analysis({}, 5), std::invalid_argument);
 }
 
 class AcfEquivalenceTest : public ::testing::TestWithParam<std::size_t> {};
@@ -50,7 +55,7 @@ class AcfEquivalenceTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(AcfEquivalenceTest, FftMatchesDirect) {
   const auto signal = random_signal(GetParam(), GetParam());
   const auto direct = autocorrelation_direct(signal, GetParam() / 2);
-  const auto fast = autocorrelation_fft(signal, GetParam() / 2);
+  const auto fast = spectral_analysis(signal, GetParam() / 2).acf;
   ASSERT_EQ(direct.size(), fast.size());
   for (std::size_t k = 0; k < direct.size(); ++k) {
     EXPECT_NEAR(direct[k], fast[k], 1e-9) << "lag " << k;
@@ -64,7 +69,7 @@ TEST(Autocorrelation, PeriodicImpulseTrainPeaksAtPeriod) {
   // Impulse every 10 samples.
   std::vector<double> signal(200, 0.0);
   for (std::size_t i = 0; i < signal.size(); i += 10) signal[i] = 1.0;
-  const auto r = autocorrelation_fft(signal, 50);
+  const auto r = spectral_analysis(signal, 50).acf;
   const auto peaks = acf_peaks(r);
   ASSERT_FALSE(peaks.empty());
   // The strongest peak must be at lag 10 (or a multiple).
@@ -87,16 +92,6 @@ TEST(AcfPeaks, FindsInteriorLocalMaxima) {
 TEST(AcfPeaks, MonotoneDecreasingHasNoPeaks) {
   const std::vector<double> r = {1.0, 0.8, 0.6, 0.4};
   EXPECT_TRUE(acf_peaks(r).empty());
-}
-
-TEST(SpectralAnalysis, AcfMatchesStandaloneFunction) {
-  const auto signal = random_signal(100, 5);
-  const auto spec = spectral_analysis(signal, 40);
-  const auto reference = autocorrelation_fft(signal, 40);
-  ASSERT_EQ(spec.acf.size(), reference.size());
-  for (std::size_t k = 0; k < reference.size(); ++k) {
-    EXPECT_NEAR(spec.acf[k], reference[k], 1e-9);
-  }
 }
 
 TEST(SpectralAnalysis, PgramPeakAtPlantedPeriod) {

@@ -88,8 +88,6 @@ void usage() {
                "T_to])\n"
                "                       [--max-memory SIZE]  (v2 out-of-core "
                "page budget, e.g. 1g)\n"
-               "                       [--no-zone-maps]     (v2: decode every "
-               "chunk)\n"
                "                       [--assert-max-rss SIZE] (fail if peak "
                "RSS exceeds SIZE)\n");
 }
@@ -261,15 +259,13 @@ int run_streaming_v2(jsoncdn::shard::ShardReader& reader,
                      const std::string& path, bool periodicity,
                      std::size_t chunk_size, std::size_t permutations,
                      jsoncdn::core::DetectorStrategy detector,
-                     std::size_t threads, const TimeWindow& window,
-                     bool use_zone_maps) {
+                     std::size_t threads, const TimeWindow& window) {
   using namespace jsoncdn;
   using RowIndex = logs::LogTable::RowIndex;
 
   shard::ScanPredicate predicate;
   predicate.min_time = window.from;
   predicate.max_time = window.to;
-  predicate.use_zone_maps = use_zone_maps;
 
   stream::StreamingConfig config;
   config.threads = threads;
@@ -404,7 +400,6 @@ int main(int argc, char** argv) {
   TimeWindow window;
   std::uint64_t max_memory = 0;       // 0 = default paging behaviour
   std::uint64_t assert_max_rss = 0;   // 0 = no assertion
-  bool use_zone_maps = true;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--characterize") {
@@ -447,8 +442,6 @@ int main(int argc, char** argv) {
       max_memory = parse_size(arg, argv[++i]);
     } else if (arg == "--assert-max-rss" && i + 1 < argc) {
       assert_max_rss = parse_size(arg, argv[++i]);
-    } else if (arg == "--no-zone-maps") {
-      use_zone_maps = false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       usage();
@@ -505,7 +498,7 @@ int main(int argc, char** argv) {
       }
       const int rc =
           run_streaming_v2(reader, path, periodicity, chunk_size, permutations,
-                           detector, effective_threads, window, use_zone_maps);
+                           detector, effective_threads, window);
       if (rc != 0) return rc;
       return assert_max_rss > 0 && !check_max_rss(assert_max_rss) ? 1 : 0;
     }
