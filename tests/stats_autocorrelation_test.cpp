@@ -28,14 +28,8 @@ TEST(Autocorrelation, ConstantSignalIsAllZero) {
   for (const double v : autocorrelation_direct(signal, 8)) {
     EXPECT_DOUBLE_EQ(v, 0.0);
   }
-  const auto spec = spectral_analysis(signal, 8);
-  for (const double v : spec.acf) {
+  for (const double v : spectral_analysis(signal, 8).acf) {
     EXPECT_DOUBLE_EQ(v, 0.0);
-  }
-  // Mean removal leaves nothing, and the DC bin is excluded.
-  ASSERT_FALSE(spec.pgram_power.empty());
-  for (const double p : spec.pgram_power) {
-    EXPECT_DOUBLE_EQ(p, 0.0);
   }
 }
 
@@ -105,6 +99,16 @@ TEST(SpectralAnalysis, PgramPeakAtPlantedPeriod) {
     if (spec.pgram_power[k] > spec.pgram_power[best]) best = k;
   }
   EXPECT_NEAR(spec.pgram_period_samples(best), 16.0, 0.2);
+}
+
+TEST(Periodogram, DcIsExcluded) {
+  // Pure constant: mean removal leaves nothing.
+  std::vector<double> signal(64, 5.0);
+  const auto spec = spectral_analysis(signal, 8);
+  // Bins 1..padded/2 only: no DC bin.
+  ASSERT_EQ(spec.pgram_power.size(), spec.padded_size / 2);
+  EXPECT_DOUBLE_EQ(spec.pgram_period_samples(spec.pgram_power.size() - 1), 2.0);
+  for (const double p : spec.pgram_power) EXPECT_NEAR(p, 0.0, 1e-12);
 }
 
 TEST(SpectralAnalysis, PaddedSizeIsAtLeastTwiceInput) {
