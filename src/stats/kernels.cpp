@@ -4,7 +4,9 @@
 // loops measure what the code actually did before the kernel layer.
 #include "stats/kernels.h"
 
+#include <algorithm>
 #include <numbers>
+#include <utility>
 
 #include "stats/simd.h"
 
@@ -179,6 +181,49 @@ void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
       w *= wlen;
     }
   }
+}
+
+void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
+                   std::size_t padded, std::complex<double>* buf, double* acf,
+                   double* pgram) {
+  double mean = 0.0;
+  for (std::size_t i = 0; i < n; ++i) mean += signal[i];
+  mean /= static_cast<double>(n);
+  double energy = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = signal[i] - mean;
+    buf[i] = {x, 0.0};
+    energy += x * x;
+  }
+  for (std::size_t i = n; i < padded; ++i) buf[i] = {0.0, 0.0};
+  // Forward transform: bit-reversal swaps, then every butterfly stage.
+  const auto transform = [&](bool inverse) {
+    for (std::size_t i = 1, j = 0; i < padded; ++i) {
+      std::size_t bit = padded >> 1;
+      for (; j & bit; bit >>= 1) j ^= bit;
+      j ^= bit;
+      if (i < j) std::swap(buf[i], buf[j]);
+    }
+    for (std::size_t len = 2; len <= padded; len <<= 1)
+      fft_pass(buf, padded, len, inverse);
+  };
+  transform(false);
+  for (std::size_t i = 0; i < padded; ++i) {
+    const double re = buf[i].real();
+    const double im = buf[i].imag();
+    buf[i] = {re * re + im * im, 0.0};
+  }
+  for (std::size_t k = 0; k < padded / 2; ++k)
+    pgram[k] = buf[k + 1].real() / static_cast<double>(padded);
+  const std::size_t last = std::min(max_lag, n - 1);
+  if (energy <= 0.0) {  // constant signal
+    std::fill(acf, acf + last + 1, 0.0);
+    return;
+  }
+  transform(true);
+  const double scale = 1.0 / static_cast<double>(padded);
+  for (std::size_t k = 0; k <= last; ++k)
+    acf[k] = (buf[k].real() * scale) / energy;
 }
 
 void acf_direct(const double* x, std::size_t n, std::size_t max_lag,

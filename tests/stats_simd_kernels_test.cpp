@@ -23,6 +23,7 @@
 #include "core/periodicity_internal.h"
 #include "shard/varint.h"
 #include "stats/autocorrelation.h"
+#include "stats/fft.h"
 #include "stats/kernels.h"
 #include "stats/rng.h"
 #include "stats/simd.h"
@@ -266,6 +267,41 @@ TEST(SimdKernels, SpectralMaximaRejectsEmptyAndOversizedBatches) {
                std::invalid_argument);
   EXPECT_THROW((void)stats::spectral_maxima(std::span(five, 1), 0, 2, ws),
                std::invalid_argument);
+}
+
+// spectral_analysis's full ACF and periodogram equal the pre-kernel
+// single-signal pass (kernels::baseline::spectral_pass) bit for bit under
+// both dispatch modes: binned counts, a full-mantissa signal and a
+// non-integer constant, at lengths padding to 2 through 2,048 points.
+TEST(SimdKernels, SpectralAnalysisBitEqualsBaselineSpectralPass) {
+  for (const std::size_t n : {1u, 3u, 512u, 700u, 1024u}) {
+    std::vector<double> counts(n);
+    std::uint64_t state = 0x5bec7u + n;
+    for (auto& v : counts) {
+      state = stats::splitmix64(state);
+      v = static_cast<double>(state % 7);
+    }
+    const std::vector<std::vector<double>> signals = {
+        counts, random_doubles(n, 0x0bac1eu + n, 3.0),
+        std::vector<double>(n, 0.1)};
+    const std::size_t max_lag = n / 3 + 1;
+    const std::size_t padded = stats::next_pow2(2 * n);
+    for (std::size_t s = 0; s < signals.size(); ++s) {
+      std::vector<std::complex<double>> buf(padded);
+      std::vector<double> acf(std::min(max_lag, n - 1) + 1);
+      std::vector<double> pgram(padded / 2);
+      kernels::baseline::spectral_pass(signals[s].data(), n, max_lag, padded,
+                                       buf.data(), acf.data(), pgram.data());
+      with_both_modes([&](bool) {
+        const auto spec = stats::spectral_analysis(signals[s], max_lag);
+        EXPECT_EQ(spec.padded_size, padded);
+        EXPECT_TRUE(bits_equal(acf, spec.acf))
+            << "n=" << n << " signal " << s << " isa=" << stats::simd_isa();
+        EXPECT_TRUE(bits_equal(pgram, spec.pgram_power))
+            << "n=" << n << " signal " << s << " isa=" << stats::simd_isa();
+      });
+    }
+  }
 }
 
 TEST(SimdKernels, AcfDirectMatchesBaselineAcrossLagCounts) {
