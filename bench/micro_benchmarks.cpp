@@ -6,12 +6,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <numbers>
 #include <numeric>
 #include <span>
 #include <string>
@@ -986,21 +986,6 @@ KernelBench bench_kernel(const std::string& name, double elements_per_call,
   return result;
 }
 
-// The twiddle chain fft.cpp feeds the table kernel (same repeated-multiply
-// recurrence the baseline stage runs inline).
-std::vector<std::complex<double>> bench_stage_twiddles(std::size_t len) {
-  const double angle = -2.0 * std::numbers::pi / static_cast<double>(len);
-  const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-  std::vector<std::complex<double>> tw;
-  tw.reserve(len / 2);
-  std::complex<double> w(1.0, 0.0);
-  for (std::size_t k = 0; k < len / 2; ++k) {
-    tw.push_back(w);
-    w *= wlen;
-  }
-  return tw;
-}
-
 KernelBenchReport report_kernel_throughput(std::size_t records) {
   bench::print_header(
       "vectorized kernels",
@@ -1017,62 +1002,43 @@ KernelBenchReport report_kernel_throughput(std::size_t records) {
   stats::Rng rng(0x51d);
   const std::size_t n = records;
 
-  // FFT butterfly stages: all stages of a 4096-point transform, the size the
-  // periodicity permutation gate runs hundreds of times per flow.
+  // The spectral pass of the periodicity permutation test at 4,096-point
+  // transforms (2,048-sample binned-count signals), the size the null runs
+  // hundreds of times per flow: the lane kernel (one stats::spectral_maxima
+  // call transforms four signals side by side) against the pre-kernel
+  // single-signal pass (baseline::spectral_pass, once per signal).
   {
-    constexpr std::size_t n_fft = 4096;
-    constexpr std::size_t stages = 12;  // log2(n_fft)
-    std::vector<std::complex<double>> pristine(n_fft);
-    for (auto& v : pristine) v = {rng.uniform(-1.0, 1.0),
-                                  rng.uniform(-1.0, 1.0)};
-    std::vector<std::vector<std::complex<double>>> tables;
-    for (std::size_t len = 2; len <= n_fft; len <<= 1)
-      tables.push_back(bench_stage_twiddles(len));
-    std::vector<std::complex<double>> work(n_fft);
-    // Work unit: one touched point per stage.
-    const double elements = static_cast<double>(n_fft * stages);
+    constexpr std::size_t n_signal = 2048;
+    constexpr std::size_t padded = 2 * n_signal;
+    constexpr std::size_t max_lag = n_signal / 3;
+    constexpr std::size_t lanes = stats::kSpectralLanes;
+    std::vector<std::vector<double>> signals(lanes,
+                                             std::vector<double>(n_signal));
+    std::array<const double*, lanes> ptrs{};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (auto& v : signals[l])
+        v = static_cast<double>(rng.uniform_int(0, 4));
+      ptrs[l] = signals[l].data();
+    }
+    stats::SpectralWorkspace ws;
+    std::vector<std::complex<double>> buf(padded);
+    std::vector<double> acf(max_lag + 1);
+    std::vector<double> pgram(padded / 2);
+    // Work unit: one point of one signal's transform.
     report.kernels.push_back(bench_kernel(
         "fft",
-        elements,
+        static_cast<double>(lanes * padded),
         [&] {
-          work = pristine;
-          std::size_t stage = 0;
-          for (std::size_t len = 2; len <= n_fft; len <<= 1, ++stage)
-            kernels::fft_pass(work.data(), n_fft, len, tables[stage].data());
-          benchmark::DoNotOptimize(work.data());
+          benchmark::DoNotOptimize(
+              stats::spectral_maxima(ptrs, n_signal, max_lag, ws));
         },
         [&] {
-          work = pristine;
-          for (std::size_t len = 2; len <= n_fft; len <<= 1)
-            kernels::baseline::fft_pass(work.data(), n_fft, len, false);
-          benchmark::DoNotOptimize(work.data());
-        }));
-  }
-
-  // Direct autocorrelation: the short-series path of spectral_analysis.
-  {
-    constexpr std::size_t n_acf = 8192;
-    constexpr std::size_t max_lag = 2048;
-    std::vector<double> x(n_acf);
-    for (auto& v : x) v = rng.uniform(0.0, 2.0);
-    double energy = 0.0;
-    for (const double v : x) energy += v * v;
-    std::vector<double> r(max_lag + 1);
-    // Work unit: one multiply-add of the lag sums.
-    const double elements =
-        static_cast<double>((max_lag + 1) * n_acf -
-                            max_lag * (max_lag + 1) / 2);
-    report.kernels.push_back(bench_kernel(
-        "acf",
-        elements,
-        [&] {
-          kernels::acf_direct(x.data(), n_acf, max_lag, energy, r.data());
-          benchmark::DoNotOptimize(r.data());
-        },
-        [&] {
-          kernels::baseline::acf_direct(x.data(), n_acf, max_lag, energy,
-                                        r.data());
-          benchmark::DoNotOptimize(r.data());
+          for (const auto& signal : signals) {
+            kernels::baseline::spectral_pass(signal.data(), n_signal, max_lag,
+                                             padded, buf.data(), acf.data(),
+                                             pgram.data());
+            benchmark::DoNotOptimize(pgram.data());
+          }
         }));
   }
 
@@ -1386,7 +1352,7 @@ int main(int argc, char** argv) {
   //                          throughput ratios against a baseline, exit
   //                          non-zero on a >25% regression
   //   --kernels-records=N    stream length for the array kernels (default
-  //                          1,000,000; fft/acf sizes are fixed)
+  //                          1,000,000; the fft size is fixed)
   //   --kernels-only         run only the kernels section
   std::string ingest_json_path;
   std::string ingest_check_path;

@@ -352,17 +352,15 @@ class AutoperiodDetector final : public PeriodDetector {
     if (!binned.usable) return out;
     const auto& signal = s.signal;
     const double dt = binned.dt;
-
-    // ACF of the raw signal — validation always runs against the original.
-    stats::spectral_analysis(signal, binned.max_lag, s.workspace, s.spectral);
-    const auto& acf = s.spectral.acf;
+    if (signal.size() < 4) return out;
 
     // Periodogram source: raw signal, or linearly detrended (CFD). The
     // detrend removes ramps (session build-up, drifting rates) that leak
     // power into the low-frequency bins, without the high-pass distortion a
     // first difference would add.
-    s.source.assign(signal.begin(), signal.end());
-    if (clustered_ && s.source.size() >= 2) {
+    std::span<const double> source = signal;
+    if (clustered_) {
+      s.source.assign(signal.begin(), signal.end());
       const double n = static_cast<double>(s.source.size());
       double sum = 0.0;
       double weighted = 0.0;
@@ -376,26 +374,25 @@ class AutoperiodDetector final : public PeriodDetector {
       const double intercept = sum / n - slope * mean_i;
       for (std::size_t i = 0; i < s.source.size(); ++i)
         s.source[i] -= intercept + slope * static_cast<double>(i);
+      source = s.source;
     }
-    if (s.source.size() < 4) return out;
-    const std::size_t source_lag =
-        std::min(binned.max_lag, s.source.size() - 1);
-    stats::spectral_analysis(s.source, source_lag, s.workspace,
-                             s.source_spectral);
+    const std::size_t source_lag = std::min(binned.max_lag, source.size() - 1);
 
     // Permutation significance on the periodogram only (the ACF hill check
     // replaces the default's ACF threshold). Same shuffle null and exact
-    // early termination as the default pipeline.
-    const double observed = detail::max_power(s.source_spectral.pgram_power);
+    // early termination as the default pipeline; its lane 0 writes the
+    // source's spectra into s.spectral.
     auto& null_power = s.null_power_max;
     null_power.clear();
     null_power.reserve(params.permutations);
     std::size_t exceed = 0;
-    if (!detail::permutation_null(s.source, source_lag, params.permutations,
-                                  rng, s, [&](double, double w) {
-                                    null_power.push_back(w);
-                                    return w >= observed && ++exceed >= 2;
-                                  }))
+    if (!detail::permutation_null(
+            source, source_lag, params.permutations, rng, s, &s.spectral,
+            [&](const detail::LaneMaxima& observed,
+                const detail::LaneMaxima& null) {
+              null_power.push_back(null.power);
+              return null.power >= observed.power && ++exceed >= 2;
+            }))
       return out;
     std::sort(null_power.begin(), null_power.end());
     const double power_threshold = null_power[params.permutations - 2];
@@ -407,13 +404,13 @@ class AutoperiodDetector final : public PeriodDetector {
       double power;
     };
     std::vector<Candidate> candidates;
-    const auto& pgram = s.source_spectral.pgram_power;
+    const auto& pgram = s.spectral.pgram_power;
     const double period_hi =
         static_cast<double>(binned.max_lag) * dt *
         (1.0 + params.period_match_tolerance);
     for (std::size_t k = 0; k < pgram.size(); ++k) {
       if (pgram[k] <= power_threshold) continue;
-      const double period = s.source_spectral.pgram_period_samples(k) * dt;
+      const double period = s.spectral.pgram_period_samples(k) * dt;
       if (period < 2.0 * dt || period > period_hi) continue;
       candidates.push_back({period, pgram[k]});
     }
@@ -444,7 +441,13 @@ class AutoperiodDetector final : public PeriodDetector {
                 return a.power > b.power;
               });
 
-    // Hill validation on the ACF, strongest candidate first.
+    // Hill validation on the ACF of the raw signal, strongest candidate
+    // first. Without the detrend the source is the raw signal, whose ACF
+    // the null's lane 0 already wrote.
+    if (clustered_)
+      stats::spectral_analysis(signal, binned.max_lag, s.workspace,
+                               s.raw_spectral);
+    const auto& acf = clustered_ ? s.raw_spectral.acf : s.spectral.acf;
     for (const auto& c : candidates) {
       if (out.size() >= max_periods) break;
       const auto lag_lo = std::max<std::size_t>(

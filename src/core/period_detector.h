@@ -41,17 +41,19 @@ namespace jsoncdn::core {
 // allocation from the hot loop. Contents carry no state between calls;
 // never share one across threads.
 struct DetectScratch {
-  // Every binned strategy: the signal, its spectrum, the shuffled copies
-  // and the permutation maxima.
+  // Every binned strategy: the signal, the spectra of the null's observed
+  // signal (lane 0 of its first batch), the shuffled copies and the
+  // permutation maxima.
   stats::SpectralWorkspace workspace;
-  stats::SpectralAnalysis spectral;  // observed signal
+  stats::SpectralAnalysis spectral;
   std::vector<double> signal;
   std::vector<double> shuffled;      // one batch of shuffles, lane by lane
   std::vector<double> null_acf_max;
   std::vector<double> null_power_max;
-  // autoperiod / cfd-autoperiod: the periodogram source and its spectrum.
-  std::vector<double> source;        // raw or detrended signal
-  stats::SpectralAnalysis source_spectral;
+  // cfd-autoperiod: the detrended periodogram source, and the raw signal's
+  // spectra for the ACF hill check.
+  std::vector<double> source;
+  stats::SpectralAnalysis raw_spectral;
   // multi-period: the residual and the fold's per-phase sums and counts.
   std::vector<double> residual;
   std::vector<double> profile;

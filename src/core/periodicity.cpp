@@ -51,37 +51,45 @@ BinnedFlow bin_flow(const DetectorParams& params,
   return out;
 }
 
-bool permutation_null(std::span<const double> source, std::size_t max_lag,
-                      std::size_t permutations, stats::Rng& rng,
-                      DetectScratch& scratch,
-                      const std::function<bool(double, double)>& stop) {
+bool permutation_null(
+    std::span<const double> source, std::size_t max_lag,
+    std::size_t permutations, stats::Rng& rng, DetectScratch& scratch,
+    stats::SpectralAnalysis* spectra,
+    const std::function<bool(const LaneMaxima& observed,
+                             const LaneMaxima& shuffled)>& stop) {
   constexpr std::size_t kLanes = stats::kSpectralLanes;
   const std::size_t n = source.size();
   scratch.shuffled.resize(kLanes * n);
   // Engine state after each lane's shuffle but the batch's last: a stop at
   // lane j rewinds to snapshot j, undoing the later lanes' draws.
   std::array<std::mt19937_64, kLanes - 1> snapshots;
-  std::array<const double*, kLanes> lanes{};
+  std::array<const double*, kLanes> lanes{source.data()};
+  LaneMaxima observed;
   const double* previous = source.data();
-  for (std::size_t p = 0; p < permutations; p += kLanes) {
-    const std::size_t live = std::min(kLanes, permutations - p);
-    for (std::size_t l = 0; l < live; ++l) {
+  // The first batch's shuffles start in lane 1, after the observed signal.
+  std::size_t first = 1;
+  for (std::size_t drawn = 0;; first = 0) {
+    const std::size_t live = std::min(kLanes, first + permutations - drawn);
+    for (std::size_t l = first; l < live; ++l) {
       double* lane = scratch.shuffled.data() + l * n;
       std::copy(previous, previous + n, lane);
       std::shuffle(lane, lane + n, rng.engine());
       if (l + 1 < live) snapshots[l] = rng.engine();
       lanes[l] = previous = lane;
     }
+    drawn += live - first;
     const auto maxima = stats::spectral_maxima(
-        std::span(lanes.data(), live), n, max_lag, scratch.workspace);
-    for (std::size_t l = 0; l < live; ++l) {
-      if (stop(maxima.acf_peak[l], maxima.power[l])) {
+        std::span(lanes.data(), live), n, max_lag, scratch.workspace,
+        first == 1 ? spectra : nullptr);
+    if (first == 1) observed = {maxima.acf_peak[0], maxima.power[0]};
+    for (std::size_t l = first; l < live; ++l) {
+      if (stop(observed, {maxima.acf_peak[l], maxima.power[l]})) {
         if (l + 1 < live) rng.engine() = snapshots[l];
         return false;
       }
     }
+    if (drawn == permutations) return true;
   }
-  return true;
 }
 
 FlowAnalysis analyze_signal(const DetectorParams& params,
@@ -91,12 +99,6 @@ FlowAnalysis analyze_signal(const DetectorParams& params,
   FlowAnalysis out;
   out.dt = dt;
   out.usable = true;
-
-  // One fused FFT pass yields both the ACF and the periodogram.
-  stats::spectral_analysis(signal, max_lag, scratch.workspace,
-                           scratch.spectral);
-  const auto& spec = scratch.spectral;
-  const auto& acf = spec.acf;
 
   // --- Permutation null model (steps 2-3) --------------------------------
   // Shuffling the binned signal preserves the count distribution (hence the
@@ -110,9 +112,9 @@ FlowAnalysis analyze_signal(const DetectorParams& params,
   // sorted ascending. As soon as two null maxima exceed an observed
   // maximum, that threshold is unreachable and the flow is aperiodic; no
   // further permutations can change the outcome. Aperiodic flows (the vast
-  // majority) therefore cost only a handful of FFTs.
-  const double observed_acf_max = max_acf_peak(acf);
-  const double observed_power_max = max_power(spec.pgram_power);
+  // majority) therefore cost only a handful of FFTs. The observed signal's
+  // own pass, which yields its ACF and periodogram, is lane 0 of the first
+  // batch.
   auto& null_acf_max = scratch.null_acf_max;
   auto& null_power_max = scratch.null_power_max;
   null_acf_max.clear();
@@ -122,15 +124,17 @@ FlowAnalysis analyze_signal(const DetectorParams& params,
   std::size_t acf_exceed = 0;
   std::size_t power_exceed = 0;
   const bool completed = permutation_null(
-      signal, max_lag, params.permutations, rng, scratch,
-      [&](double a, double w) {
-        null_acf_max.push_back(a);
-        null_power_max.push_back(w);
-        if (a >= observed_acf_max) ++acf_exceed;
-        if (w >= observed_power_max) ++power_exceed;
+      signal, max_lag, params.permutations, rng, scratch, &scratch.spectral,
+      [&](const LaneMaxima& observed, const LaneMaxima& null) {
+        null_acf_max.push_back(null.acf_peak);
+        null_power_max.push_back(null.power);
+        if (null.acf_peak >= observed.acf_peak) ++acf_exceed;
+        if (null.power >= observed.power) ++power_exceed;
         return acf_exceed >= 2 || power_exceed >= 2;  // cannot pass
       });
   if (!completed) return out;
+  const auto& spec = scratch.spectral;
+  const auto& acf = spec.acf;
   // "(x-1)th largest" == second largest when sorted ascending: index x-2.
   std::sort(null_acf_max.begin(), null_acf_max.end());
   std::sort(null_power_max.begin(), null_power_max.end());

@@ -16,7 +16,7 @@
 
 #include "core/period_detector.h"
 #include "core/periodicity.h"
-#include "stats/kernels.h"
+#include "stats/autocorrelation.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::core::detail {
@@ -40,25 +40,6 @@ namespace jsoncdn::core::detail {
   return std::abs(ratio - nearest) / nearest <= tol;
 }
 
-// Max ACF value over peak lags >= 1 (0 when no peaks). Same peak definition
-// as stats::acf_peaks, scanned inline so the permutation loop allocates no
-// peak-index vector.
-[[nodiscard]] inline double max_acf_peak(const std::vector<double>& acf) {
-  double best = 0.0;
-  for (std::size_t k = 1; k < acf.size(); ++k) {
-    const bool rising = acf[k] > acf[k - 1];
-    const bool falling_next = (k + 1 >= acf.size()) || acf[k] >= acf[k + 1];
-    if (rising && falling_next) best = std::max(best, acf[k]);
-  }
-  return best;
-}
-
-// Powers are finite and non-negative, so the lane-blocked max kernel is
-// exact here (max over such inputs is order-independent).
-[[nodiscard]] inline double max_power(const std::vector<double>& power) {
-  return stats::kernels::max_value(power.data(), power.size(), 0.0);
-}
-
 struct BinnedFlow {
   bool usable = false;   // flow long/dense enough to test
   double dt = 0.0;       // effective bin width
@@ -73,23 +54,36 @@ struct BinnedFlow {
                                   std::span<const double> times,
                                   std::vector<double>& signal);
 
-// The permutation null (steps 2-3), shared by every binned strategy. Draws
+// What the permutation test reads from one signal's spectral pass: the
+// largest ACF value at a peak lag and the largest periodogram power.
+struct LaneMaxima {
+  double acf_peak = 0.0;
+  double power = 0.0;
+};
+
+// The permutation null (steps 2-3), shared by every binned strategy, with
+// the observed signal's own spectral pass folded in: the first batch runs
+// `source` itself in lane 0, beside the first three shuffles, and writes
+// its full ACF and periodogram into `spectra` when that is non-null. Draws
 // `permutations` successive shuffles of `source` from rng — each shuffle
 // permutes the previous one, as one buffer shuffled in place would — and
-// passes each permutation's (max ACF peak, max periodogram power) to
-// `stop` in draw order until `stop` returns true. Shuffles are drawn and
+// passes each permutation's maxima, with the observed signal's, to `stop`
+// in draw order until `stop` returns true. Shuffles are drawn and
 // transformed kSpectralLanes at a time (stats::spectral_maxima), yet a stop
-// after any permutation leaves rng.engine() exactly where the
-// one-at-a-time loop would, so callers that keep drawing from rng (the
-// multi-period residual loop, direct detect()/detect_all() callers) see
-// the same stream. Returns false when `stop` ended the run.
-bool permutation_null(std::span<const double> source, std::size_t max_lag,
-                      std::size_t permutations, stats::Rng& rng,
-                      DetectScratch& scratch,
-                      const std::function<bool(double, double)>& stop);
+// after any permutation leaves rng.engine() exactly where the one-at-a-time
+// loop would, so callers that keep drawing from rng (the multi-period
+// residual loop, direct detect()/detect_all() callers) see the same stream.
+// Returns false when `stop` ended the run.
+bool permutation_null(
+    std::span<const double> source, std::size_t max_lag,
+    std::size_t permutations, stats::Rng& rng, DetectScratch& scratch,
+    stats::SpectralAnalysis* spectra,
+    const std::function<bool(const LaneMaxima& observed,
+                             const LaneMaxima& shuffled)>& stop);
 
-// Per-signal analysis: fused spectral pass, permutation thresholds, and the
-// list of significant (frequency, ACF-peak) matches.
+// Per-signal analysis: permutation thresholds (the null's lane 0 is the
+// signal's own spectral pass) and the list of significant (frequency,
+// ACF-peak) matches.
 struct FlowAnalysis {
   bool usable = false;          // signal reached the spectral pass
   bool significant = false;     // passed the permutation thresholds
@@ -105,7 +99,8 @@ struct FlowAnalysis {
 };
 
 // Runs the spectral + permutation + matching steps over an already-binned
-// signal. `signal` may alias scratch.signal; the shuffle buffer is separate.
+// signal; the signal's spectra land in scratch.spectral. `signal` may alias
+// scratch.signal; the shuffle buffer is separate.
 // `span` is the flow's observation span in seconds (bounds the harmonic
 // search at span / min_cycles, exactly as the fused pipeline always did).
 [[nodiscard]] FlowAnalysis analyze_signal(const DetectorParams& params,

@@ -1,8 +1,6 @@
 #include "stats/autocorrelation.h"
 
 #include <algorithm>
-#include <cmath>
-#include <complex>
 #include <cstdint>
 #include <stdexcept>
 
@@ -13,16 +11,20 @@ namespace jsoncdn::stats {
 
 namespace {
 
-// Shared preamble: mean-centers and reports variance*n (the lag-0 raw value).
-// Both reductions stay serial on purpose: their summation order is pinned by
-// the committed periodicity golden fixture, and they are O(n) next to the
-// O(n log n) transforms the kernels accelerate.
+// Mean-centres `signal` into `out` and returns the energy (variance * n, the
+// lag-0 raw value). A signal whose samples all equal its first is centred on
+// that sample, so it centres to exact zeros. Serial sums in index order, as
+// the spectral kernel computes them per lane.
 double center(std::span<const double> signal, std::vector<double>& out) {
   if (signal.empty())
     throw std::invalid_argument("autocorrelation: empty signal");
   double mean = 0.0;
-  for (double v : signal) mean += v;
-  mean /= static_cast<double>(signal.size());
+  bool constant = true;
+  for (const double v : signal) {
+    mean += v;
+    constant = constant && v == signal[0];
+  }
+  mean = constant ? signal[0] : mean / static_cast<double>(signal.size());
   out.resize(signal.size());
   double energy = 0.0;
   for (std::size_t i = 0; i < signal.size(); ++i) {
@@ -41,7 +43,11 @@ std::vector<double> autocorrelation_direct(std::span<const double> signal,
   max_lag = std::min(max_lag, x.size() - 1);
   std::vector<double> r(max_lag + 1, 0.0);
   if (energy <= 0.0) return r;  // constant signal: no structure
-  kernels::acf_direct(x.data(), x.size(), max_lag, energy, r.data());
+  for (std::size_t k = 0; k <= max_lag; ++k) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i + k < x.size(); ++i) acc += x[i] * x[i + k];
+    r[k] = acc / energy;
+  }
   return r;
 }
 
@@ -55,37 +61,13 @@ SpectralAnalysis spectral_analysis(std::span<const double> signal,
 
 void spectral_analysis(std::span<const double> signal, std::size_t max_lag,
                        SpectralWorkspace& ws, SpectralAnalysis& out) {
-  const double energy = center(signal, ws.centered);
-  const auto& x = ws.centered;
-  max_lag = std::min(max_lag, x.size() - 1);
-
-  out.acf.assign(max_lag + 1, 0.0);
-
-  const std::size_t padded = next_pow2(2 * x.size());
-  out.padded_size = padded;
-  ws.freq.assign(padded, std::complex<double>(0.0, 0.0));
-  for (std::size_t i = 0; i < x.size(); ++i) ws.freq[i] = x[i];
-  fft_inplace(ws.freq, /*inverse=*/false);
-  kernels::complex_norm(ws.freq.data(), ws.freq.size());
-
-  // Periodogram from the shared power spectrum.
-  const std::size_t half = padded / 2;
-  out.pgram_power.resize(half);
-  kernels::pgram_extract(ws.freq.data(), half, static_cast<double>(padded),
-                         out.pgram_power.data());
-  if (energy <= 0.0) return;  // constant signal
-
-  // Unscaled inverse transform, scaling applied per used lag (1/padded, then
-  // the energy normalization).
-  fft_inplace(ws.freq, /*inverse=*/true);
-  const double scale = 1.0 / static_cast<double>(padded);
-  kernels::acf_extract(ws.freq.data(), max_lag + 1, scale, energy,
-                       out.acf.data());
+  const double* lane = signal.data();
+  (void)spectral_maxima(std::span(&lane, 1), signal.size(), max_lag, ws, &out);
 }
 
 SpectralMaxima spectral_maxima(std::span<const double* const> signals,
                                std::size_t n, std::size_t max_lag,
-                               SpectralWorkspace& ws) {
+                               SpectralWorkspace& ws, SpectralAnalysis* lane0) {
   if (n == 0) throw std::invalid_argument("autocorrelation: empty signal");
   if (signals.empty() || signals.size() > kSpectralLanes)
     throw std::invalid_argument("spectral_maxima: 1 to 4 signals");
@@ -100,11 +82,20 @@ SpectralMaxima spectral_maxima(std::span<const double* const> signals,
   const auto address = reinterpret_cast<std::uintptr_t>(ws.lanes.data());
   double* work =
       ws.lanes.data() + (kLine - address / sizeof(double) % kLine) % kLine;
+  double* acf0 = nullptr;
+  double* pgram0 = nullptr;
+  if (lane0 != nullptr) {
+    lane0->acf.resize(std::min(max_lag, n - 1) + 1);
+    lane0->pgram_power.resize(padded / 2);
+    lane0->padded_size = padded;
+    acf0 = lane0->acf.data();
+    pgram0 = lane0->pgram_power.data();
+  }
   SpectralMaxima out;
   kernels::spectral_maxima4(signals.data(), signals.size(), n, max_lag, padded,
                             plan.fwd.data(), plan.inv.data(),
                             plan.bitrev.data(), work, out.acf_peak.data(),
-                            out.power.data());
+                            out.power.data(), acf0, pgram0);
   return out;
 }
 

@@ -1,12 +1,11 @@
 // Autocorrelation of uniformly sampled signals — the time-domain half of the
 // paper's periodicity detector. Computed two ways: a direct O(n^2) reference
 // (kept for tests) and, for the detector, the FFT route via the
-// Wiener-Khinchin theorem in spectral_analysis, which yields the periodogram
-// from the same transform.
+// Wiener-Khinchin theorem in the lane kernel behind spectral_analysis and
+// spectral_maxima, which yields the periodogram from the same transform.
 #pragma once
 
 #include <array>
-#include <complex>
 #include <span>
 #include <vector>
 
@@ -14,8 +13,9 @@ namespace jsoncdn::stats {
 
 // Normalized autocorrelation r[k] for lags 0..max_lag of the mean-removed
 // signal: r[0] == 1 when the signal has positive variance. A constant signal
-// yields all-zero r (no periodic structure by definition). Requires a
-// non-empty signal; max_lag is clamped to size-1.
+// (every sample equal to the first) yields all-zero r: it is centred on its
+// first sample, so no rounding of the mean leaves structure behind.
+// Requires a non-empty signal; max_lag is clamped to size-1.
 [[nodiscard]] std::vector<double> autocorrelation_direct(
     std::span<const double> signal, std::size_t max_lag);
 
@@ -26,11 +26,10 @@ namespace jsoncdn::stats {
 
 // Fused ACF + periodogram from a single FFT of the zero-padded, mean-removed
 // signal: the power spectrum |X|^2 *is* the (unnormalized) periodogram, and
-// its inverse FFT is the autocorrelation (Wiener-Khinchin). The periodicity
-// detector runs this once per permutation, so sharing the forward FFT
-// matters. `pgram_power[k]` corresponds to FFT bin k+1 of the padded signal
+// its inverse FFT is the autocorrelation (Wiener-Khinchin).
+// `pgram_power[k]` corresponds to FFT bin k+1 of the padded signal
 // (`padded_size` long): bin 0 (DC) is excluded because the mean carries no
-// period.
+// period. A constant signal has an all-zero ACF and periodogram.
 struct SpectralAnalysis {
   std::vector<double> acf;          // lags 0..max_lag, normalized
   std::vector<double> pgram_power;  // bins 1..padded/2, scaled by 1/padded
@@ -41,34 +40,33 @@ struct SpectralAnalysis {
   }
 };
 
-[[nodiscard]] SpectralAnalysis spectral_analysis(std::span<const double> signal,
-                                                 std::size_t max_lag);
-
-// Reusable scratch for spectral_analysis: the centered copy of the signal
-// and the complex FFT buffer. The periodicity detector's permutation test
-// calls spectral_analysis ~100 times per flow over thousands of flows, so
-// reusing these (and the output vectors) removes every per-permutation
-// allocation from the hot loop. One workspace per thread — never shared.
+// The lane kernel's buffer (lane-interleaved, aligned to a cache line),
+// reused across calls: the permutation test runs ~100 spectral passes per
+// flow over thousands of flows, so reusing it (and the output vectors)
+// removes every per-permutation allocation from the hot loop. One workspace
+// per thread — never shared.
 struct SpectralWorkspace {
-  std::vector<double> centered;
-  std::vector<std::complex<double>> freq;
-  std::vector<double> lanes;  // spectral_maxima's lane-interleaved buffer
+  std::vector<double> lanes;
 };
 
-// Allocation-free variant (after warm-up): identical results to the
-// two-argument overload, written into `out` whose vectors are reused.
+// One lane of the spectral kernel (spectral_maxima with this signal alone).
+// The overload with a workspace allocates nothing after warm-up; `out`'s
+// vectors are reused. Throws std::invalid_argument for an empty signal.
+[[nodiscard]] SpectralAnalysis spectral_analysis(std::span<const double> signal,
+                                                 std::size_t max_lag);
 void spectral_analysis(std::span<const double> signal, std::size_t max_lag,
                        SpectralWorkspace& ws, SpectralAnalysis& out);
 
-// The permutation test reads only two numbers from each shuffled signal's
-// spectral pass: the largest ACF value at a peak lag (acf_peaks; 0 when
-// there is none) and the largest periodogram power (0-seeded).
-// spectral_maxima computes them for up to kSpectralLanes equal-length
-// signals at once, transforming them side by side in one vectorized pass
+// The permutation test reads only two numbers from each signal's spectral
+// pass: the largest ACF value at a peak lag (acf_peaks; 0 when there is
+// none) and the largest periodogram power (0-seeded). spectral_maxima
+// computes them for up to kSpectralLanes equal-length signals at once,
+// transforming them side by side in one vectorized pass
 // (kernels::spectral_maxima4). acf_peak[l] and power[l] are bit-identical
 // to the maxima of spectral_analysis(signals[l], max_lag), and so do not
-// depend on which lane or batch a signal lands in. Throws
-// std::invalid_argument for an empty signal or a lane count outside
+// depend on which lane or batch a signal lands in. When `lane0` is
+// non-null, the first signal's full spectral_analysis is written there too.
+// Throws std::invalid_argument for an empty signal or a lane count outside
 // 1..kSpectralLanes.
 inline constexpr std::size_t kSpectralLanes = 4;
 
@@ -79,6 +77,7 @@ struct SpectralMaxima {
 
 [[nodiscard]] SpectralMaxima spectral_maxima(
     std::span<const double* const> signals, std::size_t n,
-    std::size_t max_lag, SpectralWorkspace& ws);
+    std::size_t max_lag, SpectralWorkspace& ws,
+    SpectralAnalysis* lane0 = nullptr);
 
 }  // namespace jsoncdn::stats

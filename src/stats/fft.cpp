@@ -3,16 +3,14 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
-#include <stdexcept>
-
-#include "stats/kernels.h"
 
 namespace jsoncdn::stats {
 
 namespace {
 
 // Each stage's twiddles come from the same repeated-multiplication chain
-// (w = 1; w *= wlen) the pre-table butterfly loop ran, so table[k] is
+// (w = 1; w *= wlen) the pre-table butterfly loop ran
+// (kernels::baseline::spectral_pass still runs it), so table[k] is
 // bit-identical to the w the original code used at that (stage, k) —
 // table-driven butterflies reproduce the serial output exactly while freeing
 // the k-loop from the loop-carried multiply.
@@ -62,24 +60,6 @@ const FftPlan& fft_plan(std::size_t n) {
   thread_local FftPlan plan;
   if (plan.n != n) build_plan(plan, n);
   return plan;
-}
-
-void fft_inplace(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t n = data.size();
-  if (n == 0 || (n & (n - 1)) != 0)
-    throw std::invalid_argument("fft_inplace: size must be a power of two");
-  const FftPlan& plan = fft_plan(n);
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = plan.bitrev[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  // Butterfly passes, one vectorized kernel call per stage.
-  const auto& tw = inverse ? plan.inv : plan.fwd;
-  std::size_t offset = 0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    kernels::fft_pass(data.data(), n, len, tw.data() + offset);
-    offset += len / 2;
-  }
 }
 
 }  // namespace jsoncdn::stats

@@ -1,6 +1,7 @@
-// Radix-2 FFT, implemented from scratch (no external DSP dependency). The
-// periodicity detector (§5.1 of the paper) reaches it through
-// spectral_analysis and spectral_maxima (stats/autocorrelation.h), which
+// Radix-2 FFT plans, implemented from scratch (no external DSP dependency).
+// The transform itself is the lane kernel kernels::spectral_maxima4, which
+// the periodicity detector (§5.1 of the paper) reaches through
+// spectral_analysis and spectral_maxima (stats/autocorrelation.h); they
 // derive the periodogram and the autocorrelation from one transform.
 #pragma once
 
@@ -15,17 +16,11 @@ namespace jsoncdn::stats {
 // of looping forever on the shift overflow.
 [[nodiscard]] std::size_t next_pow2(std::size_t n) noexcept;
 
-// In-place iterative radix-2 Cooley-Tukey FFT. Requires data.size() to be a
-// power of two (throws std::invalid_argument otherwise). `inverse` computes
-// the unscaled inverse transform; callers divide by N if they need the true
-// inverse.
-void fft_inplace(std::vector<std::complex<double>>& data, bool inverse);
-
 // What an n-point transform reuses across calls: the per-stage twiddle
 // factors, concatenated in stage order (len = 2, 4, ..., n; len/2 entries
 // each), and the bit-reversal permutation (bitrev[i] is i with its log2(n)
-// bits reversed). fft_inplace and the batched null kernel both read it, so
-// every transform of one size uses the same twiddles bit for bit.
+// bits reversed). Every transform of one size reads the same plan, so its
+// twiddles are the same bits in every call.
 struct FftPlan {
   std::size_t n = 0;
   std::vector<std::complex<double>> fwd;

@@ -5,6 +5,8 @@
 #include "stats/kernels.h"
 
 #include <algorithm>
+#include <cmath>
+#include <complex>
 #include <numbers>
 #include <utility>
 
@@ -16,22 +18,14 @@ namespace jsoncdn::stats::kernels {
 // than in a header: nothing but the dispatchers below may call them.
 #define JSONCDN_DECLARE_KERNELS(ns)                                           \
   namespace ns {                                                              \
-  void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,   \
-                const std::complex<double>* twiddles);                        \
-  void complex_norm(std::complex<double>* data, std::size_t n);               \
-  void pgram_extract(const std::complex<double>* freq, std::size_t count,     \
-                     double padded, double* out);                             \
-  void acf_extract(const std::complex<double>* corr, std::size_t count,       \
-                   double scale, double energy, double* out);                 \
-  void acf_direct(const double* x, std::size_t n, std::size_t max_lag,        \
-                  double energy, double* r);                                  \
   void spectral_maxima4(const double* const* signals, std::size_t lanes,      \
                         std::size_t n, std::size_t max_lag,                   \
                         std::size_t padded,                                   \
                         const std::complex<double>* fwd,                      \
                         const std::complex<double>* inv,                      \
                         const std::size_t* bitrev, double* work,              \
-                        double* acf_peak, double* power);                     \
+                        double* acf_peak, double* power, double* acf0,        \
+                        double* pgram0);                                      \
   void bin_events(const double* times, std::size_t n, double t_begin,         \
                   double t_end, double dt, double* bins, std::size_t nbins);  \
   double max_value(const double* x, std::size_t n, double init) noexcept;     \
@@ -51,62 +45,21 @@ JSONCDN_DECLARE_KERNELS(kernels_scalar)
 JSONCDN_DECLARE_KERNELS(kernels_simd)
 #undef JSONCDN_DECLARE_KERNELS
 
-void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
-              const std::complex<double>* twiddles) {
-  if (simd_enabled()) {
-    kernels_simd::fft_pass(data, n, len, twiddles);
-  } else {
-    kernels_scalar::fft_pass(data, n, len, twiddles);
-  }
-}
-
-void complex_norm(std::complex<double>* data, std::size_t n) {
-  if (simd_enabled()) {
-    kernels_simd::complex_norm(data, n);
-  } else {
-    kernels_scalar::complex_norm(data, n);
-  }
-}
-
-void pgram_extract(const std::complex<double>* freq, std::size_t count,
-                   double padded, double* out) {
-  if (simd_enabled()) {
-    kernels_simd::pgram_extract(freq, count, padded, out);
-  } else {
-    kernels_scalar::pgram_extract(freq, count, padded, out);
-  }
-}
-
-void acf_extract(const std::complex<double>* corr, std::size_t count,
-                 double scale, double energy, double* out) {
-  if (simd_enabled()) {
-    kernels_simd::acf_extract(corr, count, scale, energy, out);
-  } else {
-    kernels_scalar::acf_extract(corr, count, scale, energy, out);
-  }
-}
-
-void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
-                double energy, double* r) {
-  if (simd_enabled()) {
-    kernels_simd::acf_direct(x, n, max_lag, energy, r);
-  } else {
-    kernels_scalar::acf_direct(x, n, max_lag, energy, r);
-  }
-}
-
 void spectral_maxima4(const double* const* signals, std::size_t lanes,
                       std::size_t n, std::size_t max_lag, std::size_t padded,
                       const std::complex<double>* fwd,
                       const std::complex<double>* inv,
                       const std::size_t* bitrev, double* work,
-                      double* acf_peak, double* power) {
+                      double* acf_peak, double* power, double* acf0,
+                      double* pgram0) {
   if (simd_enabled()) {
     kernels_simd::spectral_maxima4(signals, lanes, n, max_lag, padded, fwd,
-                                   inv, bitrev, work, acf_peak, power);
+                                   inv, bitrev, work, acf_peak, power, acf0,
+                                   pgram0);
   } else {
     kernels_scalar::spectral_maxima4(signals, lanes, n, max_lag, padded, fwd,
-                                     inv, bitrev, work, acf_peak, power);
+                                     inv, bitrev, work, acf_peak, power, acf0,
+                                     pgram0);
   }
 }
 
@@ -166,29 +119,18 @@ void splitmix_batch(const std::uint64_t* keys, std::size_t n,
 
 namespace baseline {
 
-void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
-              bool inverse) {
-  const double angle =
-      2.0 * std::numbers::pi / static_cast<double>(len) * (inverse ? 1 : -1);
-  const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-  for (std::size_t i = 0; i < n; i += len) {
-    std::complex<double> w(1.0, 0.0);
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      const std::complex<double> u = data[i + k];
-      const std::complex<double> v = data[i + k + len / 2] * w;
-      data[i + k] = u + v;
-      data[i + k + len / 2] = u - v;
-      w *= wlen;
-    }
-  }
-}
-
 void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
                    std::size_t padded, std::complex<double>* buf, double* acf,
                    double* pgram) {
+  // A signal whose samples all equal its first centres on that sample, as
+  // stats::spectral_analysis documents.
   double mean = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mean += signal[i];
-  mean /= static_cast<double>(n);
+  bool constant = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    mean += signal[i];
+    constant = constant && signal[i] == signal[0];
+  }
+  mean = constant ? signal[0] : mean / static_cast<double>(n);
   double energy = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double x = signal[i] - mean;
@@ -196,7 +138,8 @@ void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
     energy += x * x;
   }
   for (std::size_t i = n; i < padded; ++i) buf[i] = {0.0, 0.0};
-  // Forward transform: bit-reversal swaps, then every butterfly stage.
+  // The radix-2 transform: bit-reversal swaps, then each butterfly stage
+  // with its twiddles from the repeated multiplication w *= wlen.
   const auto transform = [&](bool inverse) {
     for (std::size_t i = 1, j = 0; i < padded; ++i) {
       std::size_t bit = padded >> 1;
@@ -204,8 +147,21 @@ void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
       j ^= bit;
       if (i < j) std::swap(buf[i], buf[j]);
     }
-    for (std::size_t len = 2; len <= padded; len <<= 1)
-      fft_pass(buf, padded, len, inverse);
+    for (std::size_t len = 2; len <= padded; len <<= 1) {
+      const double angle = 2.0 * std::numbers::pi /
+                           static_cast<double>(len) * (inverse ? 1 : -1);
+      const std::complex<double> wlen(std::cos(angle), std::sin(angle));
+      for (std::size_t i = 0; i < padded; i += len) {
+        std::complex<double> w(1.0, 0.0);
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          const std::complex<double> u = buf[i + k];
+          const std::complex<double> v = buf[i + k + len / 2] * w;
+          buf[i + k] = u + v;
+          buf[i + k + len / 2] = u - v;
+          w *= wlen;
+        }
+      }
+    }
   };
   transform(false);
   for (std::size_t i = 0; i < padded; ++i) {
@@ -224,15 +180,6 @@ void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
   const double scale = 1.0 / static_cast<double>(padded);
   for (std::size_t k = 0; k <= last; ++k)
     acf[k] = (buf[k].real() * scale) / energy;
-}
-
-void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
-                double energy, double* r) {
-  for (std::size_t k = 0; k <= max_lag; ++k) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i + k < n; ++i) acc += x[i] * x[i + k];
-    r[k] = acc / energy;
-  }
 }
 
 void bin_events(const double* times, std::size_t n, double t_begin,

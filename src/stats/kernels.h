@@ -23,51 +23,29 @@ namespace jsoncdn::stats::kernels {
 
 // ---- Float kernels -------------------------------------------------------
 
-// One radix-2 Cooley-Tukey butterfly stage of width `len` over `n` complex
-// points. `twiddles` holds the stage's len/2 twiddle factors, generated by
-// the same repeated-multiplication chain the pre-table code ran (fft.cpp),
-// so results are bit-identical to the original serial butterfly for finite
-// data. Complex multiply is the naive (ac-bd, ad+bc) form — identical to
-// __muldc3 on finite values.
-void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
-              const std::complex<double>* twiddles);
-
-// v[i] = |v[i]|^2 (re*re + im*im, imaginary part zeroed), elementwise.
-void complex_norm(std::complex<double>* data, std::size_t n);
-
-// out[k] = freq[k + 1].real() / padded, k = 0..count-1 (periodogram bins,
-// DC excluded). Division kept — not reciprocal-multiplied — for exactness.
-void pgram_extract(const std::complex<double>* freq, std::size_t count,
-                   double padded, double* out);
-
-// out[k] = (corr[k].real() * scale) / energy, k = 0..count-1 (ACF lags).
-void acf_extract(const std::complex<double>* corr, std::size_t count,
-                 double scale, double energy, double* out);
-
-// Direct autocorrelation: r[k] = (sum_i x[i]*x[i+k]) / energy for
-// k = 0..max_lag. Each lag's sum runs in ascending-i order exactly as the
-// serial code did; lags are blocked four at a time so the block vectorizes
-// across lags, never across the (order-sensitive) i dimension.
-void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
-                double energy, double* r);
-
-// Batched null pass of the §5.1 permutation test: for each of the first
-// `lanes` (1..4) signals, all `n` long, the two maxima the test reads from
-// spectral_analysis(signal, max_lag) — acf_peak[l], the largest ACF value
-// at a peak lag (stats::acf_peaks; 0 when there is none or the signal is
-// constant), and power[l], the largest periodogram power (0-seeded). The
-// four transforms run side by side, one lane per signal: every lane
-// evaluates the single-signal path's exact expressions (serial index-order
-// mean and energy, the plan's twiddles, fft_pass's butterfly, complex_norm,
-// pgram_extract, acf_extract), so each lane's maxima are bit-identical to
-// it. `padded` is next_pow2(2 * n); fwd, inv and bitrev come from
+// The spectral pass of the §5.1 detector, and the only FFT in the library:
+// for each of the first `lanes` (1..4) signals, all `n` long, the two maxima
+// the permutation test reads — acf_peak[l], the largest ACF value at a peak
+// lag (stats::acf_peaks; 0 when there is none or the signal is constant),
+// and power[l], the largest periodogram power (0-seeded). The four
+// transforms run side by side, one lane per signal, and every lane
+// evaluates the expressions of the pre-kernel single-signal pass
+// (baseline::spectral_pass): serial index-order mean and energy, the plan's
+// twiddles, the naive complex butterfly, |X|^2, the periodogram division
+// and the ACF scaling. So a signal's results do not depend on its lane. A
+// lane whose samples all equal its first centres on that sample, to exact
+// zeros. On request the kernel also writes lane 0's full spectra: when
+// acf0 is non-null, its ACF lags 0..min(max_lag, n - 1); when pgram0 is
+// non-null, the power of bin k + 1 at pgram0[k], k = 0..padded/2 - 1.
+// `padded` is next_pow2(2 * n); fwd, inv and bitrev come from
 // fft_plan(padded); `work` holds 8 * padded doubles.
 void spectral_maxima4(const double* const* signals, std::size_t lanes,
                       std::size_t n, std::size_t max_lag, std::size_t padded,
                       const std::complex<double>* fwd,
                       const std::complex<double>* inv,
                       const std::size_t* bitrev, double* work,
-                      double* acf_peak, double* power);
+                      double* acf_peak, double* power, double* acf0,
+                      double* pgram0);
 
 // Time-binning: bins[(t - t_begin) / dt] += 1.0 for every t in
 // [t_begin, t_end), bin clamped to nbins-1 against top-edge round-off.
@@ -136,9 +114,6 @@ void splitmix_batch(const std::uint64_t* keys, std::size_t n,
 // oracles of the equivalence tests; production code never calls them.
 namespace baseline {
 
-// Original fft_inplace butterfly stage: serial w *= wlen twiddle chain.
-void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
-              bool inverse);
 // Original single-signal spectral pass (stats::spectral_analysis before the
 // lane kernel): serial centring, the inline bit-reversal swap pass,
 // butterfly stages with the serial w *= wlen twiddle chain, |X|^2, the
@@ -149,9 +124,6 @@ void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
 void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
                    std::size_t padded, std::complex<double>* buf, double* acf,
                    double* pgram);
-// Original per-lag serial autocorrelation.
-void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
-                double energy, double* r);
 // Original single-pass branchy time-binning loop.
 void bin_events(const double* times, std::size_t n, double t_begin,
                 double t_end, double dt, double* bins, std::size_t nbins);

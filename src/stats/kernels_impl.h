@@ -6,8 +6,9 @@
 // Vectorization strategy: loops are written in lane-blocked or mask-sum
 // form — independent accumulator lanes with a fixed combine order — so the
 // SIMD build's auto-vectorizer maps lanes onto vector elements without ever
-// reassociating a serial reduction. Order-sensitive float sums (per-lag ACF
-// chains, bin increments) keep their original element order in both builds.
+// reassociating a serial reduction. Order-sensitive float sums (each spectral
+// lane's mean and energy, bin increments) keep their original element order
+// in both builds.
 #ifndef JSONCDN_KERNEL_NS
 #error "kernels_impl.h must be included with JSONCDN_KERNEL_NS defined"
 #endif
@@ -27,90 +28,6 @@ namespace JSONCDN_KERNEL_NS {
 inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
 inline constexpr std::uint64_t kSplitmixMul1 = 0xbf58476d1ce4e5b9ULL;
 inline constexpr std::uint64_t kSplitmixMul2 = 0x94d049bb133111ebULL;
-
-void fft_pass(std::complex<double>* data, std::size_t n, std::size_t len,
-              const std::complex<double>* twiddles) {
-  const std::size_t half = len / 2;
-  // std::complex<double> is layout-compatible with double[2] ([complex.numbers]).
-  double* d = reinterpret_cast<double*>(data);
-  const double* w = reinterpret_cast<const double*>(twiddles);
-  for (std::size_t i = 0; i < n; i += len) {
-    double* a = d + 2 * i;
-    double* b = a + 2 * half;
-    for (std::size_t k = 0; k < half; ++k) {
-      const double ar = a[2 * k];
-      const double ai = a[2 * k + 1];
-      const double br = b[2 * k];
-      const double bi = b[2 * k + 1];
-      const double wr = w[2 * k];
-      const double wi = w[2 * k + 1];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      a[2 * k] = ar + vr;
-      a[2 * k + 1] = ai + vi;
-      b[2 * k] = ar - vr;
-      b[2 * k + 1] = ai - vi;
-    }
-  }
-}
-
-void complex_norm(std::complex<double>* data, std::size_t n) {
-  double* d = reinterpret_cast<double*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double re = d[2 * i];
-    const double im = d[2 * i + 1];
-    d[2 * i] = re * re + im * im;
-    d[2 * i + 1] = 0.0;
-  }
-}
-
-void pgram_extract(const std::complex<double>* freq, std::size_t count,
-                   double padded, double* out) {
-  const double* f = reinterpret_cast<const double*>(freq);
-  for (std::size_t k = 0; k < count; ++k) {
-    out[k] = f[2 * (k + 1)] / padded;
-  }
-}
-
-void acf_extract(const std::complex<double>* corr, std::size_t count,
-                 double scale, double energy, double* out) {
-  const double* c = reinterpret_cast<const double*>(corr);
-  for (std::size_t k = 0; k < count; ++k) {
-    out[k] = (c[2 * k] * scale) / energy;
-  }
-}
-
-void acf_direct(const double* x, std::size_t n, std::size_t max_lag,
-                double energy, double* r) {
-  std::size_t k = 0;
-  // Four lags per block: each lag keeps its own serial ascending-i sum (the
-  // order the per-lag scalar loop used), and the four independent chains
-  // vectorize across the lag dimension.
-  for (; k + 3 <= max_lag && k + 3 < n; k += 4) {
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    const std::size_t m = n - (k + 3);  // i range where all four lags exist
-    for (std::size_t i = 0; i < m; ++i) {
-      const double xi = x[i];
-      a0 += xi * x[i + k];
-      a1 += xi * x[i + k + 1];
-      a2 += xi * x[i + k + 2];
-      a3 += xi * x[i + k + 3];
-    }
-    // Trailing terms of the three shorter lags, same ascending order.
-    for (std::size_t i = m; i + k < n; ++i) a0 += x[i] * x[i + k];
-    for (std::size_t i = m; i + k + 1 < n; ++i) a1 += x[i] * x[i + k + 1];
-    for (std::size_t i = m; i + k + 2 < n; ++i) a2 += x[i] * x[i + k + 2];
-    r[k] = a0 / energy;
-    r[k + 1] = a1 / energy;
-    r[k + 2] = a2 / energy;
-    r[k + 3] = a3 / energy;
-  }
-  for (; k <= max_lag; ++k) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i + k < n; ++i) acc += x[i] * x[i + k];
-    r[k] = acc / energy;
-  }
-}
 
 namespace {
 
@@ -366,8 +283,9 @@ typedef double v4d __attribute__((vector_size(32)));
   v = v4d{x, x, x, x};
 }
 
-// fft_pass's butterfly on one pair of points, four lanes at a time:
-// (a, b) <- (a + w*b, a - w*b) with the naive complex product.
+// One butterfly on one pair of points, four lanes at a time:
+// (a, b) <- (a + w*b, a - w*b) with the naive complex product, which is
+// std::complex's product on finite values.
 [[gnu::always_inline]] inline void butterfly4(v4d& ar, v4d& ai, v4d& br,
                                               v4d& bi, const v4d& wr,
                                               const v4d& wi) noexcept {
@@ -384,10 +302,10 @@ typedef double v4d __attribute__((vector_size(32)));
 // plan's twiddles (stage len's len/2 entries start at index len/2 - 1).
 // Stages run two at a time: a point quartet {p, p+h, p+2h, p+3h} of a
 // 4h-point block is closed under stages len = 2h and 2len, so both stages'
-// four butterflies on it run in registers, in the stage order fft_pass
-// would — the same operations on the same operands, with half the passes
-// over the buffer. The twiddle index is the outer loop, so each broadcast
-// serves every block.
+// four butterflies on it run in registers, in the stage order a
+// stage-by-stage pass would — the same operations on the same operands,
+// with half the passes over the buffer. The twiddle index is the outer
+// loop, so each broadcast serves every block.
 void butterfly_stages(double* work, std::size_t count, std::size_t first,
                       std::size_t last, const double* tw) {
   std::size_t stages = 0;
@@ -479,18 +397,26 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
                       const std::complex<double>* fwd,
                       const std::complex<double>* inv,
                       const std::size_t* bitrev, double* work,
-                      double* acf_peak, double* power) {
+                      double* acf_peak, double* power, double* acf0,
+                      double* pgram0) {
   const double* s[4];
   for (std::size_t l = 0; l < 4; ++l) s[l] = signals[l < lanes ? l : 0];
   const v4d zero = {0.0, 0.0, 0.0, 0.0};
 
-  // Centring (stats::center): each lane's mean and energy are serial sums
-  // in index order. The centred values go straight to their bit-reversed
-  // slots, which is where fft_inplace's swap pass would move them.
-  v4d mean = zero;
-  for (std::size_t i = 0; i < n; ++i)
-    mean += v4d{s[0][i], s[1][i], s[2][i], s[3][i]};
-  mean /= static_cast<double>(n);
+  // Centring: each lane's mean and energy are serial sums in index order.
+  // A lane whose samples all equal its first takes that sample as its mean,
+  // so a constant centres to exact zeros whether or not its rounded mean
+  // comes back exactly. The centred values go straight to their
+  // bit-reversed slots, where the transform's swap pass would move them.
+  const v4d first = {s[0][0], s[1][0], s[2][0], s[3][0]};
+  auto constant = first == first;
+  v4d sum = zero;
+  for (std::size_t i = 0; i < n; ++i) {
+    const v4d v = {s[0][i], s[1][i], s[2][i], s[3][i]};
+    sum += v;
+    constant &= v == first;
+  }
+  const v4d mean = constant ? first : sum / static_cast<double>(n);
   v4d energy = zero;
   for (std::size_t i = 0; i < n; ++i) {
     const v4d x = v4d{s[0][i], s[1][i], s[2][i], s[3][i]} - mean;
@@ -506,10 +432,10 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
   }
   butterflies4(work, padded, fwd);
 
-  // |X|^2 (complex_norm), the periodogram maximum (pgram_extract, then a
-  // max over bins 1..padded/2 seeded with 0) and the inverse transform's
-  // bit reversal, in one sweep. Powers are finite and non-negative, so the
-  // sweep's bin order cannot change the maximum.
+  // |X|^2, the periodogram (bin k over padded, bins 1..padded/2), its
+  // maximum seeded with 0, and the inverse transform's bit reversal, in one
+  // sweep. Powers are finite and non-negative, so the sweep's bin order
+  // cannot change the maximum.
   const std::size_t half = padded / 2;
   const auto dpadded = static_cast<double>(padded);
   v4d pmax = zero;
@@ -526,6 +452,7 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
       if (idx[t] >= 1 && idx[t] <= half) {
         const v4d pw = norm[t] / dpadded;
         pmax = pmax < pw ? pw : pmax;
+        if (pgram0 != nullptr) pgram0[idx[t] - 1] = pw[0];
       }
     }
     store4(work + 8 * i, norm[1]);
@@ -535,10 +462,10 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
   }
   butterflies4(work, padded, inv);
 
-  // ACF lags 0..last (acf_extract) and the maximum over its peaks: lags
-  // k >= 1 with acf[k] > acf[k-1] and, unless k is the last lag,
-  // acf[k] >= acf[k+1] (stats::acf_peaks). Seeded with 0, so a signal
-  // without peaks reports 0, as the single-signal scan does.
+  // ACF lags 0..last (the inverse over padded, over the energy) and the
+  // maximum over its peaks: lags k >= 1 with acf[k] > acf[k-1] and, unless
+  // k is the last lag, acf[k] >= acf[k+1] (stats::acf_peaks). Seeded with
+  // 0, so a signal without peaks reports 0.
   const std::size_t last = max_lag < n - 1 ? max_lag : n - 1;
   const double scale = 1.0 / dpadded;
   v4d best = zero;
@@ -559,9 +486,13 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
     const auto take = (cur > prev) & (best < cur);
     best = take ? cur : best;
   }
+  // A constant lane (energy 0) has an all-zero ACF and no peak.
+  if (acf0 != nullptr) {
+    for (std::size_t k = 0; k <= last; ++k)
+      acf0[k] = energy[0] <= 0.0 ? 0.0 : (work[8 * k] * scale) / energy[0];
+  }
   for (std::size_t l = 0; l < lanes; ++l) {
     power[l] = pmax[l];
-    // A constant lane (energy 0) has an all-zero ACF and no peak.
     acf_peak[l] = energy[l] <= 0.0 ? 0.0 : best[l];
   }
 }

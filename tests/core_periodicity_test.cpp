@@ -193,6 +193,15 @@ TEST(PeriodicityDetector, LongPeriodLongSpanStillResolved) {
 
 // --- the batched permutation null keeps the serial engine contract --------
 
+// The maxima the permutation test reads from one spectral pass.
+detail::LaneMaxima maxima_of(const stats::SpectralAnalysis& spec) {
+  detail::LaneMaxima m;
+  for (const std::size_t k : stats::acf_peaks(spec.acf))
+    m.acf_peak = std::max(m.acf_peak, spec.acf[k]);
+  for (const double p : spec.pgram_power) m.power = std::max(m.power, p);
+  return m;
+}
+
 // The loop the batched null replaced, kept as the reference: one buffer
 // shuffled in place, one spectral pass per permutation, the stop rule
 // checked after each.
@@ -212,8 +221,7 @@ SerialNull serial_null(std::span<const double> source, std::size_t max_lag,
   for (std::size_t p = 0; p < permutations; ++p) {
     std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
     stats::spectral_analysis(shuffled, max_lag, ws, spec);
-    const double a = detail::max_acf_peak(spec.acf);
-    const double w = detail::max_power(spec.pgram_power);
+    const auto [a, w] = maxima_of(spec);
     out.acf_max.push_back(a);
     out.power_max.push_back(w);
     if (stop(a, w)) {
@@ -231,10 +239,16 @@ TEST(PermutationNull, MatchesTheSerialLoopWhereverItStops) {
   const auto binned =
       detail::bin_flow(params, poisson_times(1.0 / 20.0, 3000.0, 4), signal);
   ASSERT_TRUE(binned.usable);
+  // The observed signal rides lane 0 of the first batch: its maxima reach
+  // every stop call, and its spectra are the single-signal pass's.
+  const auto expected_spectra =
+      stats::spectral_analysis(signal, binned.max_lag);
+  const auto expected_observed = maxima_of(expected_spectra);
   constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
   for (const std::size_t permutations : {2u, 3u, 5u, 100u}) {
-    // Stops at every lane position of the first batches (partial ones
-    // too), at the last permutation, and never.
+    // Shuffle p runs in lane (p + 1) % 4 of batch (p + 1) / 4. Stops at
+    // every lane position of the first batches (partial ones too), at the
+    // last permutation, and never.
     std::vector<std::size_t> stops;
     for (std::size_t p = 0; p < std::min<std::size_t>(permutations, 10); ++p)
       stops.push_back(p);
@@ -245,11 +259,15 @@ TEST(PermutationNull, MatchesTheSerialLoopWhereverItStops) {
       SerialNull batched;
       stats::Rng rng(11);
       DetectScratch scratch;
+      stats::SpectralAnalysis spectra;
       batched.completed = detail::permutation_null(
-          signal, binned.max_lag, permutations, rng, scratch,
-          [&](double a, double w) {
-            batched.acf_max.push_back(a);
-            batched.power_max.push_back(w);
+          signal, binned.max_lag, permutations, rng, scratch, &spectra,
+          [&](const detail::LaneMaxima& observed,
+              const detail::LaneMaxima& null) {
+            EXPECT_EQ(observed.acf_peak, expected_observed.acf_peak);
+            EXPECT_EQ(observed.power, expected_observed.power);
+            batched.acf_max.push_back(null.acf_peak);
+            batched.power_max.push_back(null.power);
             return calls++ == stop_at;
           });
       std::size_t ref_calls = 0;
@@ -260,6 +278,9 @@ TEST(PermutationNull, MatchesTheSerialLoopWhereverItStops) {
       EXPECT_EQ(batched.completed, ref.completed);
       EXPECT_EQ(batched.acf_max, ref.acf_max);
       EXPECT_EQ(batched.power_max, ref.power_max);
+      EXPECT_EQ(spectra.acf, expected_spectra.acf);
+      EXPECT_EQ(spectra.pgram_power, expected_spectra.pgram_power);
+      EXPECT_EQ(spectra.padded_size, expected_spectra.padded_size);
       EXPECT_TRUE(rng.engine() == ref_rng.engine())
           << "permutations=" << permutations << " stop_at=" << stop_at;
     }
@@ -276,8 +297,10 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
   for (const std::size_t permutations : {2u, 3u, 5u, 100u}) {
     DetectorParams params;
     params.permutations = permutations;
-    // Where each flow's null stopped: permutation index mod 4, or 4 for a
-    // null that ran to the end. Checked for coverage below.
+    // Where each flow's null stopped: the lane of the stopping shuffle
+    // (shuffle p runs in lane (p + 1) % 4, after the observed signal in
+    // lane 0 of the first batch), or 4 for a null that ran to the end.
+    // Checked for coverage below.
     std::set<std::size_t> stop_lanes;
     std::size_t thresholds_checked = 0;
     for (const auto strategy :
@@ -295,9 +318,8 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
         const std::size_t max_lag =
             power_only ? std::min(binned.max_lag, signal.size() - 1)
                        : binned.max_lag;
-        const auto observed = stats::spectral_analysis(signal, max_lag);
-        const double acf_obs = detail::max_acf_peak(observed.acf);
-        const double power_obs = detail::max_power(observed.pgram_power);
+        const auto [acf_obs, power_obs] =
+            maxima_of(stats::spectral_analysis(signal, max_lag));
         std::size_t acf_exceed = 0;
         std::size_t power_exceed = 0;
         stats::Rng ref_rng(100 + f);
@@ -307,7 +329,7 @@ TEST(PermutationNull, DetectAllLeavesTheEngineWhereTheSerialLoopWould) {
               if (w >= power_obs) ++power_exceed;
               return acf_exceed >= 2 || power_exceed >= 2;
             });
-        stop_lanes.insert(ref.completed ? 4 : (ref.acf_max.size() - 1) % 4);
+        stop_lanes.insert(ref.completed ? 4 : ref.acf_max.size() % 4);
 
         // One detection at most, so multi-period runs a single pass.
         stats::Rng rng(100 + f);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 #include "stats/rng.h"
 
@@ -30,6 +31,34 @@ TEST(Autocorrelation, ConstantSignalIsAllZero) {
   }
   for (const double v : spectral_analysis(signal, 8).acf) {
     EXPECT_DOUBLE_EQ(v, 0.0);
+  }
+}
+
+// A constant whose mean does not round back exactly (three 0.1s sum to
+// 0.30000000000000004) is still constant: every path centres it on its
+// first sample, so its ACF, periodogram and null maxima are all zero, in
+// every lane of the spectral kernel.
+TEST(Autocorrelation, NonIntegerConstantSignalIsAllZero) {
+  for (const std::size_t n : {3u, 64u}) {
+    const std::vector<double> constant(n, 0.1);
+    for (const double v : autocorrelation_direct(constant, n)) {
+      EXPECT_EQ(v, 0.0) << "n=" << n;
+    }
+    const auto spec = spectral_analysis(constant, n);
+    for (const double v : spec.acf) EXPECT_EQ(v, 0.0) << "n=" << n;
+    for (const double p : spec.pgram_power) EXPECT_EQ(p, 0.0) << "n=" << n;
+
+    const auto varying = random_signal(n, 7);
+    SpectralWorkspace ws;
+    for (std::size_t lanes = 1; lanes <= kSpectralLanes; ++lanes) {
+      for (std::size_t pos = 0; pos < lanes; ++pos) {
+        std::vector<const double*> ptrs(lanes, varying.data());
+        ptrs[pos] = constant.data();
+        const auto got = spectral_maxima(ptrs, n, n, ws);
+        EXPECT_EQ(got.acf_peak[pos], 0.0) << "n=" << n << " lane " << pos;
+        EXPECT_EQ(got.power[pos], 0.0) << "n=" << n << " lane " << pos;
+      }
+    }
   }
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <limits>
 #include <numbers>
+#include <vector>
 
+#include "stats/autocorrelation.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stats {
@@ -51,59 +54,55 @@ TEST(NextPow2, OverflowBoundary) {
   EXPECT_EQ(next_pow2(std::numeric_limits<std::size_t>::max()), 0u);
 }
 
-TEST(Fft, RejectsNonPowerOfTwo) {
-  std::vector<std::complex<double>> data(3);
-  EXPECT_THROW(fft_inplace(data, false), std::invalid_argument);
-  std::vector<std::complex<double>> empty;
-  EXPECT_THROW(fft_inplace(empty, false), std::invalid_argument);
-}
-
+// The spectral kernel's periodogram against an O(n^2) DFT of the same
+// zero-padded, mean-removed signal: bin k + 1's |X|^2 / padded.
 class FftVsNaiveTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FftVsNaiveTest, MatchesReferenceDft) {
   const std::size_t n = GetParam();
   Rng rng(n);
-  std::vector<std::complex<double>> data(n);
-  for (auto& v : data) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  auto expected = naive_dft(data, false);
-  auto actual = data;
-  fft_inplace(actual, false);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(actual[k].real(), expected[k].real(), 1e-9 * n);
-    EXPECT_NEAR(actual[k].imag(), expected[k].imag(), 1e-9 * n);
+  std::vector<double> signal(n);
+  for (auto& v : signal) v = rng.uniform(-1.0, 1.0);
+  const auto spec = spectral_analysis(signal, n);
+  ASSERT_EQ(spec.padded_size, next_pow2(2 * n));
+  double mean = 0.0;
+  for (const double v : signal) mean += v;
+  mean /= static_cast<double>(n);
+  std::vector<std::complex<double>> padded(spec.padded_size);
+  for (std::size_t i = 0; i < n; ++i) padded[i] = signal[i] - mean;
+  const auto expected = naive_dft(padded, false);
+  ASSERT_EQ(spec.pgram_power.size(), spec.padded_size / 2);
+  for (std::size_t k = 0; k < spec.pgram_power.size(); ++k) {
+    EXPECT_NEAR(spec.pgram_power[k],
+                std::norm(expected[k + 1]) /
+                    static_cast<double>(spec.padded_size),
+                1e-9 * static_cast<double>(n))
+        << "bin " << k + 1;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftVsNaiveTest,
                          ::testing::Values(1, 2, 4, 8, 16, 64, 256));
 
-TEST(Fft, InverseRoundTripsToIdentity) {
-  Rng rng(9);
-  std::vector<std::complex<double>> data(128);
-  for (auto& v : data) v = {rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)};
-  auto back = data;
-  fft_inplace(back, false);
-  fft_inplace(back, true);  // unscaled: N times the input
-  const double scale = 1.0 / static_cast<double>(back.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(back[i].real() * scale, data[i].real(), 1e-9);
-    EXPECT_NEAR(back[i].imag() * scale, data[i].imag(), 1e-9);
-  }
-}
-
 TEST(Fft, ParsevalEnergyConservation) {
+  // The periodogram holds bins 1..N/2 of a real signal's N-point transform;
+  // bins N/2+1..N-1 mirror 1..N/2-1, and bin 0 of a mean-removed signal is
+  // ~0. So sum |X|^2 / N = 2 * (bins 1..N/2-1) + bin N/2 is the signal's
+  // energy.
   Rng rng(10);
-  std::vector<std::complex<double>> data(64);
+  std::vector<double> signal(64);
+  for (auto& v : signal) v = rng.uniform(-1.0, 1.0);
+  double mean = 0.0;
+  for (const double v : signal) mean += v;
+  mean /= static_cast<double>(signal.size());
   double time_energy = 0.0;
-  for (auto& v : data) {
-    v = {rng.uniform(-1.0, 1.0), 0.0};
-    time_energy += std::norm(v);
-  }
-  auto freq = data;
-  fft_inplace(freq, false);
-  double freq_energy = 0.0;
-  for (const auto& v : freq) freq_energy += std::norm(v);
-  EXPECT_NEAR(freq_energy / 64.0, time_energy, 1e-9);
+  for (const double v : signal) time_energy += (v - mean) * (v - mean);
+  const auto spec = spectral_analysis(signal, 8);
+  const auto& power = spec.pgram_power;
+  double freq_energy = power.back();
+  for (std::size_t k = 0; k + 1 < power.size(); ++k)
+    freq_energy += 2.0 * power[k];
+  EXPECT_NEAR(freq_energy, time_energy, 1e-9);
 }
 
 }  // namespace

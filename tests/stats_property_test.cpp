@@ -6,9 +6,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "stats/autocorrelation.h"
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
-#include "stats/fft.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stats {
@@ -88,24 +88,28 @@ TEST_P(RandomSampleTest, CdfIsMonotoneAndQuantileInverts) {
   }
 }
 
+// The transform and the mean removal are linear, so X(a + 2b) and X(a - 2b)
+// are X(a) +/- 2 X(b), and the periodogram obeys the parallelogram law:
+// |X(a + 2b)|^2 + |X(a - 2b)|^2 = 2 |X(a)|^2 + 8 |X(b)|^2, bin by bin.
 TEST_P(RandomSampleTest, FftIsLinear) {
   Rng rng(GetParam() + 17);
   const std::size_t n = 128;
-  std::vector<std::complex<double>> a(n);
-  std::vector<std::complex<double>> b(n);
-  std::vector<std::complex<double>> sum(n);
+  std::vector<double> a(n);
+  std::vector<double> b(n);
+  std::vector<double> sum(n);
+  std::vector<double> diff(n);
   for (std::size_t i = 0; i < n; ++i) {
-    a[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    b[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    a[i] = rng.uniform(-1.0, 1.0);
+    b[i] = rng.uniform(-1.0, 1.0);
     sum[i] = a[i] + 2.0 * b[i];
+    diff[i] = a[i] - 2.0 * b[i];
   }
-  fft_inplace(a, false);
-  fft_inplace(b, false);
-  fft_inplace(sum, false);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto expected = a[i] + 2.0 * b[i];
-    EXPECT_NEAR(sum[i].real(), expected.real(), 1e-9);
-    EXPECT_NEAR(sum[i].imag(), expected.imag(), 1e-9);
+  const auto pa = spectral_analysis(a, 8).pgram_power;
+  const auto pb = spectral_analysis(b, 8).pgram_power;
+  const auto ps = spectral_analysis(sum, 8).pgram_power;
+  const auto pd = spectral_analysis(diff, 8).pgram_power;
+  for (std::size_t k = 0; k < pa.size(); ++k) {
+    EXPECT_NEAR(ps[k] + pd[k], 2.0 * pa[k] + 8.0 * pb[k], 1e-9) << "bin " << k;
   }
 }
 

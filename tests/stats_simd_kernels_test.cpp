@@ -13,14 +13,12 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/periodicity_internal.h"
 #include "shard/varint.h"
 #include "stats/autocorrelation.h"
 #include "stats/fft.h"
@@ -89,37 +87,32 @@ std::vector<std::uint64_t> random_u64(std::size_t n, std::uint64_t seed) {
   return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult bits_equal(
-    const std::vector<std::complex<double>>& a,
-    const std::vector<std::complex<double>>& b) {
-  if (a.size() != b.size())
-    return ::testing::AssertionFailure() << "size mismatch";
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::bit_cast<std::uint64_t>(a[i].real()) !=
-            std::bit_cast<std::uint64_t>(b[i].real()) ||
-        std::bit_cast<std::uint64_t>(a[i].imag()) !=
-            std::bit_cast<std::uint64_t>(b[i].imag())) {
-      return ::testing::AssertionFailure() << "bit mismatch at " << i;
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
+// The pre-kernel single-signal pass over `signal` (the oracle of the
+// spectral kernel) and the two maxima the permutation test reads from it:
+// the largest ACF value at a peak lag (0 when there is none) and the
+// largest periodogram power (0-seeded).
+struct BaselinePass {
+  std::vector<double> acf;
+  std::vector<double> pgram;
+  double acf_peak = 0.0;
+  double power = 0.0;
+};
 
-// The twiddle chain fft.cpp feeds the table kernel: one complex multiply
-// per entry, exactly the w *= wlen recurrence the baseline stage runs.
-std::vector<std::complex<double>> stage_twiddles(std::size_t len,
-                                                 bool inverse) {
-  const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
-                       static_cast<double>(len);
-  const std::complex<double> wlen(std::cos(angle), std::sin(angle));
-  std::vector<std::complex<double>> tw;
-  tw.reserve(len / 2);
-  std::complex<double> w(1.0, 0.0);
-  for (std::size_t k = 0; k < len / 2; ++k) {
-    tw.push_back(w);
-    w *= wlen;
-  }
-  return tw;
+BaselinePass baseline_pass(const std::vector<double>& signal,
+                           std::size_t max_lag) {
+  const std::size_t n = signal.size();
+  const std::size_t padded = stats::next_pow2(2 * n);
+  std::vector<std::complex<double>> buf(padded);
+  BaselinePass out;
+  out.acf.resize(std::min(max_lag, n - 1) + 1);
+  out.pgram.resize(padded / 2);
+  kernels::baseline::spectral_pass(signal.data(), n, max_lag, padded,
+                                   buf.data(), out.acf.data(),
+                                   out.pgram.data());
+  for (const std::size_t k : stats::acf_peaks(out.acf))
+    out.acf_peak = std::max(out.acf_peak, out.acf[k]);
+  for (const double p : out.pgram) out.power = std::max(out.power, p);
+  return out;
 }
 
 TEST(SimdKernels, DispatchRespectsOverrideAndReportsIsa) {
@@ -135,71 +128,11 @@ TEST(SimdKernels, DispatchRespectsOverrideAndReportsIsa) {
   stats::set_simd_enabled(entry);
 }
 
-TEST(SimdKernels, FftPassMatchesBaselineBitIdentical) {
-  constexpr std::size_t n = 512;
-  const auto re = random_doubles(n, 0xf17u, 100.0);
-  const auto im = random_doubles(n, 0xf18u, 100.0);
-  std::vector<std::complex<double>> input(n);
-  for (std::size_t i = 0; i < n; ++i) input[i] = {re[i], im[i]};
-
-  for (const bool inverse : {false, true}) {
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-      auto expected = input;
-      kernels::baseline::fft_pass(expected.data(), n, len, inverse);
-      const auto tw = stage_twiddles(len, inverse);
-      with_both_modes([&](bool) {
-        auto got = input;
-        kernels::fft_pass(got.data(), n, len, tw.data());
-        EXPECT_TRUE(bits_equal(expected, got))
-            << "len=" << len << " inverse=" << inverse << " isa="
-            << stats::simd_isa();
-      });
-    }
-  }
-}
-
-TEST(SimdKernels, ComplexNormAndExtractsBitIdenticalAcrossDispatch) {
-  for (const std::size_t n : kLengths) {
-    const auto re = random_doubles(n, 0xabcu + n, 50.0);
-    const auto im = random_doubles(n, 0xdefu + n, 50.0);
-    std::vector<std::complex<double>> input(n);
-    for (std::size_t i = 0; i < n; ++i) input[i] = {re[i], im[i]};
-
-    // Reference loops: the exact expressions the pre-kernel code ran.
-    std::vector<std::complex<double>> norm_ref = input;
-    for (auto& v : norm_ref)
-      v = {v.real() * v.real() + v.imag() * v.imag(), 0.0};
-    const double padded = 4096.0;
-    const double scale = 1.0 / 3072.0;
-    const double energy = 17.25;
-    const std::size_t count = n > 0 ? n - 1 : 0;
-    std::vector<double> pgram_ref(count);
-    for (std::size_t k = 0; k < count; ++k)
-      pgram_ref[k] = input[k + 1].real() / padded;
-    std::vector<double> acf_ref(n);
-    for (std::size_t k = 0; k < n; ++k)
-      acf_ref[k] = (input[k].real() * scale) / energy;
-
-    with_both_modes([&](bool) {
-      auto norm = input;
-      kernels::complex_norm(norm.data(), n);
-      EXPECT_TRUE(bits_equal(norm_ref, norm)) << "n=" << n;
-
-      std::vector<double> pgram(count);
-      kernels::pgram_extract(input.data(), count, padded, pgram.data());
-      EXPECT_TRUE(bits_equal(pgram_ref, pgram)) << "n=" << n;
-
-      std::vector<double> acf(n);
-      kernels::acf_extract(input.data(), n, scale, energy, acf.data());
-      EXPECT_TRUE(bits_equal(acf_ref, acf)) << "n=" << n;
-    });
-  }
-}
-
-// The batched permutation null (stats::spectral_maxima, one lane per
-// signal): each live lane's maxima equal the single-signal path's —
-// spectral_analysis, then max_acf_peak / max_power — bit for bit, in every
-// lane position, with 1 to 4 live lanes, under both dispatch modes.
+// The spectral kernel (stats::spectral_maxima, one lane per signal): each
+// live lane's maxima equal those of the pre-kernel single-signal pass
+// (kernels::baseline::spectral_pass) bit for bit, in every lane position,
+// with 1 to 4 live lanes, under both dispatch modes; lane 0's full spectra,
+// written on request, equal that pass's ACF and periodogram.
 TEST(SimdKernels, SpectralMaximaLanesMatchSingleSignalPath) {
   // 512 pads to 1,024 points and 1,024 to 2,048; 700 is not a power of
   // two; 3 and 1 are the degenerate short cases (max_lag clamps to n - 1).
@@ -216,20 +149,18 @@ TEST(SimdKernels, SpectralMaximaLanesMatchSingleSignalPath) {
       signals.push_back(counts);
     }
     signals.push_back(random_doubles(n, 0x1a4e5u + n, 3.0));
-    // A constant lane: energy 0, so its ACF is all zeros and has no peak.
+    // Constant lanes: energy 0, so the ACF is all zeros and has no peak,
+    // whether or not the constant's rounded mean comes back exactly.
     signals.push_back(std::vector<double>(n, 2.5));
+    signals.push_back(std::vector<double>(n, 0.1));
     const std::size_t max_lag = n / 3 + 1;
+    std::vector<BaselinePass> ref;
+    for (const auto& signal : signals)
+      ref.push_back(baseline_pass(signal, max_lag));
 
     with_both_modes([&](bool) {
-      std::vector<double> ref_acf;
-      std::vector<double> ref_power;
       stats::SpectralWorkspace ws;
-      stats::SpectralAnalysis spec;
-      for (const auto& signal : signals) {
-        stats::spectral_analysis(signal, max_lag, ws, spec);
-        ref_acf.push_back(core::detail::max_acf_peak(spec.acf));
-        ref_power.push_back(core::detail::max_power(spec.pgram_power));
-      }
+      stats::SpectralAnalysis lane0;
       // Every window of 1..4 consecutive signals, so each signal runs in
       // each lane position and in partial batches.
       for (std::size_t lanes = 1; lanes <= stats::kSpectralLanes; ++lanes) {
@@ -238,18 +169,25 @@ TEST(SimdKernels, SpectralMaximaLanesMatchSingleSignalPath) {
           std::vector<const double*> ptrs;
           for (std::size_t l = 0; l < lanes; ++l)
             ptrs.push_back(signals[first + l].data());
-          const auto got = stats::spectral_maxima(ptrs, n, max_lag, ws);
+          const auto got = stats::spectral_maxima(ptrs, n, max_lag, ws,
+                                                  &lane0);
           for (std::size_t l = 0; l < lanes; ++l) {
+            const auto& want = ref[first + l];
             EXPECT_EQ(std::bit_cast<std::uint64_t>(got.acf_peak[l]),
-                      std::bit_cast<std::uint64_t>(ref_acf[first + l]))
+                      std::bit_cast<std::uint64_t>(want.acf_peak))
                 << "n=" << n << " lanes=" << lanes << " signal "
                 << first + l << " acf " << got.acf_peak[l] << " vs "
-                << ref_acf[first + l];
+                << want.acf_peak;
             EXPECT_EQ(std::bit_cast<std::uint64_t>(got.power[l]),
-                      std::bit_cast<std::uint64_t>(ref_power[first + l]))
+                      std::bit_cast<std::uint64_t>(want.power))
                 << "n=" << n << " lanes=" << lanes << " signal "
                 << first + l;
           }
+          EXPECT_EQ(lane0.padded_size, stats::next_pow2(2 * n));
+          EXPECT_TRUE(bits_equal(ref[first].acf, lane0.acf))
+              << "n=" << n << " lanes=" << lanes << " signal " << first;
+          EXPECT_TRUE(bits_equal(ref[first].pgram, lane0.pgram_power))
+              << "n=" << n << " lanes=" << lanes << " signal " << first;
         }
       }
     });
@@ -299,28 +237,6 @@ TEST(SimdKernels, SpectralAnalysisBitEqualsBaselineSpectralPass) {
             << "n=" << n << " signal " << s << " isa=" << stats::simd_isa();
         EXPECT_TRUE(bits_equal(pgram, spec.pgram_power))
             << "n=" << n << " signal " << s << " isa=" << stats::simd_isa();
-      });
-    }
-  }
-}
-
-TEST(SimdKernels, AcfDirectMatchesBaselineAcrossLagCounts) {
-  for (const std::size_t n : kLengths) {
-    if (n == 0) continue;  // acf over an empty series never runs
-    const auto x = random_doubles(n, 0x5ca1eu + n, 2.0);
-    double energy = 0.0;
-    for (const double v : x) energy += v * v;
-    if (energy == 0.0) energy = 1.0;
-    for (const std::size_t max_lag :
-         {std::size_t{0}, std::size_t{1}, n / 2, n - 1}) {
-      std::vector<double> expected(max_lag + 1);
-      kernels::baseline::acf_direct(x.data(), n, max_lag, energy,
-                                    expected.data());
-      with_both_modes([&](bool) {
-        std::vector<double> got(max_lag + 1);
-        kernels::acf_direct(x.data(), n, max_lag, energy, got.data());
-        EXPECT_TRUE(bits_equal(expected, got))
-            << "n=" << n << " max_lag=" << max_lag;
       });
     }
   }

@@ -414,7 +414,7 @@ int main(int argc, char** argv) {
       streaming = true;
     } else if (arg == "--chunk-size" && i + 1 < argc) {
       chunk_size = cli::flag_value<std::size_t>(arg, argv[++i]);
-      if (chunk_size == 0) chunk_size = 1;
+      if (chunk_size == 0) cli::bad_flag_value(arg, argv[i]);
     } else if (arg == "--permutations" && i + 1 < argc) {
       permutations = cli::flag_value<std::size_t>(arg, argv[++i]);
       // Every detector's null needs at least two shuffles.
