@@ -387,7 +387,7 @@ class AutoperiodDetector final : public PeriodDetector {
     null_power.reserve(params.permutations);
     std::size_t exceed = 0;
     if (!detail::permutation_null(
-            source, source_lag, params.permutations, rng, s, &s.spectral,
+            source, source_lag, params.permutations, rng, s, s.spectral,
             [&](const detail::LaneMaxima& observed,
                 const detail::LaneMaxima& null) {
               null_power.push_back(null.power);

@@ -54,7 +54,7 @@ BinnedFlow bin_flow(const DetectorParams& params,
 bool permutation_null(
     std::span<const double> source, std::size_t max_lag,
     std::size_t permutations, stats::Rng& rng, DetectScratch& scratch,
-    stats::SpectralAnalysis* spectra,
+    stats::SpectralAnalysis& spectra,
     const std::function<bool(const LaneMaxima& observed,
                              const LaneMaxima& shuffled)>& stop) {
   constexpr std::size_t kLanes = stats::kSpectralLanes;
@@ -80,7 +80,7 @@ bool permutation_null(
     drawn += live - first;
     const auto maxima = stats::spectral_maxima(
         std::span(lanes.data(), live), n, max_lag, scratch.workspace,
-        first == 1 ? spectra : nullptr);
+        first == 1 ? &spectra : nullptr);
     if (first == 1) observed = {maxima.acf_peak[0], maxima.power[0]};
     for (std::size_t l = first; l < live; ++l) {
       if (stop(observed, {maxima.acf_peak[l], maxima.power[l]})) {
@@ -124,7 +124,7 @@ FlowAnalysis analyze_signal(const DetectorParams& params,
   std::size_t acf_exceed = 0;
   std::size_t power_exceed = 0;
   const bool completed = permutation_null(
-      signal, max_lag, params.permutations, rng, scratch, &scratch.spectral,
+      signal, max_lag, params.permutations, rng, scratch, scratch.spectral,
       [&](const LaneMaxima& observed, const LaneMaxima& null) {
         null_acf_max.push_back(null.acf_peak);
         null_power_max.push_back(null.power);

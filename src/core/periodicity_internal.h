@@ -64,20 +64,20 @@ struct LaneMaxima {
 // The permutation null (steps 2-3), shared by every binned strategy, with
 // the observed signal's own spectral pass folded in: the first batch runs
 // `source` itself in lane 0, beside the first three shuffles, and writes
-// its full ACF and periodogram into `spectra` when that is non-null. Draws
-// `permutations` successive shuffles of `source` from rng — each shuffle
-// permutes the previous one, as one buffer shuffled in place would — and
-// passes each permutation's maxima, with the observed signal's, to `stop`
-// in draw order until `stop` returns true. Shuffles are drawn and
-// transformed kSpectralLanes at a time (stats::spectral_maxima), yet a stop
-// after any permutation leaves rng.engine() exactly where the one-at-a-time
-// loop would, so callers that keep drawing from rng (the multi-period
-// residual loop, direct detect()/detect_all() callers) see the same stream.
-// Returns false when `stop` ended the run.
+// its full ACF and periodogram into `spectra`. Draws `permutations`
+// successive shuffles of `source` from rng — each shuffle permutes the
+// previous one, as one buffer shuffled in place would — and passes each
+// permutation's maxima, with the observed signal's, to `stop` in draw order
+// until `stop` returns true. Shuffles are drawn and transformed
+// kSpectralLanes at a time (stats::spectral_maxima), yet a stop after any
+// permutation leaves rng.engine() exactly where the one-at-a-time loop
+// would, so callers that keep drawing from rng (the multi-period residual
+// loop, direct detect()/detect_all() callers) see the same stream. Returns
+// false when `stop` ended the run.
 bool permutation_null(
     std::span<const double> source, std::size_t max_lag,
     std::size_t permutations, stats::Rng& rng, DetectScratch& scratch,
-    stats::SpectralAnalysis* spectra,
+    stats::SpectralAnalysis& spectra,
     const std::function<bool(const LaneMaxima& observed,
                              const LaneMaxima& shuffled)>& stop);
 

@@ -118,9 +118,11 @@ namespace baseline {
 // lane kernel): serial centring, the inline bit-reversal swap pass,
 // butterfly stages with the serial w *= wlen twiddle chain, |X|^2, the
 // periodogram, the unscaled inverse transform and the normalized ACF.
-// `padded` is next_pow2(2 * n) and `buf` holds that many points. Writes
-// acf[k] for lags 0..min(max_lag, n - 1), all zero for a constant signal,
-// and pgram[k], the power of bin k + 1, for k = 0..padded/2 - 1.
+// A signal whose samples all equal its first is centred on that sample,
+// as in the kernel. `padded` is next_pow2(2 * n) and `buf` holds that many
+// points. Writes acf[k] for lags 0..min(max_lag, n - 1), all zero for a
+// constant signal, and pgram[k], the power of bin k + 1, for
+// k = 0..padded/2 - 1.
 void spectral_pass(const double* signal, std::size_t n, std::size_t max_lag,
                    std::size_t padded, std::complex<double>* buf, double* acf,
                    double* pgram);

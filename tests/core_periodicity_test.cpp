@@ -261,7 +261,7 @@ TEST(PermutationNull, MatchesTheSerialLoopWhereverItStops) {
       DetectScratch scratch;
       stats::SpectralAnalysis spectra;
       batched.completed = detail::permutation_null(
-          signal, binned.max_lag, permutations, rng, scratch, &spectra,
+          signal, binned.max_lag, permutations, rng, scratch, spectra,
           [&](const detail::LaneMaxima& observed,
               const detail::LaneMaxima& null) {
             EXPECT_EQ(observed.acf_peak, expected_observed.acf_peak);
