@@ -242,6 +242,101 @@ TEST(SimdKernels, SpectralAnalysisBitEqualsBaselineSpectralPass) {
   }
 }
 
+// The transform at every size the detector can reach: the spectral kernel's
+// butterflies give each lane's maxima and lane 0's full ACF (every lag) and
+// periodogram bit-equal to kernels::baseline::spectral_pass (the serial
+// w *= wlen butterflies) under both dispatch modes, at each padded size 2
+// through 2,048 (1 to 11 butterfly stages), for the shortest and the
+// longest signal that pads to it. Four full-mantissa signals rotate so each
+// takes lane 0 once.
+TEST(SimdKernels, FftPassMatchesBaselineBitIdentical) {
+  for (std::size_t padded = 2; padded <= 2048; padded <<= 1) {
+    std::vector<std::size_t> lengths = {padded / 2};
+    if (padded / 4 + 1 < padded / 2) lengths.push_back(padded / 4 + 1);
+    for (const std::size_t n : lengths) {
+      ASSERT_EQ(stats::next_pow2(2 * n), padded);
+      const std::size_t max_lag = n - 1;
+      std::vector<std::vector<double>> signals;
+      std::vector<BaselinePass> ref;
+      for (std::size_t l = 0; l < stats::kSpectralLanes; ++l) {
+        signals.push_back(random_doubles(n, 0xf17u + 16 * n + l, 100.0));
+        ref.push_back(baseline_pass(signals.back(), max_lag));
+      }
+      with_both_modes([&](bool) {
+        stats::SpectralWorkspace ws;
+        stats::SpectralAnalysis lane0;
+        for (std::size_t r = 0; r < stats::kSpectralLanes; ++r) {
+          std::vector<const double*> ptrs;
+          for (std::size_t l = 0; l < stats::kSpectralLanes; ++l)
+            ptrs.push_back(signals[(r + l) % stats::kSpectralLanes].data());
+          const auto got =
+              stats::spectral_maxima(ptrs, n, max_lag, ws, &lane0);
+          for (std::size_t l = 0; l < stats::kSpectralLanes; ++l) {
+            const auto& want = ref[(r + l) % stats::kSpectralLanes];
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.acf_peak[l]),
+                      std::bit_cast<std::uint64_t>(want.acf_peak))
+                << "padded=" << padded << " n=" << n << " lane " << l;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.power[l]),
+                      std::bit_cast<std::uint64_t>(want.power))
+                << "padded=" << padded << " n=" << n << " lane " << l;
+          }
+          EXPECT_EQ(lane0.padded_size, padded);
+          EXPECT_TRUE(bits_equal(ref[r].acf, lane0.acf))
+              << "padded=" << padded << " n=" << n << " signal " << r
+              << " isa=" << stats::simd_isa();
+          EXPECT_TRUE(bits_equal(ref[r].pgram, lane0.pgram_power))
+              << "padded=" << padded << " n=" << n << " signal " << r
+              << " isa=" << stats::simd_isa();
+        }
+      });
+    }
+  }
+}
+
+// |X|^2, the periodogram division and the ACF scaling (inside the spectral
+// kernel) come out of the scalar and the SIMD build with the same bits:
+// spectral_analysis's full ACF (max_lag past the end clamps to n - 1) and
+// periodogram, and the four-lane maxima of spectral_maxima, computed under
+// each dispatch path and compared with each other directly, at the
+// lane-remainder edge lengths.
+TEST(SimdKernels, ComplexNormAndExtractsBitIdenticalAcrossDispatch) {
+  for (const std::size_t n : kLengths) {
+    if (n == 0) continue;  // empty: SpectralMaximaRejectsEmptyAndOversizedBatches
+    std::vector<std::vector<double>> signals;
+    std::vector<const double*> ptrs;
+    for (std::size_t l = 0; l < stats::kSpectralLanes; ++l) {
+      signals.push_back(random_doubles(n, 0xabcu + 4 * n + l, 50.0));
+      ptrs.push_back(signals.back().data());
+    }
+    const std::size_t max_lag = n;
+    // [mode][signal]: mode 0 is the scalar build, mode 1 the SIMD build.
+    std::vector<std::vector<stats::SpectralAnalysis>> spec;
+    std::vector<stats::SpectralMaxima> maxima;
+    with_both_modes([&](bool) {
+      stats::SpectralWorkspace ws;
+      spec.emplace_back();
+      for (const auto& signal : signals)
+        spec.back().push_back(stats::spectral_analysis(signal, max_lag));
+      maxima.push_back(stats::spectral_maxima(ptrs, n, max_lag, ws));
+    });
+    ASSERT_EQ(spec.size(), 2u);
+    for (std::size_t l = 0; l < stats::kSpectralLanes; ++l) {
+      EXPECT_EQ(spec[0][l].acf.size(), n);
+      EXPECT_EQ(spec[0][l].pgram_power.size(), stats::next_pow2(2 * n) / 2);
+      EXPECT_TRUE(bits_equal(spec[0][l].acf, spec[1][l].acf))
+          << "n=" << n << " signal " << l;
+      EXPECT_TRUE(bits_equal(spec[0][l].pgram_power, spec[1][l].pgram_power))
+          << "n=" << n << " signal " << l;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(maxima[0].acf_peak[l]),
+                std::bit_cast<std::uint64_t>(maxima[1].acf_peak[l]))
+          << "n=" << n << " lane " << l;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(maxima[0].power[l]),
+                std::bit_cast<std::uint64_t>(maxima[1].power[l]))
+          << "n=" << n << " lane " << l;
+    }
+  }
+}
+
 TEST(SimdKernels, BinEventsMatchesBaselineIncludingExactEdges) {
   const double t_begin = 10.0;
   const double dt = 0.25;
