@@ -175,6 +175,13 @@ std::vector<NgramModel::Prediction> NgramModel::predict(
   return out;
 }
 
+bool is_train_client(std::string_view client) noexcept {
+  const auto h =
+      stats::fnv1a64(client, stats::fnv1a64_mix(NgramEvalConfig::seed));
+  return static_cast<double>(h % 1'000'000) / 1e6 <
+         NgramEvalConfig::train_fraction;
+}
+
 namespace {
 
 // Evaluates the protocol over the view's extracted client flows. A flow
@@ -182,8 +189,6 @@ namespace {
 NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
                              const logs::TableView& view,
                              const NgramEvalConfig& config) {
-  if (config.train_fraction <= 0.0 || config.train_fraction >= 1.0)
-    throw std::invalid_argument("evaluate_ngram: train_fraction outside (0,1)");
   if (config.context_len == 0)
     throw std::invalid_argument("evaluate_ngram: context_len == 0");
 
@@ -201,17 +206,10 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
     return tokens;
   };
 
-  // Client-level split: hash of the client key + seed decides the side, so
-  // the split is stable under dataset reordering.
-  auto is_train = [&](const std::string& client) {
-    const auto h = stats::fnv1a64(client, stats::fnv1a64_mix(config.seed));
-    return static_cast<double>(h % 1'000'000) / 1e6 < config.train_fraction;
-  };
-
   std::vector<const logs::ClientFlow*> train_flows;
   std::vector<const logs::ClientFlow*> test_flows;
   for (const auto& flow : flows) {
-    if (is_train(flow.client)) {
+    if (is_train_client(flow.client)) {
       ++result.train_clients;
       train_flows.push_back(&flow);
     } else {
@@ -255,19 +253,16 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
   // Scoring shards accumulate integer hit counters and merge by addition —
   // order-insensitive, so accuracy is identical for any thread count.
   struct EvalAcc {
-    std::vector<std::uint64_t> hits;  // parallel to config.ks
+    std::array<std::uint64_t, NgramEvalConfig::ks.size()> hits{};
     std::uint64_t predictions = 0;
     void merge(const EvalAcc& other) {
-      if (hits.size() < other.hits.size()) hits.resize(other.hits.size(), 0);
-      for (std::size_t i = 0; i < other.hits.size(); ++i)
-        hits[i] += other.hits[i];
+      for (std::size_t i = 0; i < hits.size(); ++i) hits[i] += other.hits[i];
       predictions += other.predictions;
     }
   };
   const auto scored = stats::parallel_reduce<EvalAcc>(
       pool, test_flows.size(),
       [&](EvalAcc& acc, std::size_t begin, std::size_t end) {
-        acc.hits.assign(config.ks.size(), 0);
         for (std::size_t f = begin; f < end; ++f) {
           const auto tokens = tokens_of(*test_flows[f]);
           for (std::size_t i = 1; i < tokens.size(); ++i) {
@@ -290,11 +285,10 @@ NgramAccuracy evaluate_flows(const std::vector<logs::ClientFlow>& flows,
 
   result.predictions = scored.predictions;
   for (std::size_t ki = 0; ki < config.ks.size(); ++ki) {
-    const std::uint64_t k_hits = ki < scored.hits.size() ? scored.hits[ki] : 0;
     result.accuracy_at[config.ks[ki]] =
         result.predictions == 0
             ? 0.0
-            : static_cast<double>(k_hits) /
+            : static_cast<double>(scored.hits[ki]) /
                   static_cast<double>(result.predictions);
   }
   return result;

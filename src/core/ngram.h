@@ -7,6 +7,7 @@
 // thing accuracy@K depends on.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -105,18 +106,27 @@ class NgramModel {
 
 // ---- Table 3 evaluation ---------------------------------------------------
 
+// Table 3's protocol. The paper fixes K and the 80/20 client split, so
+// those are constants; shipped callers vary only N, clustering and threads.
 struct NgramEvalConfig {
   std::size_t context_len = 1;           // the paper's N
-  std::vector<std::size_t> ks = {1, 5, 10};
-  double train_fraction = 0.8;           // split by unique clients (paper)
+  static constexpr std::array<std::size_t, 3> ks = {1, 5, 10};
+  // Share of unique clients trained on (paper), hashed with `seed`.
+  static constexpr double train_fraction = 0.8;
+  static constexpr std::uint64_t seed = 17;
   bool clustered = false;                // raw URLs vs clustered URLs
-  std::size_t min_flow_requests = 2;
-  std::uint64_t seed = 17;
+  static constexpr std::size_t min_flow_requests = 2;
   // Worker threads for token extraction, sharded training, and scoring:
   // 0 = auto (JSONCDN_THREADS env, else hardware_concurrency). Accuracy
   // figures are bit-identical for any value.
   std::size_t threads = 0;
 };
+
+// The client-level split: true when `client` is on the training side. A
+// hash of the client key and NgramEvalConfig::seed decides, so the split is
+// stable under dataset reordering and the oracle's skyline puts a client on
+// the same side as evaluate_ngram.
+[[nodiscard]] bool is_train_client(std::string_view client) noexcept;
 
 struct NgramAccuracy {
   std::size_t context_len = 1;

@@ -47,32 +47,13 @@ bool in_family(const std::vector<PeriodDetection>& accepted, double period,
                      });
 }
 
-// The one parameter check every strategy shares. A strategy ignores the
-// fields it does not read, but a config that is invalid for one strategy is
-// rejected by all, so switching --detector never turns a bad config good.
+// The one parameter check every strategy shares, over the two settable
+// fields; the rest of DetectorParams is constant.
 void check_params(const DetectorParams& params) {
   if (params.sample_interval <= 0.0)
     throw std::invalid_argument("DetectorParams: sample_interval <= 0");
   if (params.permutations < 2)
     throw std::invalid_argument("DetectorParams: permutations < 2");
-  if (params.max_signal_samples < 16)
-    throw std::invalid_argument("DetectorParams: max_signal_samples < 16");
-  if (params.samples_per_event < 4)
-    throw std::invalid_argument("DetectorParams: samples_per_event < 4");
-  if (params.period_match_tolerance <= 0.0 ||
-      params.period_match_tolerance >= 1.0)
-    throw std::invalid_argument("DetectorParams: tolerance outside (0,1)");
-  if (params.min_cycles < 2.0)
-    throw std::invalid_argument("DetectorParams: min_cycles < 2");
-  if (params.ls_oversample < 1.0)
-    throw std::invalid_argument("DetectorParams: ls_oversample < 1");
-  if (params.ls_max_frequencies < 16)
-    throw std::invalid_argument("DetectorParams: ls_max_frequencies < 16");
-  if (params.ls_max_events < 16)
-    throw std::invalid_argument("DetectorParams: ls_max_events < 16");
-  if (params.ls_min_gap_agreement < 0.0 || params.ls_min_gap_agreement > 1.0)
-    throw std::invalid_argument(
-        "DetectorParams: ls_min_gap_agreement outside [0,1]");
 }
 
 }  // namespace

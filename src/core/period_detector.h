@@ -17,8 +17,9 @@
 //                    per-phase profile and re-runs the default pipeline on
 //                    the residual, surfacing overlapping periods.
 //
-// All strategies share DetectorParams; Lomb-Scargle additionally reads the
-// ls_* knobs. Strategies are deterministic given (times, rng state).
+// All strategies share DetectorParams: two settable fields (sample_interval,
+// permutations) and constants; Lomb-Scargle additionally reads the ls_*
+// constants. Strategies are deterministic given (times, rng state).
 #pragma once
 
 #include <complex>
@@ -68,8 +69,8 @@ struct DetectScratch {
 
 class PeriodDetector {
  public:
-  // Throws std::invalid_argument when any checked field of `params` is out
-  // of range (make_period_detector lists them).
+  // Throws std::invalid_argument when a settable field of `params` is out
+  // of range (make_period_detector lists the checks).
   explicit PeriodDetector(const DetectorParams& params);
   PeriodDetector(const PeriodDetector&) = delete;
   PeriodDetector& operator=(const PeriodDetector&) = delete;
@@ -84,7 +85,7 @@ class PeriodDetector {
   [[nodiscard]] const DetectorParams& params() const noexcept {
     return params_;
   }
-  // True when a and b agree within params().period_match_tolerance.
+  // True when a and b agree within DetectorParams::period_match_tolerance.
   [[nodiscard]] bool periods_match(double a, double b) const noexcept;
 
   // Validated entry points shared by every strategy: a flow containing any
@@ -133,12 +134,9 @@ struct DetectorInfo {
 [[nodiscard]] DetectorStrategy detector_strategy_from_name(
     std::string_view name);
 
-// Constructs the strategy. Every strategy checks the same ten fields and
-// throws std::invalid_argument when one is out of range: sample_interval
-// <= 0, permutations < 2, max_signal_samples < 16, samples_per_event < 4,
-// period_match_tolerance outside (0,1), min_cycles < 2, ls_oversample < 1,
-// ls_max_frequencies < 16, ls_max_events < 16, or ls_min_gap_agreement
-// outside [0,1].
+// Constructs the strategy. Every strategy checks the two settable fields
+// and throws std::invalid_argument when sample_interval <= 0 or
+// permutations < 2.
 [[nodiscard]] std::unique_ptr<PeriodDetector> make_period_detector(
     DetectorStrategy strategy, const DetectorParams& params);
 

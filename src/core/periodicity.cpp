@@ -365,8 +365,7 @@ PeriodicityReport analyze_flows(const std::vector<logs::ObjectFlow>& flows,
 
 PeriodicityReport analyze_periodicity(const logs::TableView& view,
                                       const PeriodicityConfig& config) {
-  return analyze_flows(logs::extract_object_flows(view, config.flow_filter),
-                       view.size(), config);
+  return analyze_flows(logs::extract_object_flows(view), view.size(), config);
 }
 
 }  // namespace jsoncdn::core

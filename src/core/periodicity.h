@@ -39,37 +39,42 @@ enum class DetectorStrategy {
   kMultiPeriod,    // iteratively subtracts detected components
 };
 
+// The two settings a shipped caller varies: the CLI, the benches and
+// perfbench set `permutations`, and bench/ablation_periodicity sweeps both.
+// Every other detector value has one value in use, so it is a constant.
 struct DetectorParams {
   double sample_interval = 1.0;   // paper: 1 s (network jitter floor)
   std::size_t permutations = 100; // paper: x = 100
   // Long flows are re-binned so the signal stays <= this many samples; the
   // effective interval never drops below sample_interval. Pure optimization:
   // periods of interest (>= 30 s) stay far above the Nyquist limit.
-  std::size_t max_signal_samples = 8192;
+  static constexpr std::size_t max_signal_samples = 8192;
   // Signal length also scales with flow density: a flow of n events is
   // binned into at most samples_per_event * n bins. For a periodic flow the
   // period then spans ~samples_per_event bins — ample resolution — while
   // sparse flows avoid FFTs over mostly-zero signals.
-  std::size_t samples_per_event = 16;
+  static constexpr std::size_t samples_per_event = 16;
   // Relative tolerance when matching an ACF peak to a periodogram frequency
-  // (and an object period to a client period).
-  double period_match_tolerance = 0.15;
+  // (and an object period to a client period). The oracle grades a detected
+  // period against the truth with the same tolerance.
+  static constexpr double period_match_tolerance = 0.15;
   // A period must fit this many times into the observation span to count.
-  double min_cycles = 3.0;
-  std::size_t min_requests = 4;   // below this, no detection attempt
+  static constexpr double min_cycles = 3.0;
+  // Below this many requests, no detection attempt.
+  static constexpr std::size_t min_requests = 4;
 
-  // ---- Lomb-Scargle (kLombScargle) knobs; ignored by other strategies ----
+  // ---- Lomb-Scargle (kLombScargle) constants; unused by other strategies --
   // Frequency oversampling of the event periodogram grid.
-  double ls_oversample = 4.0;
+  static constexpr double ls_oversample = 4.0;
   // Grid size cap: the grid is coarsened (never truncated) beyond this.
-  std::size_t ls_max_frequencies = 8192;
+  static constexpr std::size_t ls_max_frequencies = 8192;
   // Dense flows are strided down to this many events before the O(n*M) scan.
-  std::size_t ls_max_events = 4096;
+  static constexpr std::size_t ls_max_events = 4096;
   // A detected period must explain at least this share of interarrival gaps
   // (each within 25% of a multiple of the period). This is the precision
   // guard standing in for the ACF cross-check: the analytic Poisson-null
   // threshold alone over-fires on clumpy session flows.
-  double ls_min_gap_agreement = 0.34;
+  static constexpr double ls_min_gap_agreement = 0.34;
 };
 
 struct PeriodDetection {
@@ -114,8 +119,8 @@ struct PeriodicityConfig {
   // Which detection method runs per flow (core/period_detector.h). The
   // default reproduces the paper's ACF+FFT pipeline bit-identically.
   DetectorStrategy strategy = DetectorStrategy::kAcfFft;
-  logs::FlowFilter flow_filter;   // paper: >=10 requests, >=10 clients
-  std::uint64_t seed = 0x9e110d;  // permutation-test randomness
+  // Permutation-test randomness.
+  static constexpr std::uint64_t seed = 0x9e110d;
   // Worker threads for the per-flow fan-out: 0 = auto (JSONCDN_THREADS env,
   // else hardware_concurrency). Results are bit-identical for any value —
   // randomness is forked per flow and results placed in flow order.
@@ -142,8 +147,9 @@ struct PeriodicityReport {
 };
 
 // Runs the full §5.1 pipeline over a LogTable view (callers pass the
-// JSON-row selection to match the paper). Flow grouping keys on interned u32
-// symbols instead of hashing strings per record.
+// JSON-row selection to match the paper), on the object flows that pass
+// logs::FlowFilter. Flow grouping keys on interned u32 symbols instead of
+// hashing strings per record.
 [[nodiscard]] PeriodicityReport analyze_periodicity(
     const logs::TableView& view, const PeriodicityConfig& config);
 

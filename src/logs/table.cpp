@@ -228,8 +228,7 @@ std::size_t LogTable::memory_bytes() const noexcept {
 
 // Flow indices are positions *within the view* (0..view.size()-1);
 // consumers map back to table rows with view[idx].
-std::vector<ObjectFlow> extract_object_flows(const TableView& view,
-                                             const FlowFilter& filter) {
+std::vector<ObjectFlow> extract_object_flows(const TableView& view) {
   const LogTable& table = view.table();
   const std::size_t n = view.size();
 
@@ -295,11 +294,11 @@ std::vector<ObjectFlow> extract_object_flows(const TableView& view,
     flow.upload_share =
         static_cast<double>(uploads) / static_cast<double>(indices.size());
 
-    if (by_client.size() < filter.min_object_clients) continue;
+    if (by_client.size() < FlowFilter::min_object_clients) continue;
 
     flow.clients.reserve(by_client.size());
     for (auto& [client_sym, cof] : by_client) {
-      if (cof.times.size() >= filter.min_client_flow_requests) {
+      if (cof.times.size() >= FlowFilter::min_client_flow_requests) {
         flow.clients.push_back(std::move(cof));
       }
     }

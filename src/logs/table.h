@@ -356,8 +356,8 @@ class TableView {
 // The paper defines: an *object flow* is the sequence of requests made by all
 // clients to a specific object (unique URL); a *client-object flow* is the
 // subsequence from one client, where a client is the (user-agent, anonymized
-// IP) pair. The periodicity study filters out client-object flows with fewer
-// than 10 requests and object flows with fewer than 10 clients.
+// IP) pair. The periodicity study filters out short client-object flows and
+// object flows with few clients (FlowFilter).
 //
 // Record indices in the flows below are positions *within the view*
 // (0..view.size()-1); map them back to table rows with view[idx].
@@ -381,13 +381,15 @@ struct ObjectFlow {
   double upload_share = 0.0;
 };
 
+// The paper's §5.1 filter: client-object flows with >= 10 requests, object
+// flows with >= 10 clients. The batch pipeline and the streaming triage both
+// read it.
 struct FlowFilter {
-  // Paper defaults: flows with >= 10 requests, objects with >= 10 clients.
-  std::size_t min_client_flow_requests = 10;
-  std::size_t min_object_clients = 10;
+  static constexpr std::size_t min_client_flow_requests = 10;
+  static constexpr std::size_t min_object_clients = 10;
 };
 
-// Groups the view's rows into object flows, applying the filter: rows are
+// Groups the view's rows into object flows, applying FlowFilter: rows are
 // bucketed by url symbol (objects) and client symbol (client-object
 // subflows) instead of hashing strings per record. Flows are sorted by url
 // and client subflows by client key. Client subflows below the request
@@ -395,7 +397,7 @@ struct FlowFilter {
 // `times`/`total_requests` (they are real traffic; they are just too short
 // to test for periodicity).
 [[nodiscard]] std::vector<ObjectFlow> extract_object_flows(
-    const TableView& view, const FlowFilter& filter = {});
+    const TableView& view);
 
 // Per-client full request sequence (across all objects), used by the ngram
 // predictor: each element is (client key, view positions in time order).

@@ -117,8 +117,7 @@ CaseResult score_case(const logs::TableView& full, const logs::TableView& json,
 
   const auto pconfig = periodicity_config(config, threads);
   const auto report = core::analyze_periodicity(json, pconfig);
-  result.detector = score_periodicity(report, truth,
-                                      pconfig.detector.period_match_tolerance);
+  result.detector = score_periodicity(report, truth);
 
   result.ngram_raw = score_ngram(json, truth, ngram_config(config, false,
                                                            threads));

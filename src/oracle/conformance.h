@@ -32,7 +32,9 @@ struct ConformanceTolerances {
   double min_detector_precision = 0.90;
   double min_detector_recall = 0.90;
   double min_detector_f1 = 0.90;
-  double max_period_rel_error = 0.15;  // worst true-positive period error
+  // Worst true-positive period error: the scorer's match tolerance.
+  static constexpr double max_period_rel_error =
+      core::DetectorParams::period_match_tolerance;
   double max_device_l1 = 0.20;
   double max_class_l1 = 0.25;
   double max_industry_l1 = 0.40;

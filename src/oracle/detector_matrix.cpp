@@ -100,8 +100,7 @@ DetectorMatrixReport run_detector_matrix(const DetectorMatrixConfig& config) {
         pconfig.threads = config.threads;
         const auto analyzed =
             core::analyze_periodicity(generated.json(), pconfig);
-        sums[s].add(score_periodicity(analyzed, generated.truth,
-                                      config.period_tolerance));
+        sums[s].add(score_periodicity(analyzed, generated.truth));
       }
     }
     ScenarioRow row;

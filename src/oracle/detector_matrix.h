@@ -35,8 +35,6 @@ struct DetectorMatrixConfig {
   double duration_seconds = 2.0 * 3600.0;
   std::size_t n_clients = 600;
   std::size_t threads = 0;  // 0 = auto
-  // Relative tolerance for calling a detected period equal to the truth.
-  double period_tolerance = 0.15;
 
   // ---- CI bands ----
   // The default strategy (strategies.front()) must hold this F1 on the

@@ -1,6 +1,7 @@
 #include "oracle/scorer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 #include <unordered_map>
@@ -8,7 +9,6 @@
 
 #include "core/url_cluster.h"
 #include "http/device_db.h"
-#include "stats/hash.h"
 
 namespace jsoncdn::oracle {
 
@@ -79,8 +79,7 @@ double DetectorScore::max_period_rel_error() const noexcept {
 }
 
 DetectorScore score_periodicity(const core::PeriodicityReport& report,
-                                const TruthSidecar& truth,
-                                double period_tolerance) {
+                                const TruthSidecar& truth) {
   DetectorScore score;
   score.truth_flows = truth.periodic_flows.size();
 
@@ -133,7 +132,7 @@ DetectorScore score_periodicity(const core::PeriodicityReport& report,
             d == 0 ? rec.period_seconds : rec.extra_periods[d - 1];
         // Detected: find the best-matching label within tolerance.
         std::size_t best = SIZE_MAX;
-        double best_err = period_tolerance;
+        double best_err = core::DetectorParams::period_match_tolerance;
         if (it != by_key.end()) {
           for (const auto idx : it->second) {
             if (entries[idx].recovered) continue;
@@ -184,12 +183,8 @@ NgramScore score_ngram(const logs::TableView& json, const TruthSidecar& truth,
   score.measured = core::evaluate_ngram(json, config);
 
   // Skyline: the identical protocol over the intended session chains. The
-  // client split reuses evaluate_ngram's hash rule, so a client lands on the
-  // same side of both runs and the delta compares like with like.
-  auto is_train = [&](const std::string& client) {
-    const auto h = stats::fnv1a64(client, stats::fnv1a64_mix(config.seed));
-    return static_cast<double>(h % 1'000'000) / 1e6 < config.train_fraction;
-  };
+  // client split is evaluate_ngram's, so a client lands on the same side of
+  // both runs and the delta compares like with like.
   auto token_of = [&](const std::string& url) -> std::string {
     if (!config.clustered) return url;
     const auto it = truth.template_of_url.find(url);
@@ -205,11 +200,8 @@ NgramScore score_ngram(const logs::TableView& json, const TruthSidecar& truth,
   std::unordered_set<std::string> train_clients;
   std::unordered_set<std::string> test_clients;
   for (const auto& session : truth.sessions) {
-    if (session.urls.size() < std::max<std::size_t>(config.min_flow_requests,
-                                                    2)) {
-      continue;
-    }
-    if (is_train(session.client_key)) {
+    if (session.urls.size() < config.min_flow_requests) continue;
+    if (core::is_train_client(session.client_key)) {
       train_clients.insert(session.client_key);
       std::vector<std::string> tokens;
       tokens.reserve(session.urls.size());
@@ -225,10 +217,8 @@ NgramScore score_ngram(const logs::TableView& json, const TruthSidecar& truth,
   score.skyline.test_clients = test_clients.size();
 
   const std::size_t max_k =
-      config.ks.empty()
-          ? 1
-          : *std::max_element(config.ks.begin(), config.ks.end());
-  std::vector<std::uint64_t> hits(config.ks.size(), 0);
+      *std::max_element(config.ks.begin(), config.ks.end());
+  std::array<std::uint64_t, core::NgramEvalConfig::ks.size()> hits{};
   std::uint64_t predictions = 0;
   for (const auto* session : test_sessions) {
     std::vector<std::string> tokens;

@@ -55,12 +55,11 @@ struct DetectorScore {
   [[nodiscard]] double max_period_rel_error() const noexcept;
 };
 
-// `period_tolerance`: relative tolerance for calling a detected period equal
-// to the true one (same convention as DetectorParams::period_match_tolerance).
-// A detection whose period misses the truth by more counts as FP *and* FN.
+// A detected period equals the true one within the detector's own
+// tolerance, core::DetectorParams::period_match_tolerance. A detection whose
+// period misses the truth by more counts as FP *and* FN.
 [[nodiscard]] DetectorScore score_periodicity(
-    const core::PeriodicityReport& report, const TruthSidecar& truth,
-    double period_tolerance = 0.15);
+    const core::PeriodicityReport& report, const TruthSidecar& truth);
 
 // ---- Ngram predictor ------------------------------------------------------
 
@@ -73,9 +72,10 @@ struct NgramScore {
 };
 
 // `json` is the JSON-row view of the log (the paper's protocol). The skyline
-// run honours config.context_len / ks / train_fraction / seed; its clustered
-// variant clusters through the sidecar's template map (the ideal clustering)
-// with core::cluster_url as fallback for off-graph URLs.
+// run honours config.context_len, the K values and core::is_train_client's
+// split; its clustered variant clusters through the sidecar's template map
+// (the ideal clustering) with core::cluster_url as fallback for off-graph
+// URLs.
 [[nodiscard]] NgramScore score_ngram(const logs::TableView& json,
                                      const TruthSidecar& truth,
                                      const core::NgramEvalConfig& config);

@@ -38,8 +38,7 @@ StreamingAccumulator::StreamingAccumulator(const StreamingConfig& config)
       top_urls_(config.heavy_hitters),
       top_clients_(config.heavy_hitters),
       json_sizes_(config.quantile_alpha, config.quantile_max_buckets),
-      html_sizes_(config.quantile_alpha, config.quantile_max_buckets),
-      triage_(config.triage) {}
+      html_sizes_(config.quantile_alpha, config.quantile_max_buckets) {}
 
 void StreamingAccumulator::offer(const logs::LogTable& table,
                                  logs::LogTable::RowIndex row) {

@@ -48,20 +48,21 @@
 
 namespace jsoncdn::stream {
 
+// The sketch geometry is constant (one value in use each); the triage's
+// values are TriageConfig's.
 struct StreamingConfig {
   // Count-Min error: estimates overshoot by <= cms_epsilon * N with
   // probability 1 - cms_delta.
-  double cms_epsilon = 5e-4;
-  double cms_delta = 1e-3;
+  static constexpr double cms_epsilon = 5e-4;
+  static constexpr double cms_delta = 1e-3;
   // Space-Saving counter budget; any key with count > N / heavy_hitters is
   // guaranteed tracked.
-  std::size_t heavy_hitters = 512;
+  static constexpr std::size_t heavy_hitters = 512;
   // HLL registers = 2^hll_precision; relative error ~1.04 / 2^(p/2).
-  unsigned hll_precision = 12;
+  static constexpr unsigned hll_precision = 12;
   // Quantile relative-value error bound.
-  double quantile_alpha = 0.01;
-  std::size_t quantile_max_buckets = 4096;
-  TriageConfig triage;
+  static constexpr double quantile_alpha = 0.01;
+  static constexpr std::size_t quantile_max_buckets = 4096;
   // Worker threads for chunk ingest: 0 = auto (JSONCDN_THREADS env, else
   // hardware_concurrency), same convention as every batch stage.
   std::size_t threads = 0;

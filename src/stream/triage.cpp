@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "logs/table.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stream {
@@ -24,9 +25,8 @@ double InterarrivalTriage::FlowState::estimated_clients() const noexcept {
   return m * std::log(m / zeros);
 }
 
-InterarrivalTriage::InterarrivalTriage(const TriageConfig& config)
-    : config_(config), heavy_(config.max_flows) {
-  states_.reserve(config.max_flows);
+InterarrivalTriage::InterarrivalTriage() : heavy_(TriageConfig::max_flows) {
+  states_.reserve(TriageConfig::max_flows);
 }
 
 void InterarrivalTriage::offer(std::string_view key,
@@ -71,15 +71,17 @@ void InterarrivalTriage::merge(const InterarrivalTriage& other) {
 }
 
 std::vector<CandidateFlow> InterarrivalTriage::candidates() const {
+  using logs::FlowFilter;
   std::vector<CandidateFlow> out;
   for (const auto& [key, state] : states_) {
-    if (state.requests < config_.min_requests) continue;
+    if (state.requests < FlowFilter::min_client_flow_requests) continue;
     const double span = state.last_ts - state.first_ts;
-    if (span < config_.min_span_seconds) continue;
+    if (span < TriageConfig::min_span_seconds) continue;
     const double clients = state.estimated_clients();
-    if (clients + 0.5 < static_cast<double>(config_.min_clients)) continue;
+    if (clients + 0.5 < static_cast<double>(FlowFilter::min_object_clients))
+      continue;
     const double cv = state.gaps.coefficient_of_variation();
-    if (cv > config_.max_gap_cv) continue;
+    if (cv > TriageConfig::max_gap_cv) continue;
     CandidateFlow c;
     c.key = key;
     c.requests = state.requests;

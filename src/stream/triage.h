@@ -30,16 +30,16 @@
 
 namespace jsoncdn::stream {
 
+// The triage's own constants. Its eligibility filters are the batch
+// pipeline's, logs::FlowFilter.
 struct TriageConfig {
-  std::size_t max_flows = 4096;   // bounded flow table (heavy set size)
-  std::size_t min_requests = 10;  // paper: client/object flow filter
-  std::size_t min_clients = 10;   // paper: object flow filter
+  static constexpr std::size_t max_flows = 4096;  // bounded flow table
   // Regularity screen: aggregate inter-arrival CV above this is too bursty
   // to be worth an FFT. Aggregates of phase-offset periodic clients land
   // well below it; single-burst spikes land far above.
-  double max_gap_cv = 2.5;
+  static constexpr double max_gap_cv = 2.5;
   // Mirrors the detector's "span > 4 * sample_interval" precondition.
-  double min_span_seconds = 5.0;
+  static constexpr double min_span_seconds = 5.0;
 };
 
 struct CandidateFlow {
@@ -53,7 +53,7 @@ struct CandidateFlow {
 
 class InterarrivalTriage {
  public:
-  explicit InterarrivalTriage(const TriageConfig& config = {});
+  InterarrivalTriage();
 
   // Offers one request of flow `key` by client `client_hash` at `timestamp`.
   // Timestamps must be non-decreasing within one triage instance (the log
@@ -68,7 +68,6 @@ class InterarrivalTriage {
   // Flows passing every filter, requests descending, key ascending on ties.
   [[nodiscard]] std::vector<CandidateFlow> candidates() const;
 
-  [[nodiscard]] const TriageConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t tracked_flows() const noexcept {
     return states_.size();
   }
@@ -88,7 +87,6 @@ class InterarrivalTriage {
     [[nodiscard]] double estimated_clients() const noexcept;
   };
 
-  TriageConfig config_;
   SpaceSaving heavy_;  // admission policy over flow keys
   std::unordered_map<std::string, FlowState> states_;
 };

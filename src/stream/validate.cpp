@@ -166,10 +166,7 @@ ValidationReport validate_streaming(const logs::LogTable& exact,
       source.missing_ua_requests == summary.source.missing_ua_requests;
 
   // --- Triage recall ------------------------------------------------------
-  logs::FlowFilter filter;
-  filter.min_client_flow_requests = config.triage.min_requests;
-  filter.min_object_clients = config.triage.min_clients;
-  const auto flows = logs::extract_object_flows(json, filter);
+  const auto flows = logs::extract_object_flows(json);
   std::unordered_set<std::string_view> candidate_keys;
   for (const auto& c : summary.periodic_candidates)
     candidate_keys.insert(c.key);

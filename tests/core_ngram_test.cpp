@@ -186,7 +186,6 @@ TEST(EvaluateNgram, PerfectChainScoresNearOne) {
   const auto ds = chain_dataset(40, 5);
   NgramEvalConfig config;
   config.context_len = 1;
-  config.ks = {1};
   const auto result = evaluate_ngram(logs::TableView(ds), config);
   EXPECT_GT(result.train_clients, 0u);
   EXPECT_GT(result.test_clients, 0u);
@@ -199,7 +198,6 @@ TEST(EvaluateNgram, PerfectChainScoresNearOne) {
 TEST(EvaluateNgram, AccuracyMonotoneInK) {
   const auto ds = chain_dataset(40, 5);
   NgramEvalConfig config;
-  config.ks = {1, 5, 10};
   const auto result = evaluate_ngram(logs::TableView(ds), config);
   EXPECT_LE(result.accuracy_at.at(1), result.accuracy_at.at(5));
   EXPECT_LE(result.accuracy_at.at(5), result.accuracy_at.at(10));
@@ -227,7 +225,6 @@ TEST(EvaluateNgram, ClusteredAtLeastAsGoodOnParameterizedChains) {
     }
   }
   NgramEvalConfig raw;
-  raw.ks = {1};
   NgramEvalConfig clustered = raw;
   clustered.clustered = true;
   const auto raw_result = evaluate_ngram(logs::TableView(ds), raw);
@@ -249,10 +246,6 @@ TEST(EvaluateNgram, SplitIsClientDisjointAndStable) {
 TEST(EvaluateNgram, RejectsBadConfig) {
   const auto ds = chain_dataset(4, 1);
   NgramEvalConfig config;
-  config.train_fraction = 1.0;
-  EXPECT_THROW((void)evaluate_ngram(logs::TableView(ds), config),
-               std::invalid_argument);
-  config = {};
   config.context_len = 0;
   EXPECT_THROW((void)evaluate_ngram(logs::TableView(ds), config),
                std::invalid_argument);

@@ -19,8 +19,7 @@ const StudyResult& small_short_term_study() {
   static const StudyResult result = [] {
     StudyConfig config;
     config.workload = workload::short_term_scenario(0.008, 2024);
-    config.ngram_configs = {{1, {1, 5, 10}, 0.8, false, 2, 17},
-                            {1, {1, 5, 10}, 0.8, true, 2, 17}};
+    config.ngram_configs = {{1, false}, {1, true}};
     return run_study(config);
   }();
   return result;
@@ -168,8 +167,7 @@ TEST(Study, ResultsBitIdenticalAcrossThreadCounts) {
   config.workload = workload::short_term_scenario(0.002, 7);
   config.run_periodicity = true;
   config.periodicity.detector.permutations = 25;  // keep the test fast
-  config.ngram_configs = {{1, {1, 5}, 0.8, false, 2, 17},
-                          {2, {1, 5}, 0.8, true, 2, 17}};
+  config.ngram_configs = {{1, false}, {2, true}};
 
   config.threads = 1;
   const StudyResult serial = run_study(config);

@@ -39,7 +39,7 @@ TEST(ExtractObjectFlows, AppliesClientAndRequestFilters) {
     }
   }
   ds.sort_by_time();
-  const auto flows = extract_object_flows(TableView(ds), FlowFilter{});
+  const auto flows = extract_object_flows(TableView(ds));
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].url, "u1");
   EXPECT_EQ(flows[0].total_requests, 100u);
@@ -58,7 +58,7 @@ TEST(ExtractObjectFlows, ShortClientSubflowsCountedButNotAnalyzed) {
     ds.append(make(1.0, "small" + std::to_string(c), "u1"));
     ds.append(make(2.0, "small" + std::to_string(c), "u1"));
   }
-  const auto flows = extract_object_flows(TableView(ds), FlowFilter{});
+  const auto flows = extract_object_flows(TableView(ds));
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].total_requests, 110u);  // includes the short subflows
   EXPECT_EQ(flows[0].clients.size(), 10u);   // analyzable ones only
@@ -66,14 +66,19 @@ TEST(ExtractObjectFlows, ShortClientSubflowsCountedButNotAnalyzed) {
 
 TEST(ExtractObjectFlows, ComputesShareStatistics) {
   LogTable ds;
-  FlowFilter permissive{1, 1};
-  for (int i = 0; i < 4; ++i) {
-    ds.append(make(i, "c", "u1", http::Method::kGet,
-                   i < 3 ? CacheStatus::kNotCacheable : CacheStatus::kHit));
+  // Ten clients repeat one five-request pattern twice, so the object passes
+  // the paper's filter: three uncacheable GETs, a cache hit and an
+  // uncacheable POST.
+  for (int c = 0; c < 10; ++c) {
+    for (int i = 0; i < 10; ++i) {
+      const bool post = i % 5 == 4;
+      ds.append(make(c * 100.0 + i, "c" + std::to_string(c), "u1",
+                     post ? http::Method::kPost : http::Method::kGet,
+                     i % 5 == 3 ? CacheStatus::kHit
+                                : CacheStatus::kNotCacheable));
+    }
   }
-  ds.append(make(10.0, "c", "u1", http::Method::kPost,
-                 CacheStatus::kNotCacheable));
-  const auto flows = extract_object_flows(TableView(ds), permissive);
+  const auto flows = extract_object_flows(TableView(ds));
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_DOUBLE_EQ(flows[0].uncacheable_share, 0.8);
   EXPECT_DOUBLE_EQ(flows[0].upload_share, 0.2);
@@ -81,16 +86,20 @@ TEST(ExtractObjectFlows, ComputesShareStatistics) {
 
 TEST(ExtractObjectFlows, TimesAscendingPerFlowAndClient) {
   LogTable ds;
-  FlowFilter permissive{2, 1};
-  ds.append(make(5.0, "c", "u1"));
-  ds.append(make(1.0, "c", "u1"));
-  ds.append(make(3.0, "c", "u1"));
-  const auto flows = extract_object_flows(TableView(ds), permissive);
+  // Appended in descending time order: the grouping must sort.
+  for (int i = 0; i < 10; ++i) {
+    for (int c = 0; c < 10; ++c) {
+      ds.append(make(100.0 - 10.0 * i - c, "c" + std::to_string(c), "u1"));
+    }
+  }
+  const auto flows = extract_object_flows(TableView(ds));
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_TRUE(std::is_sorted(flows[0].times.begin(), flows[0].times.end()));
-  ASSERT_EQ(flows[0].clients.size(), 1u);
-  EXPECT_TRUE(std::is_sorted(flows[0].clients[0].times.begin(),
-                             flows[0].clients[0].times.end()));
+  ASSERT_EQ(flows[0].clients.size(), 10u);
+  for (const auto& client : flows[0].clients) {
+    EXPECT_TRUE(std::is_sorted(client.times.begin(), client.times.end()))
+        << client.client;
+  }
 }
 
 TEST(ExtractClientFlows, OrdersByTimeAndFiltersShortFlows) {

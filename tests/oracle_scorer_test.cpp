@@ -116,7 +116,7 @@ TEST(ScorePeriodicity, PeriodWithinToleranceIsTruePositive) {
   TruthSidecar truth;
   truth.periodic_flows = {truth_flow("c1", "u1", 30.0)};
 
-  const auto score = score_periodicity(report, truth, 0.15);
+  const auto score = score_periodicity(report, truth);
   EXPECT_EQ(score.true_positives, 1u);
   EXPECT_NEAR(score.max_period_rel_error(), 1.0 / 31.0, 1e-9);
 }

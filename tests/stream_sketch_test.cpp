@@ -276,9 +276,7 @@ TEST(RunningMoments, MergeMatchesSequentialIngest) {
 // ---- Inter-arrival triage -------------------------------------------------
 
 TEST(InterarrivalTriage, PassesPeriodicFlowsAndScreensOutIneligibleOnes) {
-  TriageConfig config;
-  config.max_flows = 64;
-  InterarrivalTriage triage(config);
+  InterarrivalTriage triage;
   // "periodic": 15 clients polling every 30 s with per-client phase offsets.
   // "small": only 3 clients (fails the >= 10 clients filter).
   // "burst": plenty of clients but every request in the same instant
@@ -299,15 +297,13 @@ TEST(InterarrivalTriage, PassesPeriodicFlowsAndScreensOutIneligibleOnes) {
   EXPECT_EQ(candidates[0].key, "periodic");
   EXPECT_EQ(candidates[0].requests, 300u);
   EXPECT_GE(candidates[0].estimated_clients, 10.0);
-  EXPECT_LE(candidates[0].gap_cv, config.max_gap_cv);
+  EXPECT_LE(candidates[0].gap_cv, TriageConfig::max_gap_cv);
 }
 
 TEST(InterarrivalTriage, ChunkMergeMatchesSerialIngest) {
-  TriageConfig config;
-  config.max_flows = 32;
-  InterarrivalTriage serial(config);
-  InterarrivalTriage first(config);
-  InterarrivalTriage second(config);
+  InterarrivalTriage serial;
+  InterarrivalTriage first;
+  InterarrivalTriage second;
   // Two flows; the split point lands mid-flow so merge() must stitch the
   // boundary inter-arrival gap.
   std::vector<std::tuple<std::string, std::uint64_t, double>> events;
@@ -343,14 +339,15 @@ TEST(InterarrivalTriage, ChunkMergeMatchesSerialIngest) {
 }
 
 TEST(InterarrivalTriage, FlowTableStaysBounded) {
-  TriageConfig config;
-  config.max_flows = 16;
-  InterarrivalTriage triage(config);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    triage.offer("flow-" + std::to_string(i % 200), i % 37,
+  // Twice as many distinct flows as the table holds, each offered more
+  // than once.
+  constexpr std::uint64_t kFlows = 2 * TriageConfig::max_flows;
+  InterarrivalTriage triage;
+  for (std::uint64_t i = 0; i < 3 * kFlows; ++i) {
+    triage.offer("flow-" + std::to_string(i % kFlows), i % 37,
                  static_cast<double>(i));
   }
-  EXPECT_LE(triage.tracked_flows(), config.max_flows);
+  EXPECT_LE(triage.tracked_flows(), TriageConfig::max_flows);
 }
 
 }  // namespace
