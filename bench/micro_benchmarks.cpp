@@ -1142,26 +1142,6 @@ KernelBenchReport report_kernel_throughput(std::size_t records) {
         }));
   }
 
-  // Sketch finalizer batch (HyperLogLog / CountMin add paths).
-  {
-    std::vector<std::uint64_t> hashes(n);
-    std::uint64_t s = 0x5eed;
-    for (auto& h : hashes) h = s = stats::splitmix64(s);
-    std::vector<std::uint64_t> mixed(n);
-    report.kernels.push_back(bench_kernel(
-        "splitmix",
-        static_cast<double>(n),
-        [&] {
-          kernels::splitmix_batch(hashes.data(), n, 0, mixed.data());
-          benchmark::DoNotOptimize(mixed.data());
-        },
-        [&] {
-          kernels::baseline::splitmix_batch(hashes.data(), n, 0,
-                                            mixed.data());
-          benchmark::DoNotOptimize(mixed.data());
-        }));
-  }
-
   // Chunk-store varint decode: bulk get_n vs the element-at-a-time get()
   // loop the column decoder ran before. Not SIMD-dispatched (the fast path
   // is branch restructuring, identical in both builds) — the ratio is what

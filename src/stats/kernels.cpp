@@ -28,7 +28,6 @@ namespace jsoncdn::stats::kernels {
                         double* pgram0);                                      \
   void bin_events(const double* times, std::size_t n, double t_begin,         \
                   double t_end, double dt, double* bins, std::size_t nbins);  \
-  double max_value(const double* x, std::size_t n, double init) noexcept;     \
   bool diff_ascending(const double* x, std::size_t n, double* out);           \
   void count_u32(const std::uint32_t* keys, const std::uint32_t* idx,         \
                  std::size_t n, std::uint64_t* counts, std::size_t n_keys);   \
@@ -37,8 +36,6 @@ namespace jsoncdn::stats::kernels {
   StatusBuckets count_status(const std::int32_t* status,                      \
                              const std::uint32_t* idx,                        \
                              std::size_t n) noexcept;                         \
-  void splitmix_batch(const std::uint64_t* keys, std::size_t n,               \
-                      std::uint64_t salt, std::uint64_t* out);                \
   }
 
 JSONCDN_DECLARE_KERNELS(kernels_scalar)
@@ -72,11 +69,6 @@ void bin_events(const double* times, std::size_t n, double t_begin,
   }
 }
 
-double max_value(const double* x, std::size_t n, double init) noexcept {
-  return simd_enabled() ? kernels_simd::max_value(x, n, init)
-                        : kernels_scalar::max_value(x, n, init);
-}
-
 bool diff_ascending(const double* x, std::size_t n, double* out) {
   return simd_enabled() ? kernels_simd::diff_ascending(x, n, out)
                         : kernels_scalar::diff_ascending(x, n, out);
@@ -104,15 +96,6 @@ StatusBuckets count_status(const std::int32_t* status,
                            const std::uint32_t* idx, std::size_t n) noexcept {
   return simd_enabled() ? kernels_simd::count_status(status, idx, n)
                         : kernels_scalar::count_status(status, idx, n);
-}
-
-void splitmix_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint64_t salt, std::uint64_t* out) {
-  if (simd_enabled()) {
-    kernels_simd::splitmix_batch(keys, n, salt, out);
-  } else {
-    kernels_scalar::splitmix_batch(keys, n, salt, out);
-  }
 }
 
 // ---- baseline reference loops (pre-kernel shapes, default flags) ---------
@@ -220,16 +203,6 @@ StatusBuckets count_status(const std::int32_t* status,
     }
   }
   return out;
-}
-
-void splitmix_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint64_t salt, std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t z = (keys[i] ^ salt) + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    out[i] = z ^ (z >> 31);
-  }
 }
 
 }  // namespace baseline

@@ -63,12 +63,6 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
 void bin_events(const double* times, std::size_t n, double t_begin,
                 double t_end, double dt, double* bins, std::size_t nbins);
 
-// Max-reduction seeded with `init`. Lane-blocked; exact for inputs free of
-// NaN and mixed-sign zeros (true of ACF/periodogram powers), where max is
-// order-independent.
-[[nodiscard]] double max_value(const double* x, std::size_t n,
-                               double init) noexcept;
-
 // out[i] = x[i+1] - x[i] for i = 0..n-2 (interarrival gaps). Returns false
 // if any adjacent pair has x[i+1] < x[i] (the caller's not-ascending error);
 // gaps are still fully written in that case.
@@ -102,11 +96,6 @@ struct StatusBuckets {
                                          const std::uint32_t* idx,
                                          std::size_t n) noexcept;
 
-// out[i] = splitmix64(keys[i] ^ salt): the batched form of the sketch
-// finalizer (HyperLogLog: salt = 0; CountMin: salt = the per-row seed mix).
-void splitmix_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint64_t salt, std::uint64_t* out);
-
 // ---- Pre-kernel reference loops ------------------------------------------
 // The loop shapes the call sites ran before the kernel layer existed,
 // compiled with the build's default flags exactly like the originals were.
@@ -136,10 +125,6 @@ void count_u32(const std::uint32_t* keys, const std::uint32_t* idx,
 [[nodiscard]] StatusBuckets count_status(const std::int32_t* status,
                                          const std::uint32_t* idx,
                                          std::size_t n) noexcept;
-// Element-at-a-time splitmix64 (the sketch add() loop shape).
-void splitmix_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint64_t salt, std::uint64_t* out);
-
 }  // namespace baseline
 
 }  // namespace jsoncdn::stats::kernels

@@ -25,10 +25,6 @@
 namespace jsoncdn::stats::kernels {
 namespace JSONCDN_KERNEL_NS {
 
-inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
-inline constexpr std::uint64_t kSplitmixMul1 = 0xbf58476d1ce4e5b9ULL;
-inline constexpr std::uint64_t kSplitmixMul2 = 0x94d049bb133111ebULL;
-
 namespace {
 
 // Monotone bijection between finite doubles and uint64 (negatives reversed),
@@ -497,22 +493,6 @@ void spectral_maxima4(const double* const* signals, std::size_t lanes,
   }
 }
 
-double max_value(const double* x, std::size_t n, double init) noexcept {
-  constexpr std::size_t kLanes = 8;
-  double m[kLanes] = {init, init, init, init, init, init, init, init};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      const double v = x[i + l];
-      m[l] = m[l] < v ? v : m[l];
-    }
-  }
-  for (; i < n; ++i) m[0] = m[0] < x[i] ? x[i] : m[0];
-  double best = m[0];
-  for (std::size_t l = 1; l < kLanes; ++l) best = best < m[l] ? m[l] : best;
-  return best;
-}
-
 bool diff_ascending(const double* x, std::size_t n, double* out) {
   // Mask-sum of violations instead of early exit: the diff loop stays
   // branch-free and vectorizes; `x[i+1] < x[i]` (not >=) keeps the caller's
@@ -655,16 +635,6 @@ StatusBuckets count_status(const std::int32_t* status,
                            const std::uint32_t* idx, std::size_t n) noexcept {
   return idx != nullptr ? count_status_loop<true>(status, idx, n)
                         : count_status_loop<false>(status, idx, n);
-}
-
-void splitmix_batch(const std::uint64_t* keys, std::size_t n,
-                    std::uint64_t salt, std::uint64_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t z = (keys[i] ^ salt) + kSplitmixGamma;
-    z = (z ^ (z >> 30)) * kSplitmixMul1;
-    z = (z ^ (z >> 27)) * kSplitmixMul2;
-    out[i] = z ^ (z >> 31);
-  }
 }
 
 }  // namespace JSONCDN_KERNEL_NS

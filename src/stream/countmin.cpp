@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "stats/hash.h"
-#include "stats/kernels.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stream {
@@ -42,29 +41,6 @@ void CountMinSketch::add(std::uint64_t key_hash, std::uint64_t count) {
 
 void CountMinSketch::add(std::string_view key, std::uint64_t count) {
   add(stats::fnv1a64(key), count);
-}
-
-void CountMinSketch::add_batch(const std::uint64_t* key_hashes,
-                               std::size_t n) {
-  // Per row: batch the splitmix remix (salt = splitmix64(seed_ + row + 1),
-  // exactly the inner mix cell() applies), then do the % width_ fold and
-  // scatter increments serially — the modulus defines which cells a key owns
-  // and cannot change without changing every estimate. Increments commute,
-  // so the cells end up bit-identical to n add() calls.
-  constexpr std::size_t kBlock = 1024;
-  std::uint64_t mixed[kBlock];
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = std::min(kBlock, n - b);
-    for (std::size_t row = 0; row < depth_; ++row) {
-      const std::uint64_t salt = stats::splitmix64(seed_ + row + 1);
-      stats::kernels::splitmix_batch(key_hashes + b, m, salt, mixed);
-      std::uint64_t* row_cells = cells_.data() + row * width_;
-      for (std::size_t i = 0; i < m; ++i) {
-        row_cells[static_cast<std::size_t>(mixed[i] % width_)] += 1;
-      }
-    }
-  }
-  total_ += n;
 }
 
 std::uint64_t CountMinSketch::estimate(std::uint64_t key_hash) const {

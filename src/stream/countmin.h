@@ -25,12 +25,6 @@ class CountMinSketch {
   void add(std::uint64_t key_hash, std::uint64_t count = 1);
   void add(std::string_view key, std::uint64_t count = 1);
 
-  // Bulk form: one occurrence of each pre-hashed key. Cell increments
-  // commute, so this is bit-identical to n add() calls; the per-row hash
-  // remix runs through the vectorized batch kernel (the `% width_` cell
-  // mapping itself must stay scalar — it is part of the sketch identity).
-  void add_batch(const std::uint64_t* key_hashes, std::size_t n);
-
   // Point query: min over the key's cells. >= true count, and
   // <= true count + epsilon * total_weight() w.p. 1 - delta.
   [[nodiscard]] std::uint64_t estimate(std::uint64_t key_hash) const;

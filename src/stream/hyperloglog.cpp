@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "stats/hash.h"
-#include "stats/kernels.h"
 #include "stats/rng.h"
 
 namespace jsoncdn::stream {
@@ -33,28 +32,6 @@ void HyperLogLog::add(std::uint64_t element_hash) {
 
 void HyperLogLog::add(std::string_view element) {
   add(stats::fnv1a64(element));
-}
-
-void HyperLogLog::add_batch(const std::uint64_t* element_hashes,
-                            std::size_t n) {
-  // Finalize a block of hashes at once (salt 0 makes the batch kernel the
-  // plain splitmix64 of add()), then apply the inherently scattered register
-  // max updates serially. max() commutes, so any grouping of the input into
-  // blocks yields the same registers as element-at-a-time add().
-  constexpr std::size_t kBlock = 1024;
-  std::uint64_t mixed[kBlock];
-  for (std::size_t b = 0; b < n; b += kBlock) {
-    const std::size_t m = std::min(kBlock, n - b);
-    stats::kernels::splitmix_batch(element_hashes + b, m, 0, mixed);
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::size_t idx =
-          static_cast<std::size_t>(mixed[i] >> (64 - precision_));
-      const std::uint64_t rest = mixed[i] << precision_;
-      const auto rank = static_cast<std::uint8_t>(
-          rest == 0 ? 65 - precision_ : std::countl_zero(rest) + 1);
-      registers_[idx] = std::max(registers_[idx], rank);
-    }
-  }
 }
 
 double HyperLogLog::standard_error() const noexcept {

@@ -27,11 +27,6 @@ class HyperLogLog {
   void add(std::uint64_t element_hash);
   void add(std::string_view element);
 
-  // Bulk form over pre-hashed elements. Register updates are max() — order
-  // independent — so this is bit-identical to n add() calls; the splitmix
-  // finalizer runs through the vectorized batch kernel.
-  void add_batch(const std::uint64_t* element_hashes, std::size_t n);
-
   // Bias-corrected cardinality estimate.
   [[nodiscard]] double estimate() const;
 

@@ -25,8 +25,6 @@
 #include "stats/kernels.h"
 #include "stats/rng.h"
 #include "stats/simd.h"
-#include "stream/countmin.h"
-#include "stream/hyperloglog.h"
 
 namespace jsoncdn {
 namespace {
@@ -438,20 +436,6 @@ TEST(SimdKernels, BinEventsLargeSortedAndShuffledMatchBaseline) {
   }
 }
 
-TEST(SimdKernels, MaxValueMatchesSerialFold) {
-  for (const std::size_t n : kLengths) {
-    const auto x = random_doubles(n, 0x3a7u + n, 9.0);
-    double expected = -1.0;
-    for (const double v : x) expected = std::max(expected, v);
-    with_both_modes([&](bool) {
-      const double got = kernels::max_value(x.data(), n, -1.0);
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(expected),
-                std::bit_cast<std::uint64_t>(got))
-          << "n=" << n;
-    });
-  }
-}
-
 TEST(SimdKernels, DiffAscendingComputesGapsAndFlagsViolations) {
   for (const std::size_t n : kLengths) {
     if (n < 2) {
@@ -607,50 +591,6 @@ TEST(SimdKernels, CountStatusMatchesBaseline) {
       });
     }
   }
-}
-
-TEST(SimdKernels, SplitmixBatchMatchesElementwise) {
-  for (const std::size_t n : kLengths) {
-    const auto keys = random_u64(n, 0x77u + n);
-    for (const std::uint64_t salt :
-         {std::uint64_t{0}, std::uint64_t{0x123456789abcdefULL}}) {
-      std::vector<std::uint64_t> expected(n);
-      kernels::baseline::splitmix_batch(keys.data(), n, salt,
-                                        expected.data());
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(expected[i], stats::splitmix64(keys[i] ^ salt));
-      with_both_modes([&](bool) {
-        std::vector<std::uint64_t> got(n);
-        kernels::splitmix_batch(keys.data(), n, salt, got.data());
-        EXPECT_EQ(expected, got) << "n=" << n;
-      });
-    }
-  }
-}
-
-TEST(SimdKernels, SketchAddBatchBitIdenticalToAddLoop) {
-  const auto hashes = random_u64(4099, 0x40adu);
-  with_both_modes([&](bool) {
-    stream::HyperLogLog one_by_one(12);
-    stream::HyperLogLog batched(12);
-    for (const auto h : hashes) one_by_one.add(h);
-    batched.add_batch(hashes.data(), hashes.size());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(one_by_one.estimate()),
-              std::bit_cast<std::uint64_t>(batched.estimate()));
-    // Idempotent-merge cross-check: merging the two must change neither.
-    stream::HyperLogLog merged = one_by_one;
-    merged.merge(batched);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(merged.estimate()),
-              std::bit_cast<std::uint64_t>(one_by_one.estimate()));
-
-    stream::CountMinSketch cms_loop(0.01, 0.01, 42);
-    stream::CountMinSketch cms_batch(0.01, 0.01, 42);
-    for (const auto h : hashes) cms_loop.add(h);
-    cms_batch.add_batch(hashes.data(), hashes.size());
-    EXPECT_EQ(cms_loop.total_weight(), cms_batch.total_weight());
-    for (std::size_t i = 0; i < hashes.size(); i += 97)
-      EXPECT_EQ(cms_loop.estimate(hashes[i]), cms_batch.estimate(hashes[i]));
-  });
 }
 
 TEST(SimdKernels, DeltaDecoderBulkMatchesScalarGet) {
