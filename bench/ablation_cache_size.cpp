@@ -3,15 +3,16 @@
 // ~45% of JSON traffic that is cacheable, the achievable offload depends on
 // how much of the working set the edge can hold.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.004;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.004;
   bench::print_header("Ablation: edge cache capacity",
                       "hit ratio vs cache size (short-term)");
 

@@ -3,10 +3,10 @@
 // threshold. Reports cache hit ratio, latency, and prefetch waste per
 // setting against the no-prefetch baseline.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "core/prefetch.h"
 #include "workload/generator.h"
 
@@ -29,7 +29,7 @@ jsoncdn::workload::GeneratorConfig app_heavy(std::uint64_t seed,
 int main(int argc, char** argv) {
   using namespace jsoncdn;
   const std::size_t n_clients =
-      argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 2000;
+      argc > 1 ? cli::positive_value<std::size_t>("n_clients", argv[1]) : 2000;
   bench::print_header("Ablation: ngram prefetching",
                       "hit ratio / latency vs confidence threshold");
 

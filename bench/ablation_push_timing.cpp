@@ -3,10 +3,10 @@
 // candidate filtering (the paper's future-work refinement). Reports hit
 // ratio, client latency, and speculative-traffic waste.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "core/prefetch.h"
 #include "core/timing.h"
 #include "workload/generator.h"
@@ -46,7 +46,7 @@ void print_row(const Row& row) {
 int main(int argc, char** argv) {
   using namespace jsoncdn;
   const std::size_t n_clients =
-      argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 1500;
+      argc > 1 ? cli::positive_value<std::size_t>("n_clients", argv[1]) : 1500;
   bench::print_header("Ablation: prefetch / push / interarrival filtering",
                       "Section 5.2 delivery mechanisms");
 

@@ -5,16 +5,17 @@
 // the serving-cost model and compares cost-per-byte across content classes
 // and across the 2016/2019 size regimes.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "core/cost.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.006;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.006;
   bench::print_header("Section 4 provisioning",
                       "CPU cost-per-byte by content class");
 

@@ -1,9 +1,9 @@
 // Figure 1: "Ratio of JSON to HTML requests on the CDN", 2016 -> 2019.
 // Regenerated by simulating the app-ecosystem drift quarter by quarter.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/report.h"
 #include "workload/traffic_mix.h"
 
@@ -12,7 +12,10 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 1", "JSON:HTML request ratio growth 2016-2019");
 
   workload::GrowthConfig config;
-  if (argc > 1) config.clients_per_quarter = std::atoi(argv[1]);
+  if (argc > 1) {
+    config.clients_per_quarter =
+        cli::positive_value<std::size_t>("clients_per_quarter", argv[1]);
+  }
   const auto series = workload::simulate_growth(config);
   std::fputs(core::render_growth(series).c_str(), stdout);
 

@@ -1,16 +1,17 @@
 // Figure 3: "Categorization by device type" + the Section 4 traffic-source
 // text numbers (UA-string distribution, browser shares).
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.01;
   bench::print_header("Figure 3", "JSON traffic by device type (short-term)");
 
   core::StudyConfig config;

@@ -2,16 +2,17 @@
 // distribution of per-domain cacheable shares, plus the Section 4 aggregate:
 // ~50% of domains never cache, ~30% always cache.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.01;
   bench::print_header("Figure 4",
                       "domain cacheability heatmap by industry (short-term)");
 

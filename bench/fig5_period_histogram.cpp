@@ -3,9 +3,9 @@
 // uncacheable and 78% upload. Runs the full permutation-test detector over
 // the long-term scenario.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/periodicity.h"
 #include "core/report.h"
 #include "core/study.h"
@@ -13,7 +13,8 @@
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.003;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.003;
   bench::print_header("Figure 5 / Section 5.1",
                       "JSON object period histogram (long-term)");
 

@@ -3,9 +3,9 @@
 // the object's period. The paper highlights that 20% of periodic objects
 // have a majority (>50%) of period-matching clients.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/periodicity.h"
 #include "core/report.h"
 #include "core/study.h"
@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.003;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.003;
   bench::print_header("Figure 6",
                       "CDF of periodic-client share across objects");
 

@@ -2,16 +2,17 @@
 // POST), response cacheability (55% uncacheable), and the JSON-vs-HTML size
 // comparison (24% / 87% smaller at p50 / p75).
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
+#include "cli_flags.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.01;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.01;
   bench::print_header("Section 4 headline statistics",
                       "request/response characterization (short-term)");
 

@@ -3,10 +3,10 @@
 // at a configurable scale and reports how the scaled volumes compare to the
 // scaled paper targets.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -36,7 +36,8 @@ void run_scenario(const char* name, const jsoncdn::workload::GeneratorConfig&
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.004;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.004;
   bench::print_header("Table 2", "dataset summary (short-term and long-term)");
   const auto short_term = workload::short_term_scenario(scale);
   run_scenario("short-term", short_term, scale, 25e6,

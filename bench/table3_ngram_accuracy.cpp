@@ -2,17 +2,18 @@
 // varying K" — accuracy@K for K in {1, 5, 10} on actual vs clustered URLs,
 // plus the Section 5.2 note that N = 5 adds at most ~5%.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "core/ngram.h"
 #include "core/report.h"
 #include "workload/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace jsoncdn;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.004;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.004;
   bench::print_header("Table 3", "backoff ngram accuracy@K (long-term)");
 
   // The prediction study runs on the long-term dataset (the paper uses it

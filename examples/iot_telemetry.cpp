@@ -7,12 +7,12 @@
 //
 //   $ ./iot_telemetry [n_clients]
 //
-#include <cstdlib>
 #include <iostream>
 #include <unordered_set>
 
 #include "cdn/network.h"
 #include "cdn/prioritizer.h"
+#include "cli_flags.h"
 #include "core/periodicity.h"
 #include "core/report.h"
 #include "workload/generator.h"
@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   workload::GeneratorConfig config;
   config.seed = 2026;
   config.duration_seconds = 6 * 3600.0;  // six hours of fleet activity
-  config.n_clients = argc > 1 ? static_cast<std::size_t>(std::atol(argv[1]))
-                              : 1200;
+  config.n_clients =
+      argc > 1 ? cli::positive_value<std::size_t>("n_clients", argv[1]) : 1200;
   config.catalog.domains_per_industry = 2;
   // Embedded-heavy population: this is a smart-device fleet.
   config.shares = {0.18, 0.02, 0.02, 0.52, 0.08, 0.14, 0.04};

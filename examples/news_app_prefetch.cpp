@@ -6,10 +6,10 @@
 //
 //   $ ./news_app_prefetch [n_clients]
 //
-#include <cstdlib>
 #include <iostream>
 
 #include "cdn/network.h"
+#include "cli_flags.h"
 #include "core/ngram.h"
 #include "core/prefetch.h"
 #include "core/report.h"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   using namespace jsoncdn;
 
   const std::size_t n_clients =
-      argc > 1 ? static_cast<std::size_t>(std::atol(argv[1])) : 3000;
+      argc > 1 ? cli::positive_value<std::size_t>("n_clients", argv[1]) : 3000;
 
   // Day 1: training traffic. Day 2: same app ecosystem (same catalog seed
   // would differ — we reuse one generator and two event streams by varying

@@ -3,9 +3,9 @@
 //
 //   $ ./quickstart [scale]
 //
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_flags.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "workload/scenario.h"
@@ -13,7 +13,8 @@
 int main(int argc, char** argv) {
   using namespace jsoncdn;
 
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.002;
+  const double scale =
+      argc > 1 ? cli::positive_value<double>("scale", argv[1]) : 0.002;
   core::StudyConfig config;
   config.workload = workload::short_term_scenario(scale);
   config.run_characterization = true;

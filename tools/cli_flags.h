@@ -1,4 +1,5 @@
-// Strict numeric flag values, shared by the jsoncdn CLIs.
+// Strict numeric flag values, shared by the jsoncdn CLIs and the positional
+// arguments of the figure, ablation and example binaries.
 //
 // An integer flag takes decimal digits only (no sign, no whitespace, no
 // suffix), must consume its whole argument and must fit the destination
@@ -42,6 +43,16 @@ template <typename T>
 [[nodiscard]] T flag_value(std::string_view flag, const char* text) {
   T value{};
   if (!parse_number(text, value)) bad_flag_value(flag, text);
+  return value;
+}
+
+// A scale or a count given as positional argument `name` (the figure,
+// ablation and example binaries): flag_value's parse, and positive. Zero,
+// a negative or a non-number exits 2 naming the argument.
+template <typename T>
+[[nodiscard]] T positive_value(std::string_view name, const char* text) {
+  const T value = flag_value<T>(name, text);
+  if (!(value > T{0})) bad_flag_value(name, text);
   return value;
 }
 
