@@ -339,8 +339,8 @@ TEST(InterarrivalTriage, ChunkMergeMatchesSerialIngest) {
 }
 
 TEST(InterarrivalTriage, FlowTableStaysBounded) {
-  // Twice as many distinct flows as the table holds, each offered more
-  // than once.
+  // Twice as many distinct flows as the table holds, each offered three
+  // times.
   constexpr std::uint64_t kFlows = 2 * TriageConfig::max_flows;
   InterarrivalTriage triage;
   for (std::uint64_t i = 0; i < 3 * kFlows; ++i) {
