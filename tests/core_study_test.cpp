@@ -19,7 +19,8 @@ const StudyResult& small_short_term_study() {
   static const StudyResult result = [] {
     StudyConfig config;
     config.workload = workload::short_term_scenario(0.008, 2024);
-    config.ngram_configs = {{1, false}, {1, true}};
+    config.ngram_configs = {{.context_len = 1, .clustered = false},
+                            {.context_len = 1, .clustered = true}};
     return run_study(config);
   }();
   return result;
@@ -167,7 +168,8 @@ TEST(Study, ResultsBitIdenticalAcrossThreadCounts) {
   config.workload = workload::short_term_scenario(0.002, 7);
   config.run_periodicity = true;
   config.periodicity.detector.permutations = 25;  // keep the test fast
-  config.ngram_configs = {{1, false}, {2, true}};
+  config.ngram_configs = {{.context_len = 1, .clustered = false},
+                          {.context_len = 2, .clustered = true}};
 
   config.threads = 1;
   const StudyResult serial = run_study(config);
