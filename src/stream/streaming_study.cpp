@@ -23,22 +23,25 @@ constexpr std::size_t kUaCacheCap = 8192;
 
 }  // namespace
 
-StreamingAccumulator::StreamingAccumulator(const StreamingConfig& config)
-    : config_(config),
-      urls_(config.hll_precision),
-      clients_(config.hll_precision),
-      domains_(config.hll_precision),
-      ua_strings_(config.hll_precision),
-      ua_by_device_{HyperLogLog(config.hll_precision),
-                    HyperLogLog(config.hll_precision),
-                    HyperLogLog(config.hll_precision),
-                    HyperLogLog(config.hll_precision)},
-      url_counts_(config.cms_epsilon, config.cms_delta, /*seed=*/0x0415),
-      client_counts_(config.cms_epsilon, config.cms_delta, /*seed=*/0x0416),
-      top_urls_(config.heavy_hitters),
-      top_clients_(config.heavy_hitters),
-      json_sizes_(config.quantile_alpha, config.quantile_max_buckets),
-      html_sizes_(config.quantile_alpha, config.quantile_max_buckets) {}
+StreamingAccumulator::StreamingAccumulator()
+    : urls_(StreamingConfig::hll_precision),
+      clients_(StreamingConfig::hll_precision),
+      domains_(StreamingConfig::hll_precision),
+      ua_strings_(StreamingConfig::hll_precision),
+      ua_by_device_{HyperLogLog(StreamingConfig::hll_precision),
+                    HyperLogLog(StreamingConfig::hll_precision),
+                    HyperLogLog(StreamingConfig::hll_precision),
+                    HyperLogLog(StreamingConfig::hll_precision)},
+      url_counts_(StreamingConfig::cms_epsilon, StreamingConfig::cms_delta,
+                  /*seed=*/0x0415),
+      client_counts_(StreamingConfig::cms_epsilon, StreamingConfig::cms_delta,
+                     /*seed=*/0x0416),
+      top_urls_(StreamingConfig::heavy_hitters),
+      top_clients_(StreamingConfig::heavy_hitters),
+      json_sizes_(StreamingConfig::quantile_alpha,
+                  StreamingConfig::quantile_max_buckets),
+      html_sizes_(StreamingConfig::quantile_alpha,
+                  StreamingConfig::quantile_max_buckets) {}
 
 void StreamingAccumulator::offer(const logs::LogTable& table,
                                  logs::LogTable::RowIndex row) {
@@ -246,15 +249,15 @@ StreamingSummary StreamingAccumulator::summarize() const {
   out.distinct_ua_strings = ua_strings_.estimate();
   out.hll_standard_error = urls_.standard_error();
 
-  out.top_urls = top_urls_.top(config_.heavy_hitters);
-  out.top_clients = top_clients_.top(config_.heavy_hitters);
+  out.top_urls = top_urls_.top(StreamingConfig::heavy_hitters);
+  out.top_clients = top_clients_.top(StreamingConfig::heavy_hitters);
   out.heavy_hitter_error_bound = top_urls_.error_bound();
 
   out.json_sizes =
       summary_from_sketch(json_sizes_, json_moments_, json_min_, json_max_);
   out.html_sizes =
       summary_from_sketch(html_sizes_, html_moments_, html_min_, html_max_);
-  out.quantile_alpha = config_.quantile_alpha;
+  out.quantile_alpha = StreamingConfig::quantile_alpha;
 
   out.periodic_candidates = triage_.candidates();
   out.memory_bytes = memory_bytes();
@@ -276,10 +279,7 @@ std::size_t StreamingAccumulator::memory_bytes() const {
 }
 
 StreamingStudy::StreamingStudy(const StreamingConfig& config)
-    : config_(config),
-      threads_(stats::resolve_threads(config.threads)),
-      pool_(threads_),
-      state_(config) {}
+    : threads_(stats::resolve_threads(config.threads)), pool_(threads_) {}
 
 void StreamingStudy::ingest(const logs::LogTable& table,
                             std::span<const logs::LogTable::RowIndex> rows) {
@@ -293,8 +293,7 @@ void StreamingStudy::ingest(const logs::LogTable& table,
   // One accumulator per contiguous subrange, merged in subrange order: the
   // exact shard-then-merge shape of the batch stages, so sketch guarantees
   // and determinism carry over (see the file comment).
-  std::vector<StreamingAccumulator> shards(threads_,
-                                           StreamingAccumulator(config_));
+  std::vector<StreamingAccumulator> shards(threads_);
   pool_.run(threads_, [&](std::size_t s) {
     const auto [begin, end] = stats::chunk_range(rows.size(), threads_, s);
     for (std::size_t i = begin; i < end; ++i) shards[s].offer(table, rows[i]);

@@ -125,7 +125,7 @@ struct StreamingSummary {
 // determinism contract).
 class StreamingAccumulator {
  public:
-  explicit StreamingAccumulator(const StreamingConfig& config);
+  StreamingAccumulator();
 
   // Fields stream out of the table's columns, and the interned client-key
   // dictionary replaces a per-record concatenation.
@@ -136,8 +136,6 @@ class StreamingAccumulator {
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  StreamingConfig config_;
-
   std::uint64_t total_records_ = 0;
   std::uint64_t json_records_ = 0;
   double first_ts_ = std::numeric_limits<double>::infinity();
@@ -202,12 +200,8 @@ class StreamingStudy {
   [[nodiscard]] std::uint64_t records_ingested() const noexcept {
     return ingested_;
   }
-  [[nodiscard]] const StreamingConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
-  StreamingConfig config_;
   std::size_t threads_;
   stats::ThreadPool pool_;
   StreamingAccumulator state_;

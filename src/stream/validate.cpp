@@ -62,7 +62,6 @@ bool ValidationReport::within_bounds() const noexcept {
 
 ValidationReport validate_streaming(const logs::LogTable& exact,
                                     const StreamingSummary& summary,
-                                    const StreamingConfig& config,
                                     std::size_t top_k) {
   ValidationReport report;
   const auto json_rows = exact.json_rows();
@@ -144,7 +143,7 @@ ValidationReport validate_streaming(const logs::LogTable& exact,
     report.quantile_max_rel_error =
         std::max(report.quantile_max_rel_error, rel_error(sketch_q, exact_q));
   }
-  report.quantile_error_bound = config.quantile_alpha;
+  report.quantile_error_bound = StreamingConfig::quantile_alpha;
 
   // --- Exact counters -----------------------------------------------------
   const auto methods = core::characterize_methods(json);

@@ -50,7 +50,7 @@ struct ValidationReport {
 // batch pipeline. `top_k` bounds the heavy-hitter check.
 [[nodiscard]] ValidationReport validate_streaming(
     const logs::LogTable& exact, const StreamingSummary& summary,
-    const StreamingConfig& config, std::size_t top_k = 20);
+    std::size_t top_k = 20);
 
 [[nodiscard]] std::string render_validation(const ValidationReport& report);
 

@@ -134,7 +134,7 @@ TEST(StreamingStudy, MatchesExactBatchWithinConfiguredBounds) {
   StreamingConfig config;
   config.threads = 2;
   const auto summary = stream_in_chunks(ds, config, 512);
-  const auto report = validate_streaming(ds, summary, config);
+  const auto report = validate_streaming(ds, summary);
   EXPECT_TRUE(report.counters_identical);
   EXPECT_EQ(report.topk_found, report.topk_checked);
   EXPECT_LE(report.url_cardinality_error, report.hll_error_bound);
