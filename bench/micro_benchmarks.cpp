@@ -27,6 +27,7 @@
 #include "core/period_detector.h"
 #include "core/periodicity.h"
 #include "core/url_cluster.h"
+#include "faults/plan.h"
 #include "http/device_db.h"
 #include "http/url.h"
 #include "logs/csv.h"
@@ -1266,22 +1267,14 @@ void report_fault_resilience() {
       "simulated edge throughput vs deterministic origin fault rate");
   workload::WorkloadGenerator generator(workload::short_term_scenario(0.01, 42));
   const auto workload = generator.generate();
-  double horizon = 0.0;
-  for (const auto& event : workload.events)
-    horizon = std::max(horizon, event.time);
   bench::note("workload: " + std::to_string(workload.events.size()) +
               " requests");
 
   for (const double rate : {0.0, 0.01, 0.10}) {
     cdn::NetworkParams params;
     if (rate > 0.0) {
-      params.faults.enabled = true;
-      params.faults.seed = 1337;
-      params.faults.error_rate = 0.6 * rate;
-      params.faults.timeout_rate = 0.2 * rate;
-      params.faults.truncate_rate = 0.1 * rate;
-      params.faults.latency_spike_rate = 0.1 * rate;
-      params.faults.horizon_seconds = horizon + 1.0;
+      params.faults = faults::composite_fault_plan(
+          rate, /*seed=*/1337, /*outages_per_origin=*/0.0, workload.events);
     }
     cdn::CdnNetwork network(generator.catalog().objects(), params);
     bench::Timer timer;

@@ -27,8 +27,7 @@ EdgeServer::OriginOutcome EdgeServer::contact_origin(const std::string& url,
                                                      double now,
                                                      bool revalidate_only) {
   OriginOutcome out;
-  auto& breaker =
-      breakers_.try_emplace(domain, params_.resilience.breaker).first->second;
+  auto& breaker = breakers_[domain];
   const auto trips_before = breaker.trips();
   if (!breaker.allow(now)) {
     out.short_circuited = true;
@@ -37,7 +36,6 @@ EdgeServer::OriginOutcome EdgeServer::contact_origin(const std::string& url,
     return out;
   }
 
-  const auto& retry = params_.resilience.retry;
   for (std::size_t attempt = 0;; ++attempt) {
     const auto result = revalidate_only ? origin_.revalidate(url, now)
                                         : origin_.fetch(url, now);
@@ -56,7 +54,7 @@ EdgeServer::OriginOutcome EdgeServer::contact_origin(const std::string& url,
       ++resilience_.timeouts;
       // A hung connection is abandoned at the budget, not at whatever the
       // origin's internal latency would have been.
-      out.latency += params_.resilience.timeout_seconds;
+      out.latency += ResilienceParams::timeout_seconds;
     } else {
       out.latency += result.latency_seconds;
       if (result.truncated) ++resilience_.truncated_bodies;
@@ -67,8 +65,9 @@ EdgeServer::OriginOutcome EdgeServer::contact_origin(const std::string& url,
     breaker.record_failure(now);
 
     // Stop when retries are exhausted or the breaker just tripped open.
-    if (attempt >= retry.max_retries || !breaker.allow(now)) break;
-    const double delay = faults::backoff_delay(retry, url, attempt);
+    if (attempt >= faults::RetryConfig::max_retries || !breaker.allow(now))
+      break;
+    const double delay = faults::backoff_delay(url, attempt);
     out.latency += delay;
     resilience_.backoff_seconds += delay;
     ++resilience_.retries;
@@ -173,7 +172,7 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
       double origin_latency = origin_result.latency_seconds;
       if (origin_result.timed_out) {
         ++resilience_.timeouts;
-        origin_latency = params_.resilience.timeout_seconds;
+        origin_latency = ResilienceParams::timeout_seconds;
       } else if (origin_result.truncated) {
         ++resilience_.truncated_bodies;
       }
@@ -226,16 +225,12 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
   bool hit = false;
   // Snapshot any expired copy before lookup() — lookup erases expired
   // entries, and both revalidation and stale-if-error need the copy.
-  const auto stale_entry =
-      (params_.enable_revalidation || params_.resilience.serve_stale_on_error)
-          ? cache_.peek_stale_entry(event.url, now)
-          : std::optional<LruCache::StaleEntry>{};
+  const auto stale_entry = cache_.peek_stale_entry(event.url, now);
   const bool stale_available =
       params_.enable_revalidation && stale_entry.has_value();
-  const double stale_window = params_.resilience.stale_if_error_seconds;
   const bool stale_usable_on_error =
-      params_.resilience.serve_stale_on_error && stale_entry.has_value() &&
-      now - stale_entry->expires_at <= stale_window;
+      stale_entry.has_value() &&
+      now - stale_entry->expires_at <= ResilienceParams::stale_if_error_seconds;
 
   if (!cacheable) {
     // Tunneled to customer infrastructure, exactly as the paper describes
@@ -320,7 +315,7 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
       // asking the origin) and return the error to the client.
       if (!outcome.short_circuited) {
         negative_cache_[event.url] = {
-            now + params_.resilience.negative_ttl_seconds, outcome.status};
+            now + ResilienceParams::negative_ttl_seconds, outcome.status};
         if (negative_cache_.size() > 100'000) {
           std::erase_if(negative_cache_, [now](const auto& kv) {
             return kv.second.expires_at <= now;

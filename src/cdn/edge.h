@@ -35,41 +35,39 @@ class PrefetchPolicy {
 };
 
 // How the edge absorbs origin failures — the mechanisms real CDNs layer in
-// front of unreliable customer infrastructure. All of them are inert when
-// no fault plan is active (an origin that never fails never triggers them),
-// so enabling them does not perturb fault-free runs.
+// front of unreliable customer infrastructure: bounded retry with backoff
+// (faults::RetryConfig), a per-origin circuit breaker
+// (faults::BreakerConfig), RFC 5861 stale-if-error and negative caching.
+// All of them are inert when no fault plan is active (an origin that never
+// fails never triggers them), so they do not perturb fault-free runs. One
+// policy serves every edge (DESIGN §7).
 struct ResilienceParams {
-  // Bounded retry with exponential backoff + deterministic jitter. The
-  // jitter seed makes the whole backoff schedule a pure function of
-  // (seed, url, attempt) — identical across runs and thread counts.
-  faults::RetryConfig retry;
   // Per-attempt budget charged when the origin connection hangs.
-  double timeout_seconds = 1.0;
-  // RFC 5861 stale-if-error: when the origin fails, an expired cached copy
-  // no more than `stale_if_error_seconds` past its TTL is served instead of
-  // the error.
-  bool serve_stale_on_error = true;
-  double stale_if_error_seconds = 600.0;
+  static constexpr double timeout_seconds = 1.0;
+  // Stale-if-error: when the origin fails, an expired cached copy no more
+  // than this far past its TTL is served instead of the error.
+  static constexpr double stale_if_error_seconds = 600.0;
   // Negative caching: an origin failure is remembered this long, so repeat
   // requests during an incident fail fast (or serve stale) without another
   // origin round trip.
-  double negative_ttl_seconds = 5.0;
-  // Per-origin circuit breaker (closed / open / half-open).
-  faults::BreakerConfig breaker;
+  static constexpr double negative_ttl_seconds = 5.0;
 };
 
+// The three settings a shipped caller varies: bench/ablation_cache_size
+// sets the cache size and revalidation, bench/ablation_push_timing turns on
+// push. The other edge values are constants.
 struct EdgeParams {
   std::uint64_t cache_capacity_bytes = 512ULL * 1024 * 1024;
-  double client_rtt_seconds = 0.020;       // client <-> edge
-  double edge_bandwidth_bytes_per_s = 10e6;
-  std::size_t max_prefetches_per_request = 3;
+  static constexpr double client_rtt_seconds = 0.020;  // client <-> edge
+  static constexpr double edge_bandwidth_bytes_per_s = 10e6;
+  static constexpr std::size_t max_prefetches_per_request = 3;
   // HTTP Server Push (the other delivery mechanism Section 5.2 proposes):
   // besides warming the edge cache, speculatively send predicted responses
   // to the requesting client. A later request covered by a fresh pushed
   // copy is answered from the client's buffer — no edge round trip.
   bool enable_push = false;
-  double push_validity_seconds = 30.0;
-  std::size_t max_pushes_per_request = 2;
+  static constexpr double push_validity_seconds = 30.0;
+  static constexpr std::size_t max_pushes_per_request = 2;
   // Conditional revalidation: when a cached copy is merely stale, ask the
   // origin to validate it (If-None-Match -> 304) instead of re-transferring
   // the body. Cheaper than a full miss; logged as REFRESH.
@@ -79,9 +77,8 @@ struct EdgeParams {
   // simulated time has passed since the last sweep — whichever comes first.
   // Both triggers depend only on event time and table size, so sweeps replay
   // identically; sweeping only drops entries that could no longer be used.
-  std::size_t push_table_sweep_entries = 200'000;
-  double push_table_sweep_seconds = 300.0;
-  ResilienceParams resilience;
+  static constexpr std::size_t push_table_sweep_entries = 200'000;
+  static constexpr double push_table_sweep_seconds = 300.0;
   // Admission control, rate limiting, and load shedding. Inert by default
   // (model_capacity == false): the edge behaves bit-identically to builds
   // that predate overload protection.
@@ -120,8 +117,8 @@ class EdgeServer {
 
  private:
   // One logical origin interaction: breaker gate, then up to
-  // 1 + retry.max_retries attempts with backoff. `latency` accumulates the
-  // origin-side time spent (failed attempts, backoff, timeout budgets).
+  // 1 + RetryConfig::max_retries attempts with backoff. `latency` accumulates
+  // the origin-side time spent (failed attempts, backoff, timeout budgets).
   struct OriginOutcome {
     OriginResult result;
     double latency = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
 #include "stats/hash.h"
 
@@ -11,10 +10,8 @@ namespace jsoncdn::cdn {
 CdnNetwork::CdnNetwork(const workload::ObjectCatalog& catalog,
                        const NetworkParams& params)
     : fault_plan_(params.faults),
-      origin_(catalog, params.origin),
+      origin_(catalog),
       anonymizer_(params.anonymization_salt) {
-  if (params.edge_count == 0)
-    throw std::invalid_argument("CdnNetwork: edge_count == 0");
   origin_.set_fault_plan(&fault_plan_);
   edges_.reserve(params.edge_count);
   for (std::size_t i = 0; i < params.edge_count; ++i) {

@@ -17,12 +17,13 @@
 
 namespace jsoncdn::cdn {
 
+// The edge settings and the fault plan vary by caller; the topology and the
+// log's pseudonym salt ("jsoncdn" in ASCII) are constants.
 struct NetworkParams {
-  std::size_t edge_count = 3;  // the paper's long-term capture used three
-                               // vantage points
+  // The paper's long-term capture used three vantage points.
+  static constexpr std::size_t edge_count = 3;
   EdgeParams edge;
-  OriginParams origin;
-  std::uint64_t anonymization_salt = 0x6a736f6e63646eULL;  // "jsoncdn"
+  static constexpr std::uint64_t anonymization_salt = 0x6a736f6e63646eULL;
   // Deterministic origin fault injection (disabled by default, in which case
   // the network behaves bit-identically to a fault-free build).
   faults::FaultPlanConfig faults;

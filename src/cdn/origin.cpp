@@ -1,17 +1,8 @@
 #include "cdn/origin.h"
 
-#include <stdexcept>
-
 namespace jsoncdn::cdn {
 
-Origin::Origin(const workload::ObjectCatalog& catalog,
-               const OriginParams& params)
-    : catalog_(catalog), params_(params) {
-  if (params.bandwidth_bytes_per_s <= 0.0)
-    throw std::invalid_argument("Origin: bandwidth <= 0");
-  if (params.rtt_seconds < 0.0 || params.processing_seconds < 0.0)
-    throw std::invalid_argument("Origin: negative latency");
-}
+Origin::Origin(const workload::ObjectCatalog& catalog) : catalog_(catalog) {}
 
 void Origin::apply_faults(OriginResult& result, std::string_view url,
                           double now) const {
@@ -28,7 +19,8 @@ void Origin::apply_faults(OriginResult& result, std::string_view url,
     case faults::FaultOutcome::kError:
       // Fast 5xx: the origin answered, just not with content.
       result.status = decision.status;
-      result.latency_seconds = params_.rtt_seconds + params_.processing_seconds;
+      result.latency_seconds =
+          OriginParams::rtt_seconds + OriginParams::processing_seconds;
       result.bytes = 0;
       break;
     case faults::FaultOutcome::kTimeout:
@@ -36,7 +28,7 @@ void Origin::apply_faults(OriginResult& result, std::string_view url,
       // waits (its timeout budget), so charge only the round trip here.
       result.timed_out = true;
       result.status = 504;
-      result.latency_seconds = params_.rtt_seconds;
+      result.latency_seconds = OriginParams::rtt_seconds;
       result.bytes = 0;
       break;
     case faults::FaultOutcome::kTruncated:
@@ -45,8 +37,9 @@ void Origin::apply_faults(OriginResult& result, std::string_view url,
       result.truncated = true;
       result.bytes /= 2;
       result.latency_seconds =
-          params_.rtt_seconds + params_.processing_seconds +
-          static_cast<double>(result.bytes) / params_.bandwidth_bytes_per_s;
+          OriginParams::rtt_seconds + OriginParams::processing_seconds +
+          static_cast<double>(result.bytes) /
+              OriginParams::bandwidth_bytes_per_s;
       break;
   }
   ++faulted_;
@@ -56,11 +49,12 @@ OriginResult Origin::fetch(std::string_view url, double now) const {
   ++fetches_;
   OriginResult out;
   out.object = catalog_.find(url);
-  out.latency_seconds = params_.rtt_seconds + params_.processing_seconds;
+  out.latency_seconds =
+      OriginParams::rtt_seconds + OriginParams::processing_seconds;
   if (out.object != nullptr) {
     out.bytes = out.object->body_bytes;
     out.latency_seconds +=
-        static_cast<double>(out.bytes) / params_.bandwidth_bytes_per_s;
+        static_cast<double>(out.bytes) / OriginParams::bandwidth_bytes_per_s;
   } else {
     out.status = 404;
   }
@@ -73,7 +67,8 @@ OriginResult Origin::revalidate(std::string_view url, double now) const {
   ++fetches_;
   OriginResult out;
   out.object = catalog_.find(url);
-  out.latency_seconds = params_.rtt_seconds + params_.processing_seconds;
+  out.latency_seconds =
+      OriginParams::rtt_seconds + OriginParams::processing_seconds;
   if (out.object == nullptr) out.status = 404;
   // 304: headers only, no body bytes served.
   apply_faults(out, url, now);

@@ -32,15 +32,16 @@ struct OriginResult {
   }
 };
 
+// One cost model for every origin.
 struct OriginParams {
-  double rtt_seconds = 0.080;            // edge <-> origin round trip
-  double bandwidth_bytes_per_s = 5e6;    // transfer rate for the body
-  double processing_seconds = 0.005;     // request handling at origin
+  static constexpr double rtt_seconds = 0.080;  // edge <-> origin round trip
+  static constexpr double bandwidth_bytes_per_s = 5e6;  // body transfer rate
+  static constexpr double processing_seconds = 0.005;  // handling at origin
 };
 
 class Origin {
  public:
-  Origin(const workload::ObjectCatalog& catalog, const OriginParams& params);
+  explicit Origin(const workload::ObjectCatalog& catalog);
 
   // Optional fault injection: every fetch/revalidate consults the plan
   // (keyed by the object's domain). The plan outlives the origin; nullptr
@@ -71,7 +72,6 @@ class Origin {
   [[nodiscard]] std::uint64_t faults_injected() const noexcept {
     return faulted_;
   }
-  [[nodiscard]] const OriginParams& params() const noexcept { return params_; }
 
  private:
   // Applies the fault plan's decision for this interaction to `result`.
@@ -79,7 +79,6 @@ class Origin {
                     double now) const;
 
   const workload::ObjectCatalog& catalog_;
-  OriginParams params_;
   faults::FaultPlan* faults_ = nullptr;  // not owned; may be nullptr
   mutable std::uint64_t fetches_ = 0;
   mutable std::uint64_t bytes_ = 0;

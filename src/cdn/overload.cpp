@@ -19,8 +19,6 @@ OverloadParams OverloadParams::protected_defaults() {
   p.bucket_rate = 4.0;
   p.bucket_burst = 24.0;
   p.codel_target_seconds = 0.05;
-  p.codel_interval_seconds = 0.5;
-  p.human_shed_multiplier = 4.0;
   return p;
 }
 

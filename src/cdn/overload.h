@@ -60,10 +60,10 @@ struct OverloadParams {
 
   // CoDel-style shedding (mechanism 4). target == 0 disables.
   double codel_target_seconds = 0.0;
-  double codel_interval_seconds = 0.5;
+  static constexpr double codel_interval_seconds = 0.5;
   // Human-class traffic is shed only when the queue delay exceeds
   // target * human_shed_multiplier — machine-class sheds first.
-  double human_shed_multiplier = 4.0;
+  static constexpr double human_shed_multiplier = 4.0;
 
   // A protected-edge preset used by the conformance overload experiment and
   // the CLI: capacity model plus all three protections.
@@ -116,10 +116,6 @@ class OverloadController {
   [[nodiscard]] double queue_delay(double now) const;
   // Admitted requests still waiting for a worker at `now`.
   [[nodiscard]] std::size_t queued(double now);
-
-  [[nodiscard]] const OverloadParams& params() const noexcept {
-    return params_;
-  }
 
  private:
   struct TokenBucket {

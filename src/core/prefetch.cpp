@@ -45,11 +45,10 @@ std::vector<std::string> NgramPrefetcher::candidates(
 }
 
 NgramModel train_prefetch_model(const logs::TableView& view,
-                                std::size_t context_len,
-                                std::size_t min_flow_requests) {
+                                std::size_t context_len) {
   NgramModel model(context_len);
-  for (const auto& flow :
-       logs::extract_client_flows(view, min_flow_requests)) {
+  for (const auto& flow : logs::extract_client_flows(
+           view, NgramEvalConfig::min_flow_requests)) {
     std::vector<std::string> tokens;
     tokens.reserve(flow.record_indices.size());
     for (const auto idx : flow.record_indices)

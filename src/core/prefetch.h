@@ -18,18 +18,21 @@
 
 namespace jsoncdn::core {
 
+// The two settings a shipped caller varies: bench/ablation_prefetch sweeps
+// the confidence floor, bench/ablation_push_timing the horizon.
 struct PrefetcherParams {
-  std::size_t top_k = 3;             // candidates per request
-  double min_score = 0.05;           // confidence floor
-  std::size_t history_length = 4;    // per-client context kept at the edge
-  std::size_t max_tracked_clients = 100'000;  // memory bound
+  static constexpr std::size_t top_k = 3;  // candidates per request
+  double min_score = 0.05;                  // confidence floor
+  // Per-client context kept at the edge, and the memory bound on clients.
+  static constexpr std::size_t history_length = 4;
+  static constexpr std::size_t max_tracked_clients = 100'000;
   // Interarrival horizon (only used when a timing model is attached): skip
   // candidates expected later than this — they would age out of the cache
   // before use. 0 disables the upper bound.
   double max_expected_gap_seconds = 600.0;
   // Skip candidates expected sooner than this — the origin fetch cannot
   // complete before the client asks anyway.
-  double min_expected_gap_seconds = 0.0;
+  static constexpr double min_expected_gap_seconds = 0.0;
 };
 
 class NgramPrefetcher final : public cdn::PrefetchPolicy {
@@ -63,9 +66,9 @@ class NgramPrefetcher final : public cdn::PrefetchPolicy {
 };
 
 // Convenience: train a raw-URL ngram model from a (typically historical)
-// log view, one observation sequence per client flow. Returned frozen.
+// log view, one observation sequence per client flow of at least
+// NgramEvalConfig::min_flow_requests requests. Returned frozen.
 [[nodiscard]] NgramModel train_prefetch_model(const logs::TableView& view,
-                                              std::size_t context_len = 1,
-                                              std::size_t min_flow_requests = 2);
+                                              std::size_t context_len = 1);
 
 }  // namespace jsoncdn::core

@@ -1,7 +1,5 @@
 #include "faults/breaker.h"
 
-#include <stdexcept>
-
 namespace jsoncdn::faults {
 
 std::string_view to_string(BreakerState s) noexcept {
@@ -11,15 +9,6 @@ std::string_view to_string(BreakerState s) noexcept {
     case BreakerState::kHalfOpen: return "half-open";
   }
   return "closed";
-}
-
-CircuitBreaker::CircuitBreaker(const BreakerConfig& config) : config_(config) {
-  if (config.failure_threshold == 0)
-    throw std::invalid_argument("CircuitBreaker: failure_threshold == 0");
-  if (config.open_seconds < 0.0)
-    throw std::invalid_argument("CircuitBreaker: negative open_seconds");
-  if (config.half_open_successes == 0)
-    throw std::invalid_argument("CircuitBreaker: half_open_successes == 0");
 }
 
 void CircuitBreaker::transition(double now, BreakerState to) {
@@ -42,7 +31,7 @@ void CircuitBreaker::record_success(double now) {
       consecutive_failures_ = 0;
       break;
     case BreakerState::kHalfOpen:
-      if (++half_open_successes_ >= config_.half_open_successes) {
+      if (++half_open_successes_ >= BreakerConfig::half_open_successes) {
         transition(now, BreakerState::kClosed);
         consecutive_failures_ = 0;
       }
@@ -57,16 +46,16 @@ void CircuitBreaker::record_success(double now) {
 void CircuitBreaker::record_failure(double now) {
   switch (state_) {
     case BreakerState::kClosed:
-      if (++consecutive_failures_ >= config_.failure_threshold) {
+      if (++consecutive_failures_ >= BreakerConfig::failure_threshold) {
         transition(now, BreakerState::kOpen);
-        open_until_ = now + config_.open_seconds;
+        open_until_ = now + BreakerConfig::open_seconds;
         ++trips_;
       }
       break;
     case BreakerState::kHalfOpen:
       // A failed probe reopens immediately.
       transition(now, BreakerState::kOpen);
-      open_until_ = now + config_.open_seconds;
+      open_until_ = now + BreakerConfig::open_seconds;
       ++trips_;
       break;
     case BreakerState::kOpen:

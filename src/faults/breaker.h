@@ -18,10 +18,13 @@ enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 [[nodiscard]] std::string_view to_string(BreakerState s) noexcept;
 
+// One breaker policy for every origin (DESIGN §7).
 struct BreakerConfig {
-  std::size_t failure_threshold = 5;    // consecutive failures that trip it
-  double open_seconds = 30.0;           // cooling-off before probing
-  std::size_t half_open_successes = 2;  // probe successes needed to close
+  // Consecutive failures that trip it.
+  static constexpr std::size_t failure_threshold = 5;
+  static constexpr double open_seconds = 30.0;  // cooling-off before probing
+  // Probe successes needed to close.
+  static constexpr std::size_t half_open_successes = 2;
 };
 
 struct BreakerTransition {
@@ -32,8 +35,6 @@ struct BreakerTransition {
 
 class CircuitBreaker {
  public:
-  explicit CircuitBreaker(const BreakerConfig& config = {});
-
   // May a request be sent to the protected origin at `now`? Records the
   // open -> half-open transition when the cooling-off period has lapsed.
   [[nodiscard]] bool allow(double now);
@@ -50,14 +51,10 @@ class CircuitBreaker {
       const noexcept {
     return timeline_;
   }
-  [[nodiscard]] const BreakerConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
   void transition(double now, BreakerState to);
 
-  BreakerConfig config_;
   BreakerState state_ = BreakerState::kClosed;
   std::size_t consecutive_failures_ = 0;
   std::size_t half_open_successes_ = 0;

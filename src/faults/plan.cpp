@@ -56,6 +56,24 @@ std::uint64_t env_fault_seed(std::uint64_t fallback) noexcept {
   return (end != nullptr && *end == '\0') ? parsed : fallback;
 }
 
+FaultPlanConfig composite_fault_plan(
+    double rate, std::uint64_t seed, double outages_per_origin,
+    const std::vector<workload::RequestEvent>& events) {
+  FaultPlanConfig config;
+  config.enabled = true;
+  config.seed = seed;
+  config.error_rate = 0.6 * rate;
+  config.timeout_rate = 0.2 * rate;
+  config.truncate_rate = 0.1 * rate;
+  config.latency_spike_rate = 0.1 * rate;
+  config.outages_per_origin = outages_per_origin;
+  double last_event = 0.0;
+  for (const auto& event : events)
+    last_event = std::max(last_event, event.time);
+  config.horizon_seconds = last_event + 1.0;
+  return config;
+}
+
 FaultPlan::FaultPlan(const FaultPlanConfig& config) : config_(config) {
   const double total = config.error_rate + config.timeout_rate +
                        config.truncate_rate + config.latency_spike_rate;
@@ -65,12 +83,8 @@ FaultPlan::FaultPlan(const FaultPlanConfig& config) : config_(config) {
     throw std::invalid_argument(
         "FaultPlan: rates must be in [0,1] and sum <= 1");
   }
-  if (config.latency_spike_multiplier < 1.0)
-    throw std::invalid_argument("FaultPlan: spike multiplier < 1");
-  if (config.horizon_seconds < 0.0 || config.outages_per_origin < 0.0 ||
-      config.mean_outage_seconds <= 0.0) {
+  if (config.horizon_seconds < 0.0 || config.outages_per_origin < 0.0)
     throw std::invalid_argument("FaultPlan: bad outage parameters");
-  }
 }
 
 FaultDecision FaultPlan::draw(std::string_view origin_key,

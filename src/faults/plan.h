@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "stats/rng.h"
+#include "workload/sessions.h"
 
 namespace jsoncdn::faults {
 
@@ -55,15 +56,24 @@ struct FaultPlanConfig {
   double timeout_rate = 0.0;        // hung connection
   double truncate_rate = 0.0;       // partial body
   double latency_spike_rate = 0.0;  // slow-but-correct response
-  double latency_spike_multiplier = 8.0;
+  static constexpr double latency_spike_multiplier = 8.0;
 
   // Scheduled outages: each origin draws a Poisson-like number of windows
   // over [0, horizon_seconds) with exponential durations. horizon == 0 or
   // outages_per_origin == 0 disables outage scheduling.
   double horizon_seconds = 0.0;
   double outages_per_origin = 0.0;
-  double mean_outage_seconds = 60.0;
+  static constexpr double mean_outage_seconds = 60.0;
 };
+
+// The plan jsoncdn-generate's --fault-rate and the benches run: one
+// per-request `rate` split across the fault kinds in rough proportion to
+// real origin incidents (60% 5xx, 20% hangs, 10% partial bodies, 10%
+// slowdowns), and `outages_per_origin` windows scheduled up to 1 s past the
+// last of `events`.
+[[nodiscard]] FaultPlanConfig composite_fault_plan(
+    double rate, std::uint64_t seed, double outages_per_origin,
+    const std::vector<workload::RequestEvent>& events);
 
 // Reads JSONCDN_FAULT_SEED from the environment (the CI fault matrix sets
 // it); returns `fallback` when unset or unparsable.
@@ -75,9 +85,6 @@ class FaultPlan {
   explicit FaultPlan(const FaultPlanConfig& config);
 
   [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
-  [[nodiscard]] const FaultPlanConfig& config() const noexcept {
-    return config_;
-  }
 
   // Decision for the k-th request ever sent to `origin_key`, arriving at
   // simulation time `now`. Pure: depends only on (seed, origin_key, k, now),

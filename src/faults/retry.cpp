@@ -5,18 +5,14 @@
 
 namespace jsoncdn::faults {
 
-double backoff_delay(const RetryConfig& config, std::string_view key,
-                     std::size_t attempt) {
-  double delay = config.base_delay_seconds;
-  for (std::size_t a = 0; a < attempt; ++a) delay *= config.multiplier;
-  if (config.jitter > 0.0) {
-    const std::uint64_t bits = stats::splitmix64(
-        config.seed ^ stats::splitmix64(stats::fnv1a64(key) ^
-                                        stats::splitmix64(attempt)));
-    const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-    delay *= 1.0 + config.jitter * u;
-  }
-  return delay;
+double backoff_delay(std::string_view key, std::size_t attempt) {
+  double delay = RetryConfig::base_delay_seconds;
+  for (std::size_t a = 0; a < attempt; ++a) delay *= RetryConfig::multiplier;
+  const std::uint64_t bits = stats::splitmix64(
+      RetryConfig::seed ^ stats::splitmix64(stats::fnv1a64(key) ^
+                                            stats::splitmix64(attempt)));
+  const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+  return delay * (1.0 + RetryConfig::jitter * u);
 }
 
 }  // namespace jsoncdn::faults

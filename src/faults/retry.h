@@ -11,17 +11,19 @@
 
 namespace jsoncdn::faults {
 
+// One retry policy for every origin (DESIGN §7).
 struct RetryConfig {
-  std::size_t max_retries = 2;       // re-attempts after the first try
-  double base_delay_seconds = 0.05;  // delay before the first retry
-  double multiplier = 2.0;           // exponential growth per attempt
-  double jitter = 0.5;               // delay *= 1 + jitter * u, u in [0, 1)
-  std::uint64_t seed = 0;            // jitter stream
+  // Re-attempts after the first try.
+  static constexpr std::size_t max_retries = 2;
+  // Delay before the first retry, growing by `multiplier` per attempt.
+  static constexpr double base_delay_seconds = 0.05;
+  static constexpr double multiplier = 2.0;
+  static constexpr double jitter = 0.5;  // delay *= 1 + jitter * u, u in [0, 1)
+  static constexpr std::uint64_t seed = 0;  // jitter stream
 };
 
 // Simulated delay inserted before retry number `attempt` (0-based: attempt 0
 // is the first retry) of the request identified by `key`.
-[[nodiscard]] double backoff_delay(const RetryConfig& config,
-                                   std::string_view key, std::size_t attempt);
+[[nodiscard]] double backoff_delay(std::string_view key, std::size_t attempt);
 
 }  // namespace jsoncdn::faults

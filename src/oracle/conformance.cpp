@@ -127,7 +127,7 @@ CaseResult score_case(const logs::TableView& full, const logs::TableView& json,
   const auto source = core::characterize_source(full, threads);
   result.marginals = score_marginals(full, source, truth);
 
-  const auto& tol = config.tolerances;
+  constexpr ConformanceTolerances tol;
   auto& failures = result.failures;
   const auto& det = result.detector;
   check_band(failures, det.precision() >= tol.min_detector_precision,
@@ -306,7 +306,6 @@ OverloadExperiment run_overload_experiment(
 
   const auto run_arm = [&](cdn::OverloadParams params) {
     // Both arms share the edge sizing; only the protections differ.
-    params.model_capacity = true;
     params.concurrency = config.concurrency;
     params.service_floor_seconds = config.service_floor_seconds;
     cdn::NetworkParams network_params;
@@ -327,8 +326,8 @@ OverloadExperiment run_overload_experiment(
 
   OverloadExperiment out;
   out.seed = config.seed;
-  out.protected_arm = run_arm(config.protected_params);
-  out.unprotected_arm = run_arm(config.unprotected_params);
+  out.protected_arm = run_arm(cdn::OverloadParams::protected_defaults());
+  out.unprotected_arm = run_arm(cdn::OverloadParams::unprotected_defaults());
 
   auto& failures = out.failures;
   const auto& prot = out.protected_arm;

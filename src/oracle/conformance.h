@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "cdn/metrics.h"
-#include "cdn/overload.h"
 #include "core/periodicity.h"
 #include "logs/table.h"
 #include "oracle/ground_truth.h"
@@ -24,26 +23,29 @@
 
 namespace jsoncdn::oracle {
 
-// Acceptance bands. Defaults are the paper-band invariants ISSUE'd for the
-// clean long-window workload: the detector must recover labelled periodic
-// flows nearly perfectly, marginals must sit close to the configured
-// populations, and the predictor must clear a usefulness floor.
+// Acceptance bands: the paper-band invariants for the clean long-window
+// workload. The detector must recover labelled periodic flows nearly
+// perfectly, marginals must sit close to the configured populations, and
+// the predictor must clear a usefulness floor. One set of bands grades
+// every sweep, so they are constants.
 struct ConformanceTolerances {
-  double min_detector_precision = 0.90;
-  double min_detector_recall = 0.90;
-  double min_detector_f1 = 0.90;
+  static constexpr double min_detector_precision = 0.90;
+  static constexpr double min_detector_recall = 0.90;
+  static constexpr double min_detector_f1 = 0.90;
   // Worst true-positive period error: the scorer's match tolerance.
   static constexpr double max_period_rel_error =
       core::DetectorParams::period_match_tolerance;
-  double max_device_l1 = 0.20;
-  double max_class_l1 = 0.25;
-  double max_industry_l1 = 0.40;
-  double min_measured_top1 = 0.05;   // raw-URL accuracy@1 on the edge log
-  double min_skyline_top1 = 0.05;    // same protocol on the true chains
+  static constexpr double max_device_l1 = 0.20;
+  static constexpr double max_class_l1 = 0.25;
+  static constexpr double max_industry_l1 = 0.40;
+  // Raw-URL accuracy@1 on the edge log, and the same protocol on the true
+  // chains.
+  static constexpr double min_measured_top1 = 0.05;
+  static constexpr double min_skyline_top1 = 0.05;
   // The log path may *gain* accuracy over the session skyline (periodic
   // machine flows are trivially predictable), but it must not lose more
   // than this at K=1.
-  double max_skyline_gap_top1 = 0.50;
+  static constexpr double max_skyline_gap_top1 = 0.50;
 };
 
 struct ConformanceConfig {
@@ -67,7 +69,6 @@ struct ConformanceConfig {
   // Period-detection strategy every periodicity analysis in the sweep runs
   // with (core/period_detector.h). The default keeps historical behaviour.
   core::DetectorStrategy detector = core::DetectorStrategy::kAcfFft;
-  ConformanceTolerances tolerances;
 };
 
 // One generated workload, served through the CDN, with its sidecar.
@@ -135,6 +136,9 @@ struct ConformanceReport {
 // Both arms run the SAME workload events through identically-sized edges;
 // only the protections differ.
 
+// jsoncdn-validate sets the workload; the edge sizing, the two arms
+// (OverloadParams::protected_defaults() and unprotected_defaults()) and the
+// bands are constants.
 struct OverloadExperimentConfig {
   std::uint64_t seed = 1;
   // Workload: the flash-crowd scenario (scraper underlay included).
@@ -146,21 +150,17 @@ struct OverloadExperimentConfig {
   // baseline but below the spike, or overload never materializes. At the
   // default scale the benign load is ~60 req/s per edge and the flash peak
   // ~250 req/s per edge; 2 workers at a 20 ms floor give 100 req/s.
-  std::size_t concurrency = 2;
-  double service_floor_seconds = 0.02;
-  // Protection parameter sets for the two arms.
-  cdn::OverloadParams protected_params = cdn::OverloadParams::protected_defaults();
-  cdn::OverloadParams unprotected_params =
-      cdn::OverloadParams::unprotected_defaults();
+  static constexpr std::size_t concurrency = 2;
+  static constexpr double service_floor_seconds = 0.02;
 
   // Bands the protected arm must hold...
-  double max_human_p99_seconds = 0.40;
-  double min_human_hit_ratio = 0.25;
-  double max_human_rejected_share = 0.10;
+  static constexpr double max_human_p99_seconds = 0.40;
+  static constexpr double min_human_hit_ratio = 0.25;
+  static constexpr double max_human_rejected_share = 0.10;
   // ...and the collapse the unprotected arm must exhibit: its human p99
   // must exceed the protected arm's by at least this factor AND break the
   // protected band.
-  double min_collapse_factor = 3.0;
+  static constexpr double min_collapse_factor = 3.0;
 };
 
 // One arm's outcome (aggregated across edges).

@@ -160,8 +160,7 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
 
       const auto want = std::min<std::size_t>(
           budget, static_cast<std::size_t>(bot.uniform_int(200, 900)));
-      const double span =
-          static_cast<double>(want) / std::max(config.scraper_rate, 1e-9);
+      const double span = static_cast<double>(want) / config.scraper_rate;
       double t = bot.uniform(0.0, std::max(1e-9, window - span));
 
       std::vector<RequestEvent> events;
@@ -181,7 +180,7 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
           ev.url = catalog.objects().at(space[k % space.size()]).url;
         }
         events.push_back(std::move(ev));
-        t += bot.uniform(0.8, 1.2) / std::max(config.scraper_rate, 1e-9);
+        t += bot.uniform(0.8, 1.2) / config.scraper_rate;
       }
       budget -= std::min(budget,
                          commit(std::move(events), AttackKind::kScraper,
@@ -211,8 +210,8 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
           budget, static_cast<std::size_t>(bot.uniform_int(
                       static_cast<std::int64_t>(config.stuffing_burst_lo),
                       static_cast<std::int64_t>(config.stuffing_burst_hi))));
-      const double span = static_cast<double>(burst) /
-                          std::max(config.stuffing_burst_rate, 1e-9);
+      const double span =
+          static_cast<double>(burst) / config.stuffing_burst_rate;
       double t = bot.uniform(0.0, std::max(1e-9, window - span));
 
       std::vector<RequestEvent> events;
@@ -226,7 +225,7 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
         ev.url = url;
         ev.request_bytes = static_cast<std::uint64_t>(bot.uniform_int(90, 160));
         events.push_back(std::move(ev));
-        t += bot.uniform(0.8, 1.2) / std::max(config.stuffing_burst_rate, 1e-9);
+        t += bot.uniform(0.8, 1.2) / config.stuffing_burst_rate;
       }
       budget -= std::min(budget,
                          commit(std::move(events), AttackKind::kStuffing,
@@ -282,8 +281,7 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
       const std::string ua = scraper_ua(bot);
       const auto want = std::min<std::size_t>(
           budget, static_cast<std::size_t>(bot.uniform_int(100, 500)));
-      const double span =
-          static_cast<double>(want) / std::max(config.oversized_rate, 1e-9);
+      const double span = static_cast<double>(want) / config.oversized_rate;
       double t = bot.uniform(0.0, std::max(1e-9, window - span));
 
       std::vector<RequestEvent> events;
@@ -296,7 +294,7 @@ std::size_t inject_hostile_traffic(Workload& out, const DomainCatalog& catalog,
         ev.method = http::Method::kGet;
         ev.url = catalog.objects().at(big[k % top]).url;
         events.push_back(std::move(ev));
-        t += bot.uniform(0.8, 1.2) / std::max(config.oversized_rate, 1e-9);
+        t += bot.uniform(0.8, 1.2) / config.oversized_rate;
       }
       budget -= std::min(budget,
                          commit(std::move(events), AttackKind::kOversized,

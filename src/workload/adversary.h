@@ -61,24 +61,27 @@ struct HostileConfig {
   double flash_crowd_weight = 0.30;
   double oversized_weight = 0.15;
 
+  // The scenario presets and the CLIs set the share and the weights; each
+  // class's shape below is a constant.
+
   // Scrapers: requests/second per bot and the share of requests probing
   // URLs outside the catalog.
-  double scraper_rate = 6.0;
-  double scraper_probe_share = 0.25;
+  static constexpr double scraper_rate = 6.0;
+  static constexpr double scraper_probe_share = 0.25;
 
   // Credential stuffing: in-burst request rate and burst size range.
-  double stuffing_burst_rate = 20.0;
-  std::size_t stuffing_burst_lo = 40;
-  std::size_t stuffing_burst_hi = 160;
+  static constexpr double stuffing_burst_rate = 20.0;
+  static constexpr std::size_t stuffing_burst_lo = 40;
+  static constexpr std::size_t stuffing_burst_hi = 160;
 
   // Flash crowd: session start times are Gaussian around a spike moment
   // drawn uniformly from the middle of the window.
-  double flash_spike_stddev_seconds = 25.0;
+  static constexpr double flash_spike_stddev_seconds = 25.0;
 
   // Oversized amplification: how many of the largest catalog bodies are
   // targeted, and the per-bot request rate.
-  std::size_t oversized_top_objects = 5;
-  double oversized_rate = 3.0;
+  static constexpr std::size_t oversized_top_objects = 5;
+  static constexpr double oversized_rate = 3.0;
 };
 
 // One attacker client (attackers get dedicated TEST-NET-style addresses, so

@@ -21,16 +21,6 @@ constexpr const char* kEndpointNames[] = {
 AppGraph::AppGraph(const DomainSpec& domain, ObjectCatalog& catalog,
                    const AppGraphParams& params, stats::Rng rng)
     : domain_(domain.name) {
-  if (params.n_endpoints < 2)
-    throw std::invalid_argument("AppGraph: need at least 2 endpoints");
-  if (params.id_space == 0)
-    throw std::invalid_argument("AppGraph: id_space must be >= 1");
-  if (params.top_transition_lo > params.top_transition_hi ||
-      params.top_transition_hi >= 1.0)
-    throw std::invalid_argument("AppGraph: bad top_transition bounds");
-  if (params.transition_decay <= 0.0 || params.transition_decay >= 1.0)
-    throw std::invalid_argument("AppGraph: transition_decay outside (0,1)");
-
   auto json_params = size_params(http::ContentClass::kJson);
   json_params.log_mean += params.json_size_log_shift;
   stats::BodySizeSampler json_sizes(json_params);

@@ -22,21 +22,29 @@
 
 namespace jsoncdn::workload {
 
+// Every app has the same shape; only its JSON sizes follow the catalog's
+// Fig. 1 shift.
 struct AppGraphParams {
-  std::size_t n_endpoints = 20;       // templates, including the manifest
-  double parameterized_share = 0.5;   // share of templates with an {id}
-  std::size_t id_space = 40;          // distinct ids per parameterized template
-  double id_zipf_s = 1.3;             // id popularity skew
-  double top_transition_lo = 0.55;    // mass of the most likely next template
-  double top_transition_hi = 0.75;
+  // Templates, including the manifest.
+  static constexpr std::size_t n_endpoints = 20;
+  // Share of templates with an {id}.
+  static constexpr double parameterized_share = 0.5;
+  // Distinct ids per parameterized template, and their popularity skew.
+  static constexpr std::size_t id_space = 40;
+  static constexpr double id_zipf_s = 1.3;
+  // Mass of the most likely next template, uniform in [lo, hi).
+  static constexpr double top_transition_lo = 0.55;
+  static constexpr double top_transition_hi = 0.75;
   // The rest of each row's mass splits between a geometric "mid" group of
   // likely follow-ups and a flat tail over everything else. The three knobs
   // shape Table 3's accuracy curve: top-1 ~ mean(top bounds), top-5 adds the
   // mid group, top-10 only nibbles at the flat tail.
-  std::size_t mid_targets = 4;
-  double mid_share = 0.55;            // of the non-top mass
-  double transition_decay = 0.55;     // geometric decay inside the mid group
-  double post_endpoint_share = 0.09;  // share of templates that are POSTs
+  static constexpr std::size_t mid_targets = 4;
+  static constexpr double mid_share = 0.55;  // of the non-top mass
+  // Geometric decay inside the mid group.
+  static constexpr double transition_decay = 0.55;
+  // Share of templates that are POSTs.
+  static constexpr double post_endpoint_share = 0.09;
   double json_size_log_shift = 0.0;   // see CatalogConfig::json_size_log_shift
 };
 

@@ -80,13 +80,16 @@ struct DomainSpec {
   std::vector<std::vector<std::size_t>> page_xhrs;
 };
 
+// The scenario presets size the customer base and the Fig. 1 model shifts
+// JSON sizes; every domain has the same shape.
 struct CatalogConfig {
   std::size_t domains_per_industry = 4;
-  std::size_t json_objects_per_domain = 30;
-  std::size_t html_objects_per_domain = 10;
-  std::size_t asset_objects_per_domain = 12;
-  double default_ttl_seconds = 3600.0;
-  double domain_popularity_zipf_s = 0.55;  // traffic skew across domains
+  static constexpr std::size_t json_objects_per_domain = 30;
+  static constexpr std::size_t html_objects_per_domain = 10;
+  static constexpr std::size_t asset_objects_per_domain = 12;
+  static constexpr double default_ttl_seconds = 3600.0;
+  // Traffic skew across domains.
+  static constexpr double domain_popularity_zipf_s = 0.55;
   // Additive shift of the JSON log-size mean; the Fig. 1 longitudinal model
   // uses a negative shift in later years ("average JSON response size has
   // decreased by around 28% since 2016", §4).

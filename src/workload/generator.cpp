@@ -50,7 +50,7 @@ WorkloadGenerator::WorkloadGenerator(GeneratorConfig config)
                                              croot.fork("catalog"));
   const auto& domains = catalog_->domains();
   app_graphs_.reserve(domains.size());
-  auto graph_params = config_.app_graph;
+  AppGraphParams graph_params;
   graph_params.json_size_log_shift = config_.catalog.json_size_log_shift;
   for (std::size_t d = 0; d < domains.size(); ++d) {
     app_graphs_.emplace_back(domains[d], catalog_->mutable_objects(),
@@ -261,8 +261,7 @@ Workload WorkloadGenerator::generate() const {
       case ProfileClass::kMobileApp: {
         for (double t0 : interactive_session_starts(rng)) {
           auto session = generate_app_session(app_graphs_[favorite], address,
-                                              ua, t0, config_.app_session,
-                                              rng);
+                                              ua, t0, rng);
           maybe_webview(session, favorite, rng);
           append_session(std::move(session));
         }
@@ -298,8 +297,7 @@ Workload WorkloadGenerator::generate() const {
           // Console / smart-TV app behaviour.
           for (double t0 : interactive_session_starts(rng)) {
             append_session(generate_app_session(app_graphs_[favorite], address,
-                                                ua, t0,
-                                                config_.app_session, rng));
+                                                ua, t0, rng));
           }
         }
         break;
@@ -329,8 +327,7 @@ Workload WorkloadGenerator::generate() const {
         if (rng.bernoulli(config_.unknown_app_like_share)) {
           for (double t0 : interactive_session_starts(rng)) {
             append_session(generate_app_session(app_graphs_[favorite], address,
-                                                ua, t0,
-                                                config_.app_session, rng));
+                                                ua, t0, rng));
           }
         } else {
           const auto& domain = domains[favorite];

@@ -69,6 +69,10 @@ struct PeriodicStress {
   double multi_period_share = 0.0;
 };
 
+// A value is a field when a scenario preset, the Fig. 1 model or a CLI sets
+// it; every other generator value is a constant (DESIGN §13). App graphs
+// and app sessions have no settings of their own (AppGraphParams,
+// AppSessionParams).
 struct GeneratorConfig {
   std::uint64_t seed = 1;
   // Seed for the domain/object catalog and app graphs; 0 derives it from
@@ -80,13 +84,11 @@ struct GeneratorConfig {
   PopulationShares shares;
   PeriodicShares periodic;
   CatalogConfig catalog;
-  AppGraphParams app_graph;
-  AppSessionParams app_session;
   BrowserSessionParams browser_session;
   // Mean interactive sessions per client over the window.
   double mean_sessions_per_client = 3.0;
   // Poisson beacon rate (req/s) for library/script clients.
-  double beacon_rate = 1.0 / 110.0;
+  static constexpr double beacon_rate = 1.0 / 110.0;
   // Share of unknown-UA clients that behave like apps (vs scripted beacons).
   double unknown_app_like_share = 0.75;
   // Chance an app session opens an embedded webview (one HTML page load) —
@@ -94,20 +96,20 @@ struct GeneratorConfig {
   double app_webview_html_prob = 0.10;
   // Scripted beacon clients run in bounded sessions (cron jobs, batch
   // uploads), not all day: per-activation span drawn from this range.
-  double beacon_session_lo_seconds = 900.0;
-  double beacon_session_hi_seconds = 7200.0;
+  static constexpr double beacon_session_lo_seconds = 900.0;
+  static constexpr double beacon_session_hi_seconds = 7200.0;
   // Machine-to-machine traffic concentrates on a few big endpoints
   // (analytics providers, central telemetry): with this probability a
   // periodic client targets one of the top `m2m_top_domains` domains
   // instead of its own favourite.
-  double m2m_concentration = 0.7;
-  std::size_t m2m_top_domains = 6;
+  static constexpr double m2m_concentration = 0.7;
+  static constexpr std::size_t m2m_top_domains = 6;
   // Gaussian jitter of periodic request timing, seconds.
-  double periodic_jitter_stddev = 0.35;
+  static constexpr double periodic_jitter_stddev = 0.35;
   // Probability a periodic client adopts its object's canonical period
   // (drives the Fig. 6 share of period-matching clients per object).
-  double canonical_period_adherence_lo = 0.20;
-  double canonical_period_adherence_hi = 0.80;
+  static constexpr double canonical_period_adherence_lo = 0.20;
+  static constexpr double canonical_period_adherence_hi = 0.80;
   // Hostile-periodic stress knobs (inert at defaults; see PeriodicStress).
   PeriodicStress periodic_stress;
   // Adversarial traffic layered on top of the benign population (inert at
@@ -182,9 +184,6 @@ class WorkloadGenerator {
   }
   [[nodiscard]] const std::vector<AppGraph>& app_graphs() const noexcept {
     return app_graphs_;
-  }
-  [[nodiscard]] const GeneratorConfig& config() const noexcept {
-    return config_;
   }
 
  private:

@@ -10,9 +10,8 @@ namespace jsoncdn::workload {
 
 namespace {
 
-// Geometric session length with the given mean, at least 1.
+// Geometric session length with the given mean (>= 1), at least 1.
 std::size_t geometric_length(double mean, stats::Rng& rng) {
-  if (mean < 1.0) throw std::invalid_argument("geometric_length: mean < 1");
   const double p = 1.0 / mean;
   std::size_t len = 1;
   while (!rng.bernoulli(p)) ++len;
@@ -29,11 +28,10 @@ std::uint64_t lognormal_bytes(double log_mean, double log_stddev,
 
 std::vector<RequestEvent> generate_app_session(
     const AppGraph& graph, const std::string& client_address,
-    const std::string& user_agent, double t0, const AppSessionParams& params,
-    stats::Rng& rng) {
+    const std::string& user_agent, double t0, stats::Rng& rng) {
   std::vector<RequestEvent> events;
   const std::size_t length =
-      geometric_length(params.mean_requests_per_session, rng);
+      geometric_length(AppSessionParams::mean_requests_per_session, rng);
   double t = t0;
   std::size_t tmpl = graph.manifest();
   for (std::size_t i = 0; i < length; ++i) {
@@ -44,12 +42,13 @@ std::vector<RequestEvent> generate_app_session(
     ev.method = graph.method_of(tmpl);
     ev.url = graph.instantiate(tmpl, rng);
     if (http::is_upload(ev.method)) {
-      ev.request_bytes = lognormal_bytes(params.post_body_log_mean,
-                                         params.post_body_log_stddev, rng);
+      ev.request_bytes =
+          lognormal_bytes(AppSessionParams::post_body_log_mean,
+                          AppSessionParams::post_body_log_stddev, rng);
     }
     events.push_back(std::move(ev));
-    t += std::exp(rng.normal(params.think_time_log_mean,
-                             params.think_time_log_stddev));
+    t += std::exp(rng.normal(AppSessionParams::think_time_log_mean,
+                             AppSessionParams::think_time_log_stddev));
     tmpl = graph.next_template(tmpl, rng);
   }
   return events;

@@ -28,28 +28,35 @@ struct RequestEvent {
   std::uint64_t request_bytes = 0;  // upload body size (POST)
 };
 
+// Every app session has the same shape.
 struct AppSessionParams {
-  double mean_requests_per_session = 8.0;  // geometric session length
-  double think_time_log_mean = 1.0;        // ln seconds between requests
-  double think_time_log_stddev = 0.8;
-  double post_body_log_mean = 5.5;         // ln bytes of upload bodies
-  double post_body_log_stddev = 0.8;
+  // Geometric session length.
+  static constexpr double mean_requests_per_session = 8.0;
+  // ln seconds between requests.
+  static constexpr double think_time_log_mean = 1.0;
+  static constexpr double think_time_log_stddev = 0.8;
+  // ln bytes of upload bodies.
+  static constexpr double post_body_log_mean = 5.5;
+  static constexpr double post_body_log_stddev = 0.8;
 };
 
 // One app session starting at `t0`: manifest first, then a graph walk.
 [[nodiscard]] std::vector<RequestEvent> generate_app_session(
     const AppGraph& graph, const std::string& client_address,
-    const std::string& user_agent, double t0, const AppSessionParams& params,
-    stats::Rng& rng);
+    const std::string& user_agent, double t0, stats::Rng& rng);
 
+// The Fig. 1 model varies how often pages fire JSON XHRs; the rest of a
+// browsing session's shape is constant. Which assets and XHRs a page
+// fetches is the catalog's page template (DomainSpec::page_assets,
+// page_xhrs).
 struct BrowserSessionParams {
-  double mean_pages_per_session = 3.0;
-  std::size_t assets_per_page = 6;     // css/js/images fetched per page
+  static constexpr double mean_pages_per_session = 3.0;
   double json_xhr_prob = 0.8;          // chance a page issues JSON XHRs
-  std::size_t max_json_xhr_per_page = 3;  // SPAs fire several API calls
-  double page_dwell_log_mean = 2.5;    // ln seconds between page loads
-  double page_dwell_log_stddev = 0.7;
-  double subresource_gap = 0.15;       // seconds between subresource fetches
+  // ln seconds between page loads.
+  static constexpr double page_dwell_log_mean = 2.5;
+  static constexpr double page_dwell_log_stddev = 0.7;
+  // Seconds between subresource fetches.
+  static constexpr double subresource_gap = 0.15;
 };
 
 // One browsing session on a domain: HTML page, its subresources, optional

@@ -17,17 +17,21 @@ double geo_interp(double a, double b, double t) {
   return a * std::pow(b / a, t);
 }
 
+// Position of quarter q in the span: 0 at the first quarter, 1 at the last.
+double span_fraction(int q) {
+  static_assert(GrowthConfig::n_quarters > 1);
+  return static_cast<double>(q) /
+         static_cast<double>(GrowthConfig::n_quarters - 1);
+}
+
 }  // namespace
 
-PopulationShares interpolate_mix(const GrowthConfig& config, int q) {
-  if (q < 0 || q >= config.n_quarters)
+PopulationShares interpolate_mix(int q) {
+  if (q < 0 || q >= GrowthConfig::n_quarters)
     throw std::invalid_argument("interpolate_mix: quarter out of range");
-  const double t = config.n_quarters <= 1
-                       ? 1.0
-                       : static_cast<double>(q) /
-                             static_cast<double>(config.n_quarters - 1);
-  const auto& a = config.mix_2016;
-  const auto& b = config.mix_2019;
+  const double t = span_fraction(q);
+  const auto& a = GrowthConfig::mix_2016;
+  const auto& b = GrowthConfig::mix_2019;
   PopulationShares out;
   out.mobile_app = geo_interp(a.mobile_app, b.mobile_app, t);
   out.mobile_browser = geo_interp(a.mobile_browser, b.mobile_browser, t);
@@ -39,23 +43,15 @@ PopulationShares interpolate_mix(const GrowthConfig& config, int q) {
   return out;
 }
 
-double json_size_log_shift_at(const GrowthConfig& config, int q) {
-  if (q < 0 || q >= config.n_quarters)
+double json_size_log_shift_at(int q) {
+  if (q < 0 || q >= GrowthConfig::n_quarters)
     throw std::invalid_argument("json_size_log_shift_at: quarter out of range");
-  if (config.json_size_total_scale <= 0.0)
-    throw std::invalid_argument("json_size_log_shift_at: scale <= 0");
-  const double t = config.n_quarters <= 1
-                       ? 1.0
-                       : static_cast<double>(q) /
-                             static_cast<double>(config.n_quarters - 1);
   // Shifting the lognormal location by ln(s) scales every quantile (and the
   // mean) by s.
-  return std::log(config.json_size_total_scale) * t;
+  return std::log(GrowthConfig::json_size_total_scale) * span_fraction(q);
 }
 
 std::vector<QuarterStats> simulate_growth(const GrowthConfig& config) {
-  if (config.n_quarters <= 0)
-    throw std::invalid_argument("simulate_growth: n_quarters <= 0");
   std::vector<QuarterStats> out;
   out.reserve(static_cast<std::size_t>(config.n_quarters));
 
@@ -66,20 +62,12 @@ std::vector<QuarterStats> simulate_growth(const GrowthConfig& config) {
     gen.n_clients = static_cast<std::size_t>(
         std::llround(static_cast<double>(config.clients_per_quarter) *
                      std::pow(config.quarterly_traffic_growth, q)));
-    gen.shares = interpolate_mix(config, q);
-    gen.catalog.json_size_log_shift = json_size_log_shift_at(config, q);
-    const double t = config.n_quarters <= 1
-                         ? 1.0
-                         : static_cast<double>(q) /
-                               static_cast<double>(config.n_quarters - 1);
+    gen.shares = interpolate_mix(q);
+    gen.catalog.json_size_log_shift = json_size_log_shift_at(q);
+    const double t = span_fraction(q);
     gen.browser_session.json_xhr_prob =
         config.browser_xhr_prob_2016 +
         (config.browser_xhr_prob_2019 - config.browser_xhr_prob_2016) * t;
-    gen.browser_session.max_json_xhr_per_page = static_cast<std::size_t>(
-        std::lround(static_cast<double>(config.browser_max_xhr_2016) +
-                    (static_cast<double>(config.browser_max_xhr_2019) -
-                     static_cast<double>(config.browser_max_xhr_2016)) *
-                        t));
     gen.unknown_app_like_share =
         config.unknown_app_like_2016 +
         (config.unknown_app_like_2019 - config.unknown_app_like_2016) * t;

@@ -20,32 +20,34 @@
 
 namespace jsoncdn::workload {
 
+// fig1_json_growth varies the population; the span and the 2016 and 2019
+// ecosystems are constants (DESIGN §13).
 struct GrowthConfig {
-  std::uint64_t seed = 7;
-  int start_year = 2016;
-  int start_quarter = 1;       // 1-based
-  int n_quarters = 15;         // 2016Q1 .. 2019Q3 inclusive
+  static constexpr std::uint64_t seed = 7;
+  static constexpr int start_year = 2016;
+  static constexpr int start_quarter = 1;  // 1-based
+  static constexpr int n_quarters = 15;    // 2016Q1 .. 2019Q3 inclusive
   std::size_t clients_per_quarter = 1200;
-  double duration_seconds = 600.0;
+  static constexpr double duration_seconds = 600.0;
   // Ecosystem endpoints (interpolated geometrically per quarter).
-  PopulationShares mix_2016{0.07, 0.15, 0.43, 0.03, 0.05, 0.23, 0.04};
-  PopulationShares mix_2019{0.50, 0.06, 0.08, 0.12, 0.03, 0.165, 0.03};
+  static constexpr PopulationShares mix_2016{0.07, 0.15, 0.43, 0.03,
+                                             0.05, 0.23, 0.04};
+  static constexpr PopulationShares mix_2019{0.50, 0.06, 0.08, 0.12,
+                                             0.03, 0.165, 0.03};
   // Total multiplicative change of mean JSON body size over the span
   // (0.72 == the paper's -28%).
-  double json_size_total_scale = 0.72;
+  static constexpr double json_size_total_scale = 0.72;
   // View/data separation grows over the span (Section 2.2): pages fire more
   // JSON XHRs, unknown-UA traffic shifts from scripts to apps, hybrid-app
   // webviews fade as apps go API-only.
-  double browser_xhr_prob_2016 = 0.15;
-  double browser_xhr_prob_2019 = 0.80;
-  std::size_t browser_max_xhr_2016 = 1;
-  std::size_t browser_max_xhr_2019 = 3;
-  double unknown_app_like_2016 = 0.20;
-  double unknown_app_like_2019 = 0.75;
-  double webview_prob_2016 = 0.65;
-  double webview_prob_2019 = 0.30;
+  static constexpr double browser_xhr_prob_2016 = 0.15;
+  static constexpr double browser_xhr_prob_2019 = 0.80;
+  static constexpr double unknown_app_like_2016 = 0.20;
+  static constexpr double unknown_app_like_2019 = 0.75;
+  static constexpr double webview_prob_2016 = 0.65;
+  static constexpr double webview_prob_2019 = 0.30;
   // CDN-wide request volume index relative to 2016Q1 (traffic grows).
-  double quarterly_traffic_growth = 1.05;
+  static constexpr double quarterly_traffic_growth = 1.05;
 };
 
 struct QuarterStats {
@@ -64,10 +66,9 @@ struct QuarterStats {
   double median_json_bytes = 0.0;
 };
 
-// Population mix + size shift for quarter q in [0, n_quarters).
-[[nodiscard]] PopulationShares interpolate_mix(const GrowthConfig& config,
-                                               int q);
-[[nodiscard]] double json_size_log_shift_at(const GrowthConfig& config, int q);
+// Population mix + size shift for quarter q in [0, GrowthConfig::n_quarters).
+[[nodiscard]] PopulationShares interpolate_mix(int q);
+[[nodiscard]] double json_size_log_shift_at(int q);
 
 // Simulates every quarter and reports the Fig. 1 series.
 [[nodiscard]] std::vector<QuarterStats> simulate_growth(

@@ -11,7 +11,7 @@ namespace {
 class EdgeFixture : public ::testing::Test {
  protected:
   EdgeFixture()
-      : origin_(catalog_, OriginParams{}),
+      : origin_(catalog_),
         anonymizer_(123),
         edge_(0, origin_, anonymizer_, EdgeParams{}) {}
 
@@ -164,30 +164,20 @@ TEST(Origin, LatencyIncludesRttProcessingAndTransfer) {
   obj.url = "https://d/x";
   obj.body_bytes = 5'000'000;
   catalog.add(obj);
-  OriginParams params;
-  params.rtt_seconds = 0.08;
-  params.processing_seconds = 0.005;
-  params.bandwidth_bytes_per_s = 5e6;
-  Origin origin(catalog, params);
+  Origin origin(catalog);
   const auto result = origin.fetch("https://d/x");
   ASSERT_NE(result.object, nullptr);
+  // 80 ms round trip + 5 ms processing + 5 MB at 5 MB/s.
   EXPECT_NEAR(result.latency_seconds, 0.08 + 0.005 + 1.0, 1e-9);
   EXPECT_EQ(origin.bytes_served(), 5'000'000u);
 }
 
 TEST(Origin, NotFoundStillCostsRoundTrip) {
   workload::ObjectCatalog catalog;
-  Origin origin(catalog, OriginParams{});
+  Origin origin(catalog);
   const auto result = origin.fetch("https://d/missing");
   EXPECT_EQ(result.object, nullptr);
   EXPECT_GT(result.latency_seconds, 0.0);
-}
-
-TEST(Origin, RejectsBadParams) {
-  workload::ObjectCatalog catalog;
-  OriginParams params;
-  params.bandwidth_bytes_per_s = 0.0;
-  EXPECT_THROW(Origin(catalog, params), std::invalid_argument);
 }
 
 }  // namespace

@@ -160,30 +160,28 @@ TEST(FaultsProperty, DecideIsPureUnderConcurrentCallers) {
 }
 
 TEST(FaultsProperty, BackoffDeterministicAcrossThreadsAndBounded) {
-  faults::RetryConfig config;
-  config.seed = 17;
-
+  using faults::RetryConfig;
   std::vector<double> expected;
   for (std::size_t attempt = 0; attempt < 8; ++attempt)
-    expected.push_back(faults::backoff_delay(config, "https://d/x", attempt));
+    expected.push_back(faults::backoff_delay("https://d/x", attempt));
 
   std::vector<std::vector<double>> per_thread(4);
   std::vector<std::thread> threads;
   for (auto& slot : per_thread) {
-    threads.emplace_back([&config, &slot] {
+    threads.emplace_back([&slot] {
       for (std::size_t attempt = 0; attempt < 8; ++attempt)
-        slot.push_back(faults::backoff_delay(config, "https://d/x", attempt));
+        slot.push_back(faults::backoff_delay("https://d/x", attempt));
     });
   }
   for (auto& t : threads) t.join();
   for (const auto& slot : per_thread) EXPECT_EQ(slot, expected);
 
   // Exponential envelope: base * mult^a <= delay < base * mult^a * (1 + j).
-  double floor = config.base_delay_seconds;
+  double floor = RetryConfig::base_delay_seconds;
   for (std::size_t attempt = 0; attempt < 8; ++attempt) {
     EXPECT_GE(expected[attempt], floor);
-    EXPECT_LT(expected[attempt], floor * (1.0 + config.jitter));
-    floor *= config.multiplier;
+    EXPECT_LT(expected[attempt], floor * (1.0 + RetryConfig::jitter));
+    floor *= RetryConfig::multiplier;
   }
 }
 
@@ -224,16 +222,15 @@ TEST(FaultsProperty, StaleWindowDecidesNegativeCacheResponse) {
   ASSERT_NE(seed, 0u) << "no seed found for the incident sequence";
   base.seed = seed;
 
-  const auto run_pair = [&](double stale_window) {
+  // The incident strikes `staleness` seconds after the copy's TTL ran out.
+  const auto run_pair = [&](double staleness) {
     workload::ObjectCatalog catalog;
     catalog.add(obj);
     faults::FaultPlan plan(base);
-    Origin origin(catalog, OriginParams{});
+    Origin origin(catalog);
     origin.set_fault_plan(&plan);
     logs::Anonymizer anonymizer(9);
-    EdgeParams params;
-    params.resilience.stale_if_error_seconds = stale_window;
-    EdgeServer edge(0, origin, anonymizer, params);
+    EdgeServer edge(0, origin, anonymizer, EdgeParams{});
 
     workload::RequestEvent ev;
     ev.client_address = "10.0.0.1";
@@ -242,23 +239,23 @@ TEST(FaultsProperty, StaleWindowDecidesNegativeCacheResponse) {
 
     ev.time = 0.0;
     (void)edge.handle(ev);  // fill (MISS)
-    ev.time = 61.0;
+    ev.time = obj.ttl_seconds + staleness;
     const auto incident = edge.handle(ev);  // TTL expired, origin down
-    ev.time = 62.0;  // within the 5 s negative TTL of the incident
+    ev.time += 1.0;  // within the 5 s negative TTL of the incident
     const auto repeat = edge.handle(ev);
     return std::pair{incident.cache_status, repeat.cache_status};
   };
 
-  // Wide stale window: both the incident and the negative-cache-answered
-  // repeat are absorbed as STALE.
-  const auto wide = run_pair(600.0);
+  // Inside the stale window: both the incident and the
+  // negative-cache-answered repeat are absorbed as STALE.
+  const auto wide = run_pair(1.0);
   EXPECT_EQ(wide.first, logs::CacheStatus::kStale);
   EXPECT_EQ(wide.second, logs::CacheStatus::kStale);
 
-  // Zero stale window: the copy (1 s past TTL) is too old to use, so the
-  // incident is an ERROR and the repeat is answered from the negative cache
-  // as the same ERROR — without touching the origin again.
-  const auto none = run_pair(0.0);
+  // Past the stale window: the copy is too old to use, so the incident is
+  // an ERROR and the repeat is answered from the negative cache as the same
+  // ERROR — without touching the origin again.
+  const auto none = run_pair(ResilienceParams::stale_if_error_seconds + 1.0);
   EXPECT_EQ(none.first, logs::CacheStatus::kError);
   EXPECT_EQ(none.second, logs::CacheStatus::kError);
 }

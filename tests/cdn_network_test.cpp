@@ -37,9 +37,7 @@ TEST(CdnNetwork, ClientMappingIsSticky) {
 
 TEST(CdnNetwork, PerClientCachesAreIndependent) {
   const auto catalog = one_object_catalog();
-  NetworkParams params;
-  params.edge_count = 3;
-  CdnNetwork network(catalog, params);
+  CdnNetwork network(catalog, {});
   // Find two clients on different edges.
   std::string a = "10.0.0.1";
   std::string b;
@@ -56,10 +54,16 @@ TEST(CdnNetwork, PerClientCachesAreIndependent) {
 
 TEST(CdnNetwork, SameEdgeSharesCacheAcrossClients) {
   const auto catalog = one_object_catalog();
-  NetworkParams params;
-  params.edge_count = 1;  // force shared edge
-  CdnNetwork network(catalog, params);
-  const auto ds = network.run({request("a", 0.0), request("b", 1.0)});
+  CdnNetwork network(catalog, {});
+  // Find a second client on the first one's edge.
+  const std::string a = "10.0.0.1";
+  std::string b;
+  for (int i = 2; i < 100; ++i) {
+    b = "10.0.0." + std::to_string(i);
+    if (network.edge_for(b) == network.edge_for(a)) break;
+  }
+  ASSERT_EQ(network.edge_for(b), network.edge_for(a));
+  const auto ds = network.run({request(a, 0.0), request(b, 1.0)});
   EXPECT_EQ(ds.cache_status(0), logs::CacheStatus::kMiss);
   EXPECT_EQ(ds.cache_status(1), logs::CacheStatus::kHit);
 }
@@ -76,9 +80,7 @@ TEST(CdnNetwork, DatasetSortedByTime) {
 
 TEST(CdnNetwork, TotalMetricsAggregateAcrossEdges) {
   const auto catalog = one_object_catalog();
-  NetworkParams params;
-  params.edge_count = 4;
-  CdnNetwork network(catalog, params);
+  CdnNetwork network(catalog, {});
   std::vector<workload::RequestEvent> events;
   for (int i = 0; i < 50; ++i) {
     events.push_back(request("10.9.8." + std::to_string(i), i));
@@ -88,13 +90,6 @@ TEST(CdnNetwork, TotalMetricsAggregateAcrossEdges) {
   EXPECT_EQ(total.requests(), 50u);
   EXPECT_EQ(total.hits() + total.misses(), 50u);
   EXPECT_EQ(total.latencies().size(), 50u);
-}
-
-TEST(CdnNetwork, RejectsZeroEdges) {
-  const auto catalog = one_object_catalog();
-  NetworkParams params;
-  params.edge_count = 0;
-  EXPECT_THROW(CdnNetwork(catalog, params), std::invalid_argument);
 }
 
 TEST(DeliveryMetrics, RatioAccessors) {

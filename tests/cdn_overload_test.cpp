@@ -142,8 +142,6 @@ TEST(OverloadControllerTest, CodelShedsMachineBeforeHuman) {
   params.concurrency = 1;
   params.service_floor_seconds = 10.0;
   params.codel_target_seconds = 1.0;
-  params.codel_interval_seconds = 0.5;
-  params.human_shed_multiplier = 4.0;
   OverloadController controller(params);
 
   // Build a backlog: worker busy until t=10, then 10 more queued requests
@@ -171,8 +169,6 @@ TEST(OverloadControllerTest, CodelSparesHumansBelowMultiplier) {
   params.concurrency = 1;
   params.service_floor_seconds = 2.0;
   params.codel_target_seconds = 1.0;
-  params.codel_interval_seconds = 0.5;
-  params.human_shed_multiplier = 4.0;
   OverloadController controller(params);
 
   // One busy worker: delay = 2.0 - now, above target but below 4x target.
@@ -229,7 +225,7 @@ class OverloadEdgeFixture : public ::testing::Test {
     obj.ttl_seconds = 3600.0;
     obj.body_bytes = 1000;
     catalog_.add(obj);
-    origin_ = std::make_unique<Origin>(catalog_, OriginParams{});
+    origin_ = std::make_unique<Origin>(catalog_);
     anonymizer_ = std::make_unique<logs::Anonymizer>(9);
     edge_ = std::make_unique<EdgeServer>(0, *origin_, *anonymizer_, params);
   }
@@ -354,7 +350,7 @@ TEST_F(OverloadEdgeFixture, ProtectedEdgeReplaysBitIdentically) {
     obj.ttl_seconds = 3600.0;
     obj.body_bytes = 1000;
     catalog.add(obj);
-    Origin origin(catalog, OriginParams{});
+    Origin origin(catalog);
     logs::Anonymizer anonymizer(9);
     EdgeServer edge(0, origin, anonymizer, params);
     std::vector<std::pair<int, logs::CacheStatus>> out;

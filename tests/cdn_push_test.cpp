@@ -1,6 +1,8 @@
 // HTTP Server Push simulation (§5.2's second delivery mechanism).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cdn/edge.h"
 #include "cdn/origin.h"
 
@@ -9,7 +11,7 @@ namespace {
 
 class PushFixture : public ::testing::Test {
  protected:
-  PushFixture() : origin_(catalog_, OriginParams{}), anonymizer_(5) {}
+  PushFixture() : origin_(catalog_), anonymizer_(5) {}
 
   void SetUp() override {
     workload::ObjectSpec a;
@@ -26,7 +28,6 @@ class PushFixture : public ::testing::Test {
 
     EdgeParams params;
     params.enable_push = true;
-    params.push_validity_seconds = 30.0;
     edge_ = std::make_unique<EdgeServer>(0, origin_, anonymizer_, params);
   }
 
@@ -109,41 +110,46 @@ TEST_F(PushFixture, WasteAccounting) {
 TEST_F(PushFixture, SizeTriggeredSweepDropsOnlyExpiredEntries) {
   EdgeParams params;
   params.enable_push = true;
-  params.push_validity_seconds = 30.0;
-  params.push_table_sweep_entries = 2;        // sweep once the table holds 3
-  params.push_table_sweep_seconds = 1e9;      // isolate the size trigger
   EdgeServer edge(0, origin_, anonymizer_, params);
   PredictB policy;
+  const std::size_t bound = EdgeParams::push_table_sweep_entries;
+  // Every push lands well inside the sweep period, so only the size trigger
+  // can fire.
+  static_assert(EdgeParams::push_table_sweep_seconds > 40.0);
 
-  // Three pushes to distinct clients; by the third, the first has expired.
-  (void)edge.handle(request("c1", "https://d/a", 0.0), &policy);
-  (void)edge.handle(request("c2", "https://d/a", 20.0), &policy);
-  EXPECT_EQ(edge.push_table_size(), 2u);
-  (void)edge.handle(request("c3", "https://d/a", 40.0), &policy);
-  // The sweep fired (3 > 2) and dropped only c1's expired entry.
-  EXPECT_EQ(edge.push_table_size(), 2u);
+  // c0's push expires at t=30; the pushes that fill the table to its bound
+  // come later and are still fresh.
+  (void)edge.handle(request("c0", "https://d/a", 0.0), &policy);
+  for (std::size_t c = 1; c < bound; ++c) {
+    (void)edge.handle(request("c" + std::to_string(c), "https://d/a", 40.0),
+                      &policy);
+  }
+  EXPECT_EQ(edge.push_table_size(), bound);
+  (void)edge.handle(request("c-last", "https://d/a", 40.0), &policy);
+  // The sweep fired (bound + 1 > bound) and dropped only c0's expired entry.
+  EXPECT_EQ(edge.push_table_size(), bound);
 
   // The surviving fresh entries still answer locally: sweeping is invisible
   // to served traffic.
-  (void)edge.handle(request("c2", "https://d/b", 41.0));
-  (void)edge.handle(request("c3", "https://d/b", 42.0));
+  (void)edge.handle(request("c1", "https://d/b", 41.0));
+  (void)edge.handle(request("c-last", "https://d/b", 42.0));
   EXPECT_EQ(edge.metrics().pushes_used(), 2u);
 }
 
 TEST_F(PushFixture, TimeTriggeredSweepBoundsIdleTable) {
   EdgeParams params;
   params.enable_push = true;
-  params.push_validity_seconds = 30.0;
-  params.push_table_sweep_entries = 1'000'000;  // never by size
-  params.push_table_sweep_seconds = 60.0;
   EdgeServer edge(0, origin_, anonymizer_, params);
   PredictB policy;
 
   (void)edge.handle(request("c1", "https://d/a", 0.0), &policy);
   EXPECT_EQ(edge.push_table_size(), 1u);
   // c1 never returns; its entry expires at t=30. A later request from
-  // another client crosses the sweep period and collects it.
-  (void)edge.handle(request("c2", "https://d/a", 70.0), &policy);
+  // another client crosses the sweep period and collects it (the table
+  // never nears the size trigger).
+  (void)edge.handle(request("c2", "https://d/a",
+                            EdgeParams::push_table_sweep_seconds + 10.0),
+                    &policy);
   EXPECT_EQ(edge.push_table_size(), 1u);  // only c2's fresh push remains
 }
 

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "cdn/edge.h"
@@ -43,8 +42,7 @@ std::uint64_t find_seed(const faults::FaultPlanConfig& base,
 
 class ResilienceFixture : public ::testing::Test {
  protected:
-  void make_edge(const faults::FaultPlanConfig& faults,
-                 const EdgeParams& params = {}) {
+  void make_edge(const faults::FaultPlanConfig& faults) {
     workload::ObjectSpec obj;
     obj.url = kUrl;
     obj.domain = "d";
@@ -55,10 +53,11 @@ class ResilienceFixture : public ::testing::Test {
     catalog_.add(obj);
 
     plan_ = std::make_unique<faults::FaultPlan>(faults);
-    origin_ = std::make_unique<Origin>(catalog_, OriginParams{});
+    origin_ = std::make_unique<Origin>(catalog_);
     origin_->set_fault_plan(plan_.get());
     anonymizer_ = std::make_unique<logs::Anonymizer>(9);
-    edge_ = std::make_unique<EdgeServer>(0, *origin_, *anonymizer_, params);
+    edge_ =
+        std::make_unique<EdgeServer>(0, *origin_, *anonymizer_, EdgeParams{});
   }
 
   static workload::RequestEvent request(double t) {
@@ -135,9 +134,7 @@ TEST_F(ResilienceFixture, NegativeCacheShortCircuitsRepeatFailures) {
   base.seed = find_seed(
       base, {faults::FaultOutcome::kError, faults::FaultOutcome::kError,
              faults::FaultOutcome::kError});
-  EdgeParams params;
-  params.resilience.serve_stale_on_error = false;
-  make_edge(base, params);
+  make_edge(base);
 
   const auto first = edge_->handle(request(0.0));
   EXPECT_EQ(first.cache_status, logs::CacheStatus::kError);
@@ -160,28 +157,32 @@ TEST_F(ResilienceFixture, NegativeCacheShortCircuitsRepeatFailures) {
 }
 
 TEST_F(ResilienceFixture, BreakerOpensAndShortCircuits) {
+  using faults::BreakerConfig;
+  using faults::RetryConfig;
   faults::FaultPlanConfig base;
   base.enabled = true;
   base.error_rate = 1.0;  // origin is down for good
   base.seed = 7;
-  EdgeParams params;
-  params.resilience.retry.max_retries = 0;  // one attempt per request
-  params.resilience.serve_stale_on_error = false;
-  params.resilience.negative_ttl_seconds = 0.0;  // isolate the breaker
-  params.resilience.breaker.failure_threshold = 3;
-  params.resilience.breaker.open_seconds = 30.0;
-  make_edge(base, params);
+  make_edge(base);
+  // Each request spends 1 + max_retries attempts (3), so the 5-failure
+  // threshold trips on the second request's second attempt, which then
+  // stops retrying.
+  static_assert(BreakerConfig::failure_threshold == 5 &&
+                RetryConfig::max_retries == 2);
 
-  for (int i = 0; i < 3; ++i) {
-    const auto record = edge_->handle(request(static_cast<double>(i)));
+  // Each request waits out the previous one's negative-cache entry, so
+  // every one reaches the breaker.
+  const double gap = ResilienceParams::negative_ttl_seconds;
+  for (int i = 0; i < 2; ++i) {
+    const auto record = edge_->handle(request(gap * i));
     EXPECT_EQ(record.cache_status, logs::CacheStatus::kError);
   }
   const auto fetches_when_tripped = origin_->fetch_count();
-  EXPECT_EQ(fetches_when_tripped, 3u);
+  EXPECT_EQ(fetches_when_tripped, BreakerConfig::failure_threshold);
   EXPECT_EQ(edge_->resilience().breaker_trips, 1u);
 
   // Open breaker: failed fast, origin untouched.
-  const auto shorted = edge_->handle(request(3.0));
+  const auto shorted = edge_->handle(request(2 * gap));
   EXPECT_EQ(shorted.cache_status, logs::CacheStatus::kError);
   EXPECT_EQ(shorted.status, 503);
   EXPECT_EQ(origin_->fetch_count(), fetches_when_tripped);
@@ -192,7 +193,7 @@ TEST_F(ResilienceFixture, BreakerOpensAndShortCircuits) {
   EXPECT_EQ(timeline[0].domain, "d");
   EXPECT_EQ(timeline[0].transition.from, faults::BreakerState::kClosed);
   EXPECT_EQ(timeline[0].transition.to, faults::BreakerState::kOpen);
-  EXPECT_DOUBLE_EQ(timeline[0].transition.time, 2.0);
+  EXPECT_DOUBLE_EQ(timeline[0].transition.time, gap);
 }
 
 TEST_F(ResilienceFixture, TimeoutChargesBudgetNotOriginLatency) {
@@ -200,21 +201,23 @@ TEST_F(ResilienceFixture, TimeoutChargesBudgetNotOriginLatency) {
   base.enabled = true;
   base.timeout_rate = 1.0;
   base.seed = 7;
-  EdgeParams params;
-  params.resilience.retry.max_retries = 0;
-  params.resilience.serve_stale_on_error = false;
-  params.resilience.timeout_seconds = 1.5;
-  make_edge(base, params);
+  make_edge(base);
 
   const auto record = edge_->handle(request(0.0));
   EXPECT_EQ(record.status, 504);
   EXPECT_EQ(record.cache_status, logs::CacheStatus::kError);
-  EXPECT_EQ(edge_->resilience().timeouts, 1u);
+  // The first attempt and both retries hang.
+  static_assert(faults::RetryConfig::max_retries == 2);
+  EXPECT_EQ(edge_->resilience().timeouts, 3u);
 
   const auto& latencies = edge_->metrics().latencies();
   ASSERT_EQ(latencies.size(), 1u);
-  // client RTT + the full timeout budget, not the origin's internal latency.
-  EXPECT_DOUBLE_EQ(latencies[0], 0.020 + 1.5);
+  // client RTT + the full timeout budget per attempt + the backoff between
+  // attempts, not the origin's internal latency.
+  const double budget = ResilienceParams::timeout_seconds;
+  const double origin_side = budget + faults::backoff_delay(kUrl, 0) +
+                             budget + faults::backoff_delay(kUrl, 1) + budget;
+  EXPECT_DOUBLE_EQ(latencies[0], EdgeParams::client_rtt_seconds + origin_side);
 }
 
 TEST_F(ResilienceFixture, TruncatedBodiesAreRetriedThen502) {
@@ -222,9 +225,7 @@ TEST_F(ResilienceFixture, TruncatedBodiesAreRetriedThen502) {
   base.enabled = true;
   base.truncate_rate = 1.0;
   base.seed = 7;
-  EdgeParams params;
-  params.resilience.serve_stale_on_error = false;
-  make_edge(base, params);
+  make_edge(base);
 
   const auto record = edge_->handle(request(0.0));
   EXPECT_EQ(record.status, 502);
@@ -238,9 +239,7 @@ TEST_F(ResilienceFixture, ErrorRecordsKeepDomainAndContentType) {
   base.enabled = true;
   base.error_rate = 1.0;
   base.seed = 7;
-  EdgeParams params;
-  params.resilience.serve_stale_on_error = false;
-  make_edge(base, params);
+  make_edge(base);
 
   const auto record = edge_->handle(request(0.0));
   ASSERT_EQ(record.cache_status, logs::CacheStatus::kError);
@@ -266,40 +265,45 @@ TEST_F(ResilienceFixture, DisabledPlanTouchesNothing) {
 // ---- CircuitBreaker state machine, driven directly ------------------------
 
 TEST(CircuitBreakerTest, TripsAfterConsecutiveFailuresOnly) {
-  faults::BreakerConfig config;
-  config.failure_threshold = 3;
-  faults::CircuitBreaker breaker(config);
+  using faults::BreakerConfig;
+  faults::CircuitBreaker breaker;
 
   breaker.record_failure(0.0);
   breaker.record_failure(1.0);
   breaker.record_success(2.0);  // resets the streak
-  breaker.record_failure(3.0);
-  breaker.record_failure(4.0);
-  EXPECT_EQ(breaker.state(4.0), faults::BreakerState::kClosed);
-  breaker.record_failure(5.0);
-  EXPECT_EQ(breaker.state(5.0), faults::BreakerState::kOpen);
+  double t = 3.0;
+  for (std::size_t i = 1; i < BreakerConfig::failure_threshold; ++i)
+    breaker.record_failure(t++);
+  EXPECT_EQ(breaker.state(t), faults::BreakerState::kClosed);
+  breaker.record_failure(t);
+  EXPECT_EQ(breaker.state(t), faults::BreakerState::kOpen);
   EXPECT_EQ(breaker.trips(), 1u);
 }
 
-TEST(CircuitBreakerTest, OpenRefusesUntilCoolingOffThenProbes) {
-  faults::BreakerConfig config;
-  config.failure_threshold = 1;
-  config.open_seconds = 10.0;
-  config.half_open_successes = 2;
-  faults::CircuitBreaker breaker(config);
+// Trips `breaker` open at t=0.
+void trip(faults::CircuitBreaker& breaker) {
+  for (std::size_t i = 0; i < faults::BreakerConfig::failure_threshold; ++i)
+    breaker.record_failure(0.0);
+}
 
-  breaker.record_failure(0.0);
-  EXPECT_FALSE(breaker.allow(5.0));
-  EXPECT_EQ(breaker.state(5.0), faults::BreakerState::kOpen);
+TEST(CircuitBreakerTest, OpenRefusesUntilCoolingOffThenProbes) {
+  // Cooling off for 30 s, then two probe successes close it.
+  static_assert(faults::BreakerConfig::open_seconds == 30.0 &&
+                faults::BreakerConfig::half_open_successes == 2);
+  faults::CircuitBreaker breaker;
+
+  trip(breaker);
+  EXPECT_FALSE(breaker.allow(15.0));
+  EXPECT_EQ(breaker.state(15.0), faults::BreakerState::kOpen);
 
   // Cooling-off elapsed: probes allowed, state half-open.
-  EXPECT_TRUE(breaker.allow(10.5));
-  EXPECT_EQ(breaker.state(10.5), faults::BreakerState::kHalfOpen);
+  EXPECT_TRUE(breaker.allow(30.5));
+  EXPECT_EQ(breaker.state(30.5), faults::BreakerState::kHalfOpen);
 
-  breaker.record_success(11.0);
-  EXPECT_EQ(breaker.state(11.0), faults::BreakerState::kHalfOpen);
-  breaker.record_success(11.5);
-  EXPECT_EQ(breaker.state(11.5), faults::BreakerState::kClosed);
+  breaker.record_success(31.0);
+  EXPECT_EQ(breaker.state(31.0), faults::BreakerState::kHalfOpen);
+  breaker.record_success(31.5);
+  EXPECT_EQ(breaker.state(31.5), faults::BreakerState::kClosed);
 
   const auto& timeline = breaker.timeline();
   ASSERT_EQ(timeline.size(), 3u);
@@ -309,23 +313,15 @@ TEST(CircuitBreakerTest, OpenRefusesUntilCoolingOffThenProbes) {
 }
 
 TEST(CircuitBreakerTest, HalfOpenFailureReopensImmediately) {
-  faults::BreakerConfig config;
-  config.failure_threshold = 1;
-  config.open_seconds = 10.0;
-  faults::CircuitBreaker breaker(config);
+  static_assert(faults::BreakerConfig::open_seconds == 30.0);
+  faults::CircuitBreaker breaker;
 
-  breaker.record_failure(0.0);
-  ASSERT_TRUE(breaker.allow(10.5));  // half-open probe
-  breaker.record_failure(11.0);
-  EXPECT_EQ(breaker.state(11.0), faults::BreakerState::kOpen);
-  EXPECT_FALSE(breaker.allow(11.5));
+  trip(breaker);
+  ASSERT_TRUE(breaker.allow(30.5));  // half-open probe
+  breaker.record_failure(31.0);
+  EXPECT_EQ(breaker.state(31.0), faults::BreakerState::kOpen);
+  EXPECT_FALSE(breaker.allow(31.5));
   EXPECT_EQ(breaker.trips(), 2u);
-}
-
-TEST(CircuitBreakerTest, RejectsSenselessConfig) {
-  faults::BreakerConfig config;
-  config.failure_threshold = 0;
-  EXPECT_THROW(faults::CircuitBreaker{config}, std::invalid_argument);
 }
 
 }  // namespace

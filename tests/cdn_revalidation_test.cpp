@@ -10,7 +10,7 @@ namespace {
 
 class RevalidationFixture : public ::testing::Test {
  protected:
-  RevalidationFixture() : origin_(catalog_, OriginParams{}), anonymizer_(9) {}
+  RevalidationFixture() : origin_(catalog_), anonymizer_(9) {}
 
   void SetUp() override {
     workload::ObjectSpec obj;

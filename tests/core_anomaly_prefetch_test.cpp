@@ -117,9 +117,7 @@ TEST(NgramPrefetcher, UsesPerClientHistory) {
     model.observe_sequence(seq({"z", "b", "y"}));
   }
   model.freeze();
-  PrefetcherParams params;
-  params.top_k = 1;
-  NgramPrefetcher prefetcher(std::move(model), params);
+  NgramPrefetcher prefetcher(std::move(model), PrefetcherParams{});
   (void)prefetcher.candidates(served("c1", "a"));
   const auto after_ab = prefetcher.candidates(served("c1", "b"));
   ASSERT_FALSE(after_ab.empty());

@@ -278,31 +278,29 @@ TEST(Study, ResultsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(TrafficMix, InterpolationHitsEndpoints) {
-  workload::GrowthConfig config;
-  const auto start = workload::interpolate_mix(config, 0);
-  const auto end = workload::interpolate_mix(config, config.n_quarters - 1);
-  EXPECT_NEAR(start.mobile_app, config.mix_2016.mobile_app, 1e-9);
-  EXPECT_NEAR(end.mobile_app, config.mix_2019.mobile_app, 1e-9);
-  EXPECT_THROW((void)workload::interpolate_mix(config, -1),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload::interpolate_mix(config, config.n_quarters),
+  using workload::GrowthConfig;
+  const auto start = workload::interpolate_mix(0);
+  const auto end = workload::interpolate_mix(GrowthConfig::n_quarters - 1);
+  EXPECT_NEAR(start.mobile_app, GrowthConfig::mix_2016.mobile_app, 1e-9);
+  EXPECT_NEAR(end.mobile_app, GrowthConfig::mix_2019.mobile_app, 1e-9);
+  EXPECT_THROW((void)workload::interpolate_mix(-1), std::invalid_argument);
+  EXPECT_THROW((void)workload::interpolate_mix(GrowthConfig::n_quarters),
                std::invalid_argument);
 }
 
 TEST(TrafficMix, SizeShiftReachesConfiguredScale) {
-  workload::GrowthConfig config;
-  EXPECT_DOUBLE_EQ(workload::json_size_log_shift_at(config, 0), 0.0);
+  using workload::GrowthConfig;
+  EXPECT_DOUBLE_EQ(workload::json_size_log_shift_at(0), 0.0);
   EXPECT_NEAR(std::exp(workload::json_size_log_shift_at(
-                  config, config.n_quarters - 1)),
-              config.json_size_total_scale, 1e-9);
+                  GrowthConfig::n_quarters - 1)),
+              GrowthConfig::json_size_total_scale, 1e-9);
 }
 
 TEST(TrafficMix, Figure1RatioGrowsAcrossTheSpan) {
   workload::GrowthConfig config;
-  config.clients_per_quarter = 500;
-  config.n_quarters = 7;  // sample fewer quarters for test speed
+  config.clients_per_quarter = 250;  // a small population keeps it fast
   const auto series = workload::simulate_growth(config);
-  ASSERT_EQ(series.size(), 7u);
+  ASSERT_EQ(series.size(), std::size_t{workload::GrowthConfig::n_quarters});
   EXPECT_GT(series.front().json_html_ratio, 0.0);
   // Headline shape: the ratio grows substantially start -> end.
   EXPECT_GT(series.back().json_html_ratio,

@@ -51,14 +51,12 @@ TEST(AppGraph, RegistersEveryUrlInCatalog) {
 
 TEST(AppGraph, ParameterizedTemplatesHaveIdSpaceUrls) {
   ObjectCatalog catalog;
-  AppGraphParams params;
-  params.id_space = 17;
-  AppGraph graph(test_domain(), catalog, params, stats::Rng(4));
+  AppGraph graph(test_domain(), catalog, {}, stats::Rng(4));
   bool found_parameterized = false;
   for (std::size_t t = 0; t < graph.endpoint_count(); ++t) {
     if (graph.is_parameterized(t)) {
       found_parameterized = true;
-      EXPECT_EQ(graph.urls_of(t).size(), 17u);
+      EXPECT_EQ(graph.urls_of(t).size(), AppGraphParams::id_space);
     } else {
       EXPECT_EQ(graph.urls_of(t).size(), 1u);
     }
@@ -92,27 +90,29 @@ TEST(AppGraph, NonParameterizedNeverSelfLoops) {
 
 TEST(AppGraph, OracleAccuracyWithinConfiguredBand) {
   ObjectCatalog catalog;
-  AppGraphParams params;
-  params.top_transition_lo = 0.55;
-  params.top_transition_hi = 0.75;
-  AppGraph graph(test_domain(), catalog, params, stats::Rng(8));
+  AppGraph graph(test_domain(), catalog, {}, stats::Rng(8));
   const double oracle = graph.oracle_top1_template_accuracy();
-  EXPECT_GE(oracle, 0.50);
-  EXPECT_LE(oracle, 0.80);
+  EXPECT_GE(oracle, AppGraphParams::top_transition_lo - 0.05);
+  EXPECT_LE(oracle, AppGraphParams::top_transition_hi + 0.05);
 }
 
 TEST(AppGraph, UploadEndpointsAreUncacheable) {
-  ObjectCatalog catalog;
-  AppGraphParams params;
-  params.post_endpoint_share = 0.5;  // force plenty of uploads
-  AppGraph graph(test_domain(1.0), catalog, params, stats::Rng(9));
-  for (std::size_t t = 0; t < graph.endpoint_count(); ++t) {
-    if (http::is_upload(graph.method_of(t))) {
-      for (const auto& url : graph.urls_of(t)) {
-        EXPECT_FALSE(catalog.find(url)->cacheable);
+  // About one template in twenty is an upload, so check a fleet of
+  // always-cache apps and require that it has uploads at all.
+  std::size_t uploads = 0;
+  for (std::uint64_t seed = 9; seed < 29; ++seed) {
+    ObjectCatalog catalog;
+    AppGraph graph(test_domain(1.0), catalog, {}, stats::Rng(seed));
+    for (std::size_t t = 0; t < graph.endpoint_count(); ++t) {
+      if (http::is_upload(graph.method_of(t))) {
+        ++uploads;
+        for (const auto& url : graph.urls_of(t)) {
+          EXPECT_FALSE(catalog.find(url)->cacheable);
+        }
       }
     }
   }
+  EXPECT_GT(uploads, 0u);
 }
 
 TEST(AppGraph, DeterministicForSameSeed) {
@@ -124,27 +124,6 @@ TEST(AppGraph, DeterministicForSameSeed) {
   for (std::size_t t = 0; t < a.endpoint_count(); ++t) {
     EXPECT_EQ(a.urls_of(t), b.urls_of(t));
   }
-}
-
-TEST(AppGraph, RejectsBadParameters) {
-  ObjectCatalog catalog;
-  AppGraphParams params;
-  params.n_endpoints = 1;
-  EXPECT_THROW(AppGraph(test_domain(), catalog, params, stats::Rng(1)),
-               std::invalid_argument);
-  params = {};
-  params.id_space = 0;
-  EXPECT_THROW(AppGraph(test_domain(), catalog, params, stats::Rng(1)),
-               std::invalid_argument);
-  params = {};
-  params.top_transition_lo = 0.9;
-  params.top_transition_hi = 0.8;
-  EXPECT_THROW(AppGraph(test_domain(), catalog, params, stats::Rng(1)),
-               std::invalid_argument);
-  params = {};
-  params.transition_decay = 1.0;
-  EXPECT_THROW(AppGraph(test_domain(), catalog, params, stats::Rng(1)),
-               std::invalid_argument);
 }
 
 TEST(AppGraph, AccessorsThrowOutOfRange) {
@@ -160,9 +139,7 @@ TEST(AppGraph, AccessorsThrowOutOfRange) {
 
 TEST(AppGraph, PopularIdsInstantiateMoreOften) {
   ObjectCatalog catalog;
-  AppGraphParams params;
-  params.id_zipf_s = 1.3;
-  AppGraph graph(test_domain(), catalog, params, stats::Rng(12));
+  AppGraph graph(test_domain(), catalog, {}, stats::Rng(12));
   // Find a parameterized template and sample it.
   for (std::size_t t = 0; t < graph.endpoint_count(); ++t) {
     if (!graph.is_parameterized(t)) continue;

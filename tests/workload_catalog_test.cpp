@@ -11,9 +11,6 @@ namespace {
 CatalogConfig small_config() {
   CatalogConfig config;
   config.domains_per_industry = 3;
-  config.json_objects_per_domain = 10;
-  config.html_objects_per_domain = 4;
-  config.asset_objects_per_domain = 6;
   return config;
 }
 
@@ -47,9 +44,9 @@ TEST(DomainCatalog, GeneratesExpectedCounts) {
   DomainCatalog catalog(small_config(), stats::Rng(1));
   EXPECT_EQ(catalog.domains().size(), 3u * kIndustryCount);
   for (const auto& d : catalog.domains()) {
-    EXPECT_EQ(d.json_objects.size(), 10u);
-    EXPECT_EQ(d.html_objects.size(), 4u);
-    EXPECT_EQ(d.asset_objects.size(), 6u);
+    EXPECT_EQ(d.json_objects.size(), CatalogConfig::json_objects_per_domain);
+    EXPECT_EQ(d.html_objects.size(), CatalogConfig::html_objects_per_domain);
+    EXPECT_EQ(d.asset_objects.size(), CatalogConfig::asset_objects_per_domain);
     EXPECT_TRUE(d.telemetry_object.has_value());
     EXPECT_TRUE(d.poll_object.has_value());
     EXPECT_EQ(d.page_assets.size(), d.html_objects.size());

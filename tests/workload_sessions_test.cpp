@@ -24,8 +24,8 @@ struct Fixture {
 
 TEST(AppSession, StartsAtManifest) {
   Fixture f;
-  const auto events = generate_app_session(*f.graph, "10.0.0.1", "ua", 100.0,
-                                           {}, f.rng);
+  const auto events =
+      generate_app_session(*f.graph, "10.0.0.1", "ua", 100.0, f.rng);
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().time, 100.0);
   EXPECT_EQ(events.front().url,
@@ -35,8 +35,8 @@ TEST(AppSession, StartsAtManifest) {
 
 TEST(AppSession, TimesStrictlyAscendingAndClientFieldsSet) {
   Fixture f;
-  const auto events = generate_app_session(*f.graph, "10.0.0.1", "myua", 0.0,
-                                           {}, f.rng);
+  const auto events =
+      generate_app_session(*f.graph, "10.0.0.1", "myua", 0.0, f.rng);
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].client_address, "10.0.0.1");
     EXPECT_EQ(events[i].user_agent, "myua");
@@ -49,7 +49,7 @@ TEST(AppSession, UploadsCarryBodies) {
   bool saw_upload = false;
   for (int s = 0; s < 50 && !saw_upload; ++s) {
     for (const auto& ev :
-         generate_app_session(*f.graph, "a", "u", 0.0, {}, f.rng)) {
+         generate_app_session(*f.graph, "a", "u", 0.0, f.rng)) {
       if (http::is_upload(ev.method)) {
         saw_upload = true;
         EXPECT_GT(ev.request_bytes, 0u);
@@ -62,22 +62,21 @@ TEST(AppSession, UploadsCarryBodies) {
 
 TEST(AppSession, GeometricLengthHasConfiguredMean) {
   Fixture f;
-  AppSessionParams params;
-  params.mean_requests_per_session = 5.0;
   double total = 0.0;
-  const int n = 2000;
+  // The session length's standard deviation is ~7.5 at a mean of 8, so the
+  // band below is about three standard errors of the sample mean.
+  const int n = 5000;
   for (int i = 0; i < n; ++i) {
     total += static_cast<double>(
-        generate_app_session(*f.graph, "a", "u", 0.0, params, f.rng).size());
+        generate_app_session(*f.graph, "a", "u", 0.0, f.rng).size());
   }
-  EXPECT_NEAR(total / n, 5.0, 0.3);
+  EXPECT_NEAR(total / n, AppSessionParams::mean_requests_per_session, 0.3);
 }
 
 TEST(BrowserSession, FetchesPageThenTemplateSubresources) {
   Fixture f;
   const auto& domain = f.catalog->domains().front();
   BrowserSessionParams params;
-  params.mean_pages_per_session = 1.0;  // geometric with mean 1
   params.json_xhr_prob = 1.0;
   const auto events = generate_browser_session(
       domain, f.catalog->objects(), "10.0.0.2", "bua", 0.0, params, f.rng);

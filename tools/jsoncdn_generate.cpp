@@ -23,7 +23,6 @@
 // bodies, and latency spikes. The fault seed defaults to JSONCDN_FAULT_SEED
 // (else the workload seed), so a fixed seed reproduces the incident
 // byte-for-byte — logs, resilience counters, and breaker timeline.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,24 +164,13 @@ int main(int argc, char** argv) {
 
   cdn::NetworkParams params;
   if (fault_rate > 0.0 || fault_outages > 0) {
-    auto& faults = params.faults;
-    faults.enabled = true;
-    faults.seed = fault_seed ? *fault_seed : faults::env_fault_seed(seed);
-    // Split the composite rate across the fault kinds in rough proportion to
-    // real origin incidents: mostly 5xx, some hangs, a few partial bodies
-    // and slowdowns.
-    faults.error_rate = 0.6 * fault_rate;
-    faults.timeout_rate = 0.2 * fault_rate;
-    faults.truncate_rate = 0.1 * fault_rate;
-    faults.latency_spike_rate = 0.1 * fault_rate;
-    faults.outages_per_origin = fault_outages;
-    double horizon = 0.0;
-    for (const auto& event : workload.events)
-      horizon = std::max(horizon, event.time);
-    faults.horizon_seconds = horizon + 1.0;
+    params.faults = faults::composite_fault_plan(
+        fault_rate, fault_seed ? *fault_seed : faults::env_fault_seed(seed),
+        static_cast<double>(fault_outages), workload.events);
     std::fprintf(stderr,
                  "fault injection on: rate %g, seed %llu, %zu outages/origin\n",
-                 fault_rate, static_cast<unsigned long long>(faults.seed),
+                 fault_rate,
+                 static_cast<unsigned long long>(params.faults.seed),
                  fault_outages);
   }
   cdn::CdnNetwork network(generator.catalog().objects(), params);
