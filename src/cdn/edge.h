@@ -53,9 +53,10 @@ struct ResilienceParams {
   static constexpr double negative_ttl_seconds = 5.0;
 };
 
-// The three settings a shipped caller varies: bench/ablation_cache_size
-// sets the cache size and revalidation, bench/ablation_push_timing turns on
-// push. The other edge values are constants.
+// Besides the overload controller's settings, the three a shipped caller
+// varies: bench/ablation_cache_size sets the cache size and revalidation,
+// bench/ablation_push_timing turns on push. The other edge values are
+// constants.
 struct EdgeParams {
   std::uint64_t cache_capacity_bytes = 512ULL * 1024 * 1024;
   static constexpr double client_rtt_seconds = 0.020;  // client <-> edge
