@@ -260,6 +260,143 @@ TEST(StreamingStudy, TriageCandidatesDriveTargetedPeriodicityPass) {
   EXPECT_LT(report.periodic_request_share, 1.0);
 }
 
+// Appends `rows` rows of one tenant's traffic over [t0, t0 + span): a few
+// polled JSON flows, a Zipf-ish head, a one-request tail wide enough to
+// overflow the triage's flow table, and some HTML. `prefix` names the
+// tenant's URLs and clients, so two tenants' tables give the same symbol
+// numbers to different strings; `shared` URLs are interned after the
+// tenant's own, so they take other symbol numbers in each table.
+void append_tenant_rows(logs::LogTable& table, const std::string& prefix,
+                        const std::vector<std::string>& shared, double t0,
+                        double span, std::uint64_t seed) {
+  stats::Rng rng(seed);
+  const auto client = [&](std::int64_t hi) {
+    return prefix + "-client-" + std::to_string(rng.uniform_int(0, hi));
+  };
+  for (int flow = 0; flow < 3; ++flow) {
+    const std::string url =
+        "https://" + prefix + ".test.example/poll/" + std::to_string(flow);
+    for (int tick = 0; tick * 20.0 < span; ++tick) {
+      for (int c = 0; c < 15; ++c) {
+        table.append(make_record(
+            t0 + 20.0 * tick + static_cast<double>(c), prefix + "-poller-" +
+            std::to_string(c), url, prefix + ".test.example", true, 700,
+            logs::CacheStatus::kNotCacheable, http::Method::kPost));
+      }
+    }
+  }
+  for (int i = 0; i < 6000; ++i) {
+    const auto rank = static_cast<int>(std::exp(rng.uniform(0.0, 6.5)));
+    table.append(make_record(
+        t0 + rng.uniform(0.0, span), client(700),
+        "https://" + prefix + ".test.example/obj/" + std::to_string(rank),
+        prefix + ".test.example", true, 900, logs::CacheStatus::kMiss,
+        http::Method::kGet));
+  }
+  for (int i = 0; i < 4500; ++i) {
+    table.append(make_record(
+        t0 + rng.uniform(0.0, span), client(900),
+        "https://" + prefix + ".test.example/tail/" + std::to_string(i),
+        prefix + ".test.example", true, 400, logs::CacheStatus::kHit,
+        http::Method::kGet));
+  }
+  for (int i = 0; i < 1500; ++i) {
+    table.append(make_record(
+        t0 + rng.uniform(0.0, span), client(50),
+        shared[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(shared.size()) - 1))],
+        "shared.test.example", true, 1200, logs::CacheStatus::kHit,
+        http::Method::kGet));
+  }
+  for (int i = 0; i < 500; ++i) {
+    table.append(make_record(t0 + rng.uniform(0.0, span), client(40),
+                             "https://www.test.example/page",
+                             "www.test.example", false, 20000,
+                             logs::CacheStatus::kHit, http::Method::kGet));
+  }
+}
+
+TEST(StreamingStudy, DictionaryChangesBetweenIngestCallsLeaveNoTrace) {
+  std::vector<std::string> shared;
+  for (int i = 0; i < 40; ++i)
+    shared.push_back("https://shared.test.example/cfg/" + std::to_string(i));
+  // Table `a` holds two time ranges; table `b` holds the range between them
+  // under the same symbol numbers with different strings.
+  logs::LogTable a;
+  append_tenant_rows(a, "alpha", shared, 0.0, 300.0, 31);
+  a.sort_by_time();
+  const auto a_first = a.size();
+  logs::LogTable a_late;
+  append_tenant_rows(a_late, "alpha", shared, 600.0, 300.0, 32);
+  a_late.sort_by_time();
+  logs::LogTable::SymbolMap late_map;
+  for (logs::LogTable::RowIndex r = 0; r < a_late.size(); ++r)
+    a.append_row(a_late, r, late_map);
+  logs::LogTable b;
+  append_tenant_rows(b, "bravo", shared, 300.0, 300.0, 33);
+  b.sort_by_time();
+  ASSERT_EQ(a.urls().view(0).substr(0, 13), "https://alpha");
+  ASSERT_EQ(b.urls().view(0).substr(0, 13), "https://bravo");
+  ASSERT_NE(a.urls().find(shared[0]), b.urls().find(shared[0]));
+
+  const auto rows_a = all_rows(a);
+  const auto rows_b = all_rows(b);
+  const std::span<const logs::LogTable::RowIndex> early(rows_a.data(),
+                                                        a_first);
+  const std::span<const logs::LogTable::RowIndex> late(
+      rows_a.data() + a_first, rows_a.size() - a_first);
+
+  StreamingConfig config;
+  config.threads = 1;
+  StreamingStudy switching(config);
+  switching.ingest(a, early);
+  switching.ingest(b, rows_b);
+  switching.ingest(a, late);
+
+  // The same rows in the same order, from one table with one dictionary.
+  logs::LogTable whole;
+  logs::LogTable::SymbolMap map_a;
+  logs::LogTable::SymbolMap map_b;
+  for (const auto row : early) whole.append_row(a, row, map_a);
+  for (const auto row : rows_b) whole.append_row(b, row, map_b);
+  for (const auto row : late) whole.append_row(a, row, map_a);
+  StreamingStudy single(config);
+  single.ingest(whole, all_rows(whole));
+
+  const auto got = switching.summary();
+  const auto want = single.summary();
+  ASSERT_EQ(got.total_records, whole.size());
+  EXPECT_EQ(render_streaming_summary(got), render_streaming_summary(want));
+  const auto same_hitters = [](const std::vector<HeavyHitter>& x,
+                               const std::vector<HeavyHitter>& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (x[i].key != y[i].key || x[i].count != y[i].count ||
+          x[i].error != y[i].error)
+        return false;
+    }
+    return true;
+  };
+  // Both sketches are full, so keys were evicted across the table switches.
+  ASSERT_EQ(want.top_urls.size(), StreamingConfig::heavy_hitters);
+  ASSERT_EQ(want.top_clients.size(), StreamingConfig::heavy_hitters);
+  EXPECT_TRUE(same_hitters(got.top_urls, want.top_urls));
+  EXPECT_TRUE(same_hitters(got.top_clients, want.top_clients));
+  ASSERT_EQ(got.periodic_candidates.size(), want.periodic_candidates.size());
+  EXPECT_GE(want.periodic_candidates.size(), 6u);
+  for (std::size_t i = 0; i < want.periodic_candidates.size(); ++i) {
+    const auto& x = got.periodic_candidates[i];
+    const auto& y = want.periodic_candidates[i];
+    EXPECT_EQ(x.key, y.key);
+    EXPECT_EQ(x.requests, y.requests);
+    EXPECT_EQ(x.span_seconds, y.span_seconds);
+    EXPECT_EQ(x.mean_gap, y.mean_gap);
+    EXPECT_EQ(x.gap_cv, y.gap_cv);
+    EXPECT_EQ(x.estimated_clients, y.estimated_clients);
+  }
+  EXPECT_EQ(got.memory_bytes, want.memory_bytes);
+}
+
 TEST(StreamingStudy, RenderedSummaryCarriesHeadlineNumbers) {
   const auto ds = make_stream_dataset();
   StreamingConfig config;
