@@ -5,6 +5,42 @@
 
 namespace jsoncdn::stream {
 
+namespace {
+
+// Min-heap moves by count, shared by the bound heap and the string-keyed one.
+// `placed(slot)` runs for both slots of every swap, so a caller can keep an
+// index of slots current.
+template <typename Heap, typename Placed>
+void sift_up(Heap& heap, std::size_t i, Placed placed) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (heap[parent].count <= heap[i].count) break;
+    std::swap(heap[parent], heap[i]);
+    placed(parent);
+    placed(i);
+    i = parent;
+  }
+}
+
+template <typename Heap, typename Placed>
+void sift_down(Heap& heap, std::size_t i, Placed placed) {
+  const std::size_t n = heap.size();
+  while (true) {
+    const std::size_t l = 2 * i + 1;
+    const std::size_t r = 2 * i + 2;
+    std::size_t smallest = i;
+    if (l < n && heap[l].count < heap[smallest].count) smallest = l;
+    if (r < n && heap[r].count < heap[smallest].count) smallest = r;
+    if (smallest == i) break;
+    std::swap(heap[smallest], heap[i]);
+    placed(smallest);
+    placed(i);
+    i = smallest;
+  }
+}
+
+}  // namespace
+
 SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0)
     throw std::invalid_argument("SpaceSaving: capacity == 0");
@@ -12,59 +48,89 @@ SpaceSaving::SpaceSaving(std::size_t capacity) : capacity_(capacity) {
   index_.reserve(capacity);
 }
 
-void SpaceSaving::swap_slots(std::size_t a, std::size_t b) {
-  std::swap(heap_[a], heap_[b]);
-  index_[heap_[a].key] = a;
-  index_[heap_[b].key] = b;
+void SpaceSaving::bind(const logs::StringInterner& dict, Scratch& scratch) {
+  scratch.dict_ = &dict;
+  scratch.dict_size_ = dict.size();
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const Entry& e = heap_[i];
+    // A slot's symbol from the last unbind() still holds wherever the
+    // dictionary maps it to the same key; only other keys are looked up.
+    Symbol key = i < scratch.last_.size() ? scratch.last_[i] : kNoSymbol;
+    if (key >= scratch.dict_size_ || dict.view(key) != e.key)
+      key = dict.find(e.key);
+    if (key == kNoSymbol) {
+      key = static_cast<Symbol>(scratch.symbols());
+      scratch.foreign_.push_back(e.key);
+    }
+    scratch.heap_.push_back(
+        {e.count, e.error, key, static_cast<std::uint32_t>(i)});
+  }
+  if (scratch.slot_of_.size() < scratch.symbols())
+    scratch.slot_of_.resize(scratch.symbols(), Scratch::kNoSlot);
+  for (std::size_t i = 0; i < scratch.heap_.size(); ++i)
+    scratch.slot_of_[scratch.heap_[i].key] = static_cast<std::uint32_t>(i);
 }
 
-void SpaceSaving::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (heap_[parent].count <= heap_[i].count) break;
-    swap_slots(parent, i);
-    i = parent;
+SpaceSaving::Symbol SpaceSaving::offer(Scratch& scratch, Symbol key) {
+  auto& heap = scratch.heap_;
+  auto& slot_of = scratch.slot_of_;
+  const auto placed = [&](std::size_t slot) {
+    slot_of[heap[slot].key] = static_cast<std::uint32_t>(slot);
+  };
+  ++total_;
+  if (const std::uint32_t slot = slot_of[key]; slot != Scratch::kNoSlot) {
+    ++heap[slot].count;
+    sift_down(heap, slot, placed);
+    return kNoSymbol;
   }
-}
-
-void SpaceSaving::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    std::size_t smallest = i;
-    if (l < n && heap_[l].count < heap_[smallest].count) smallest = l;
-    if (r < n && heap_[r].count < heap_[smallest].count) smallest = r;
-    if (smallest == i) break;
-    swap_slots(smallest, i);
-    i = smallest;
-  }
-}
-
-std::optional<std::string> SpaceSaving::offer(std::string_view key,
-                                              std::uint64_t weight) {
-  total_ += weight;
-  if (const auto it = index_.find(key); it != index_.end()) {
-    heap_[it->second].count += weight;
-    sift_down(it->second);
-    return std::nullopt;
-  }
-  if (heap_.size() < capacity_) {
-    heap_.push_back({std::string(key), weight, 0});
-    index_[heap_.back().key] = heap_.size() - 1;
-    sift_up(heap_.size() - 1);
-    return std::nullopt;
+  if (heap.size() < capacity_) {
+    heap.push_back({1, 0, key});
+    placed(heap.size() - 1);
+    sift_up(heap, heap.size() - 1, placed);
+    return kNoSymbol;
   }
   // Replace the minimum counter: the newcomer inherits its count as error.
-  Entry& root = heap_.front();
-  std::string evicted = std::move(root.key);
-  index_.erase(evicted);
-  root.key = std::string(key);
-  root.error = root.count;
-  root.count += weight;
-  index_[root.key] = 0;
-  sift_down(0);
+  auto& root = heap.front();
+  const Symbol evicted = root.key;
+  slot_of[evicted] = Scratch::kNoSlot;
+  root = {root.count + 1, root.count, key};
+  placed(0);
+  sift_down(heap, 0, placed);
   return evicted;
+}
+
+void SpaceSaving::unbind(Scratch& scratch) {
+  // heap_ still holds the entries it had at bind(). A key tracked since then
+  // moves its string to its new slot; only an admitted key builds one.
+  scratch.kept_.assign(heap_.size(), 0);
+  scratch.keys_.clear();
+  for (const auto& slot : scratch.heap_) {
+    if (slot.origin == Scratch::kNoSlot) {
+      scratch.keys_.emplace_back(scratch.key(slot.key));
+    } else {
+      scratch.kept_[slot.origin] = 1;
+      scratch.keys_.push_back(std::move(heap_[slot.origin].key));
+    }
+  }
+  for (std::size_t i = 0; i < heap_.size(); ++i)
+    if (!scratch.kept_[i]) index_.erase(heap_[i].key);
+  heap_.clear();
+  scratch.last_.clear();
+  for (std::size_t i = 0; i < scratch.heap_.size(); ++i) {
+    const auto& slot = scratch.heap_[i];
+    heap_.push_back({std::move(scratch.keys_[i]), slot.count, slot.error});
+    if (slot.origin == Scratch::kNoSlot) {
+      index_.emplace(heap_.back().key, i);
+    } else if (slot.origin != i) {
+      index_.find(heap_.back().key)->second = i;
+    }
+    scratch.slot_of_[slot.key] = Scratch::kNoSlot;
+    scratch.last_.push_back(slot.key);
+  }
+  scratch.heap_.clear();
+  scratch.foreign_.clear();
+  scratch.dict_ = nullptr;
+  scratch.dict_size_ = 0;
 }
 
 bool SpaceSaving::contains(std::string_view key) const {
@@ -131,9 +197,10 @@ void SpaceSaving::merge(const SpaceSaving& other) {
   total_ += other.total_;
   for (auto& e : entries) {
     heap_.push_back(std::move(e));
-    index_[heap_.back().key] = heap_.size() - 1;
-    sift_up(heap_.size() - 1);
+    sift_up(heap_, heap_.size() - 1, [](std::size_t) {});
   }
+  for (std::size_t i = 0; i < heap_.size(); ++i)
+    index_.emplace(heap_[i].key, i);
 }
 
 std::size_t SpaceSaving::memory_bytes() const noexcept {

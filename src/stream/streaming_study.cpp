@@ -5,8 +5,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "http/device_db.h"
-#include "http/mime.h"
 #include "stats/hash.h"
 
 namespace jsoncdn::stream {
@@ -43,26 +41,59 @@ StreamingAccumulator::StreamingAccumulator()
       html_sizes_(StreamingConfig::quantile_alpha,
                   StreamingConfig::quantile_max_buckets) {}
 
-void StreamingAccumulator::offer(const logs::LogTable& table,
-                                 logs::LogTable::RowIndex row) {
-  offer_fields(table.timestamp(row), table.client_key(row),
-               table.user_agent(row), table.method(row), table.url(row),
-               table.domain(row), table.content_type(row), table.status(row),
-               table.response_bytes(row), table.cache_status(row));
+void IngestScratch::reserve(const logs::LogTable& table) {
+  content_.reserve(table.content_types().size());
+  user_agent_.reserve(table.user_agents().size());
+  url_hash_.reserve(table.urls().size());
+  client_hash_.reserve(table.client_keys().size());
+  domain_hash_.reserve(table.domains().size());
 }
 
-void StreamingAccumulator::offer_fields(
-    double timestamp, std::string_view client_key, std::string_view user_agent,
-    http::Method method, std::string_view url, std::string_view domain,
-    std::string_view content_type, int status, std::uint64_t response_bytes,
-    logs::CacheStatus cache_status) {
+void IngestScratch::reset() noexcept {
+  content_.reset();
+  user_agent_.reset();
+  url_hash_.reset();
+  client_hash_.reset();
+  domain_hash_.reset();
+}
+
+void StreamingAccumulator::ingest(
+    const logs::LogTable& table,
+    std::span<const logs::LogTable::RowIndex> rows, IngestScratch& scratch) {
+  scratch.reserve(table);
+  top_urls_.bind(table.urls(), scratch.top_urls_);
+  top_clients_.bind(table.client_keys(), scratch.top_clients_);
+  triage_.bind(table.urls(), scratch.triage_);
+  for (const auto row : rows) offer(table, row, scratch);
+  triage_.unbind(scratch.triage_);
+  top_clients_.unbind(scratch.top_clients_);
+  top_urls_.unbind(scratch.top_urls_);
+  scratch.reset();
+}
+
+http::DeviceClassification StreamingAccumulator::device_class(
+    std::string_view user_agent) {
+  if (const auto it = ua_cache_.find(user_agent); it != ua_cache_.end())
+    return it->second;
+  const auto cls = http::classify_device(user_agent);
+  if (ua_cache_.size() < kUaCacheCap)
+    ua_cache_.emplace(std::string(user_agent), cls);
+  return cls;
+}
+
+void StreamingAccumulator::offer(const logs::LogTable& table,
+                                 logs::LogTable::RowIndex row,
+                                 IngestScratch& scratch) {
+  const double timestamp = table.timestamp(row);
   ++total_records_;
   first_ts_ = std::min(first_ts_, timestamp);
   last_ts_ = std::max(last_ts_, timestamp);
 
   // §4 size comparison runs over the full stream (all content types).
-  const auto content = http::classify_content(content_type);
-  const auto bytes = static_cast<double>(response_bytes);
+  const auto content = scratch.content_.get(table.content_type_sym(row), [&] {
+    return http::classify_content(table.content_type(row));
+  });
+  const auto bytes = static_cast<double>(table.response_bytes(row));
   if (content == http::ContentClass::kJson) {
     json_sizes_.add(bytes);
     json_moments_.add(bytes);
@@ -77,6 +108,8 @@ void StreamingAccumulator::offer_fields(
 
   // Status mix is a delivery-health view over the whole stream (exact
   // counters, mirroring core::characterize_status record for record).
+  const int status = table.status(row);
+  const auto cache_status = table.cache_status(row);
   ++status_.total;
   if (status >= 500) {
     ++status_.server_error_5xx;
@@ -99,7 +132,7 @@ void StreamingAccumulator::offer_fields(
   ++json_records_;
 
   ++methods_.total;
-  switch (method) {
+  switch (table.method(row)) {
     case http::Method::kGet: ++methods_.get; break;
     case http::Method::kPost: ++methods_.post; break;
     default: ++methods_.other; break;
@@ -126,39 +159,43 @@ void StreamingAccumulator::offer_fields(
       break;
   }
 
-  http::DeviceClassification cls;
-  if (const auto it = ua_cache_.find(user_agent); it != ua_cache_.end()) {
-    cls = it->second;
-  } else {
-    cls = http::classify_device(user_agent);
-    if (ua_cache_.size() < kUaCacheCap)
-      ua_cache_.emplace(std::string(user_agent), cls);
-  }
+  // Classified on the UA's first JSON row of the call, so ua_cache_ sees the
+  // same lookups in the same order as a per-row classification would.
+  const auto& ua = scratch.user_agent_.get(table.user_agent_sym(row), [&] {
+    const std::string_view text = table.user_agent(row);
+    return IngestScratch::UserAgent{device_class(text), stats::fnv1a64(text),
+                                    text.empty()};
+  });
   ++source_.total_requests;
-  ++source_.requests_by_device[device_index(cls.device)];
-  if (cls.is_browser()) {
+  ++source_.requests_by_device[device_index(ua.cls.device)];
+  if (ua.cls.is_browser()) {
     ++source_.browser_requests;
-    if (cls.device == http::DeviceType::kMobile)
+    if (ua.cls.device == http::DeviceType::kMobile)
       ++source_.mobile_browser_requests;
   }
-  if (user_agent.empty()) {
+  if (ua.missing) {
     ++source_.missing_ua_requests;
   } else {
-    const std::uint64_t ua_hash = stats::fnv1a64(user_agent);
-    ua_strings_.add(ua_hash);
-    ua_by_device_[device_index(cls.device)].add(ua_hash);
+    ua_strings_.add(ua.hash);
+    ua_by_device_[device_index(ua.cls.device)].add(ua.hash);
   }
 
-  const std::uint64_t url_hash = stats::fnv1a64(url);
-  const std::uint64_t client_hash = stats::fnv1a64(client_key);
+  const auto url = table.url_sym(row);
+  const auto client = table.client_sym(row);
+  const std::uint64_t url_hash = scratch.url_hash_.get(
+      url, [&] { return stats::fnv1a64(table.url(row)); });
+  const std::uint64_t client_hash = scratch.client_hash_.get(
+      client, [&] { return stats::fnv1a64(table.client_key(row)); });
   urls_.add(url_hash);
   clients_.add(client_hash);
-  domains_.add(stats::fnv1a64(domain));
+  domains_.add(scratch.domain_hash_.get(table.domain_sym(row), [&] {
+    return stats::fnv1a64(table.domain(row));
+  }));
   url_counts_.add(url_hash);
   client_counts_.add(client_hash);
-  top_urls_.offer(url);
-  top_clients_.offer(client_key);
-  triage_.offer(url, client_hash, timestamp);
+  top_urls_.offer(scratch.top_urls_, url);
+  top_clients_.offer(scratch.top_clients_, client);
+  triage_.offer(scratch.triage_, url, client_hash, timestamp);
 }
 
 void StreamingAccumulator::merge(const StreamingAccumulator& later) {
@@ -279,7 +316,9 @@ std::size_t StreamingAccumulator::memory_bytes() const {
 }
 
 StreamingStudy::StreamingStudy(const StreamingConfig& config)
-    : threads_(stats::resolve_threads(config.threads)), pool_(threads_) {}
+    : threads_(stats::resolve_threads(config.threads)),
+      pool_(threads_),
+      scratch_(threads_) {}
 
 void StreamingStudy::ingest(const logs::LogTable& table,
                             std::span<const logs::LogTable::RowIndex> rows) {
@@ -287,7 +326,7 @@ void StreamingStudy::ingest(const logs::LogTable& table,
   // Sharding pays for itself only when each worker gets a real slice; tiny
   // chunks go straight into the master state.
   if (threads_ <= 1 || rows.size() < threads_ * 256) {
-    for (const auto row : rows) state_.offer(table, row);
+    state_.ingest(table, rows, scratch_.front());
     return;
   }
   // One accumulator per contiguous subrange, merged in subrange order: the
@@ -296,7 +335,7 @@ void StreamingStudy::ingest(const logs::LogTable& table,
   std::vector<StreamingAccumulator> shards(threads_);
   pool_.run(threads_, [&](std::size_t s) {
     const auto [begin, end] = stats::chunk_range(rows.size(), threads_, s);
-    for (std::size_t i = begin; i < end; ++i) shards[s].offer(table, rows[i]);
+    shards[s].ingest(table, rows.subspan(begin, end - begin), scratch_[s]);
   });
   for (const auto& shard : shards) state_.merge(shard);
 }

@@ -26,6 +26,12 @@
 // partition. StreamingStudy::ingest shards each chunk across the PR-1
 // stats::ThreadPool and merges in chunk order, so repeated runs with the
 // same settings produce identical summaries.
+//
+// Hot path: an ingest call works on the table's u32 symbols. An IngestScratch
+// per worker computes each per-string result (hashes, content and device
+// classes) once per distinct symbol and holds the Space-Saving and triage
+// state bound to the table's dictionaries; the call ends by writing that
+// state back keyed by string, so merges and summaries never see a symbol.
 #pragma once
 
 #include <array>
@@ -33,8 +39,11 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/characterization.h"
+#include "http/device_db.h"
+#include "http/mime.h"
 #include "logs/record.h"
 #include "logs/table.h"
 #include "stats/hash.h"
@@ -120,16 +129,82 @@ struct StreamingSummary {
   }
 };
 
-// Full per-shard sketch state. offer() consumes one table row; merge() folds
-// a shard covering a later row range (see the file comment for the
+// A worker's working memory for StreamingAccumulator::ingest, keyed by the
+// symbols of the call's table: each per-string result is computed once per
+// distinct symbol per call, and the heavy-hitter and triage sketches keep
+// their bound state here. Every ingest() leaves it reset in O(symbols
+// touched), so one scratch serves a worker's calls whatever table each
+// passes. It is not sketch state: memory_bytes() leaves it out.
+class IngestScratch {
+ private:
+  friend class StreamingAccumulator;
+  using Symbol = logs::LogTable::Symbol;
+
+  // One value per symbol of a dictionary, computed on first use.
+  template <typename T>
+  class PerSymbol {
+   public:
+    void reserve(std::size_t symbols) {
+      if (cells_.size() < symbols) cells_.resize(symbols);
+    }
+    template <typename Compute>
+    const T& get(Symbol s, Compute&& compute) {
+      Cell& cell = cells_[s];
+      if (!cell.known) {
+        cell.value = compute();
+        cell.known = true;
+        used_.push_back(s);
+      }
+      return cell.value;
+    }
+    void reset() noexcept {
+      for (const Symbol s : used_) cells_[s].known = false;
+      used_.clear();
+    }
+
+   private:
+    struct Cell {
+      T value{};
+      bool known = false;
+    };
+    std::vector<Cell> cells_;
+    std::vector<Symbol> used_;
+  };
+
+  struct UserAgent {
+    http::DeviceClassification cls;
+    std::uint64_t hash = 0;  // unused when missing
+    bool missing = false;
+  };
+
+  // Sizes the per-symbol caches for `table`'s dictionaries.
+  void reserve(const logs::LogTable& table);
+  // Forgets every cached value, in O(symbols used).
+  void reset() noexcept;
+
+  PerSymbol<http::ContentClass> content_;
+  PerSymbol<UserAgent> user_agent_;
+  PerSymbol<std::uint64_t> url_hash_;
+  PerSymbol<std::uint64_t> client_hash_;
+  PerSymbol<std::uint64_t> domain_hash_;
+  SpaceSaving::Scratch top_urls_;
+  SpaceSaving::Scratch top_clients_;
+  InterarrivalTriage::Scratch triage_;
+};
+
+// Full per-shard sketch state. ingest() consumes table rows; merge() folds a
+// shard covering a later row range (see the file comment for the
 // determinism contract).
 class StreamingAccumulator {
  public:
   StreamingAccumulator();
 
-  // Fields stream out of the table's columns, and the interned client-key
-  // dictionary replaces a per-record concatenation.
-  void offer(const logs::LogTable& table, logs::LogTable::RowIndex row);
+  // Offers `rows` of `table` in span order. Fields stream out of the table's
+  // columns, and the interned client-key dictionary replaces a per-record
+  // concatenation.
+  void ingest(const logs::LogTable& table,
+              std::span<const logs::LogTable::RowIndex> rows,
+              IngestScratch& scratch);
   void merge(const StreamingAccumulator& later);
 
   [[nodiscard]] StreamingSummary summarize() const;
@@ -168,12 +243,10 @@ class StreamingAccumulator {
 
   InterarrivalTriage triage_;
 
-  void offer_fields(double timestamp, std::string_view client_key,
-                    std::string_view user_agent, http::Method method,
-                    std::string_view url, std::string_view domain,
-                    std::string_view content_type, int status,
-                    std::uint64_t response_bytes,
-                    logs::CacheStatus cache_status);
+  void offer(const logs::LogTable& table, logs::LogTable::RowIndex row,
+             IngestScratch& scratch);
+  [[nodiscard]] http::DeviceClassification device_class(
+      std::string_view user_agent);
 
   // Per-accumulator UA classification cache (same trick as the batch
   // characterize_source); bounded so adversarial UA floods cannot grow it.
@@ -205,6 +278,7 @@ class StreamingStudy {
   std::size_t threads_;
   stats::ThreadPool pool_;
   StreamingAccumulator state_;
+  std::vector<IngestScratch> scratch_;  // one per worker shard
   std::uint64_t ingested_ = 0;
 };
 

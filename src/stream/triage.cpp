@@ -29,20 +29,40 @@ InterarrivalTriage::InterarrivalTriage() : heavy_(TriageConfig::max_flows) {
   states_.reserve(TriageConfig::max_flows);
 }
 
-void InterarrivalTriage::offer(std::string_view key,
+void InterarrivalTriage::bind(const logs::StringInterner& dict,
+                              Scratch& scratch) {
+  heavy_.bind(dict, scratch.heavy_);
+  if (scratch.flow_of_.size() < scratch.heavy_.symbols())
+    scratch.flow_of_.resize(scratch.heavy_.symbols(), nullptr);
+}
+
+void InterarrivalTriage::offer(Scratch& scratch, Symbol key,
                                std::uint64_t client_hash, double timestamp) {
-  if (auto evicted = heavy_.offer(key)) states_.erase(*evicted);
-  auto [it, inserted] = states_.try_emplace(std::string(key));
-  FlowState& state = it->second;
-  if (inserted) {
-    state.first_ts = timestamp;
-  } else {
-    const double gap = timestamp - state.last_ts;
-    if (gap >= 0.0) state.gaps.add(gap);
+  const bool tracked = scratch.heavy_.tracks(key);
+  const Symbol evicted = heavy_.offer(scratch.heavy_, key);
+  if (evicted != SpaceSaving::kNoSymbol) {
+    states_.erase(states_.find(scratch.heavy_.key(evicted)));
+    scratch.flow_of_[evicted] = nullptr;
   }
-  state.last_ts = timestamp;
-  ++state.requests;
-  state.note_client(client_hash);
+  FlowState*& state = scratch.flow_of_[key];
+  if (!tracked) {
+    state = &states_.try_emplace(std::string(scratch.heavy_.key(key)))
+                 .first->second;
+    state->first_ts = timestamp;
+  } else {
+    if (state == nullptr) state = &states_.find(scratch.heavy_.key(key))->second;
+    const double gap = timestamp - state->last_ts;
+    if (gap >= 0.0) state->gaps.add(gap);
+  }
+  state->last_ts = timestamp;
+  ++state->requests;
+  state->note_client(client_hash);
+}
+
+void InterarrivalTriage::unbind(Scratch& scratch) {
+  for (std::size_t slot = 0; slot < scratch.heavy_.size(); ++slot)
+    scratch.flow_of_[scratch.heavy_.symbol_at(slot)] = nullptr;
+  heavy_.unbind(scratch.heavy_);
 }
 
 void InterarrivalTriage::merge(const InterarrivalTriage& other) {

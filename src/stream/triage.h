@@ -16,6 +16,12 @@
 // regularity screen (inter-arrival coefficient of variation and minimum
 // span) mirroring the detector's own preconditions. The screen is a recall
 // filter, not a detector: the FFT still decides periodicity.
+//
+// Flow keys arrive as dictionary symbols, as in SpaceSaving: bind() puts the
+// admission sketch in a caller-owned Scratch, which also maps each symbol to
+// its flow's state once offer() has looked it up, and unbind() writes the
+// sketch back keyed by string. merge(), candidates() and memory_bytes() read
+// the string-keyed state, so call them only while the triage is unbound.
 #pragma once
 
 #include <array>
@@ -26,6 +32,7 @@
 #include <vector>
 
 #include "stats/descriptive.h"
+#include "stats/hash.h"
 #include "stream/spacesaving.h"
 
 namespace jsoncdn::stream {
@@ -52,14 +59,34 @@ struct CandidateFlow {
 };
 
 class InterarrivalTriage {
+  struct FlowState;
+
  public:
+  using Symbol = SpaceSaving::Symbol;
+
+  // The working state of a triage bound to one dictionary: the admission
+  // sketch's scratch, and each bound symbol's flow state once looked up.
+  class Scratch {
+   private:
+    friend class InterarrivalTriage;
+    SpaceSaving::Scratch heavy_;
+    std::vector<FlowState*> flow_of_;  // by bound symbol; into states_
+  };
+
   InterarrivalTriage();
 
-  // Offers one request of flow `key` by client `client_hash` at `timestamp`.
-  // Timestamps must be non-decreasing within one triage instance (the log
-  // stream is time-sorted; shard boundaries are handled by merge()).
-  void offer(std::string_view key, std::uint64_t client_hash,
+  // Binds the triage to `dict` (which must not grow until unbind()).
+  void bind(const logs::StringInterner& dict, Scratch& scratch);
+
+  // Offers one request of flow `key` (a symbol of the bound dictionary) by
+  // client `client_hash` at `timestamp`. Timestamps must be non-decreasing
+  // within one triage instance (the log stream is time-sorted; shard
+  // boundaries are handled by merge()).
+  void offer(Scratch& scratch, Symbol key, std::uint64_t client_hash,
              double timestamp);
+
+  // Writes the admission sketch back keyed by string.
+  void unbind(Scratch& scratch);
 
   // Merges a later shard's state (chunk-ordered: `other` covers records
   // after this instance's records).
@@ -88,7 +115,10 @@ class InterarrivalTriage {
   };
 
   SpaceSaving heavy_;  // admission policy over flow keys
-  std::unordered_map<std::string, FlowState> states_;
+  // Keyed like heavy_: a flow has state exactly while heavy_ tracks it.
+  std::unordered_map<std::string, FlowState, stats::TransparentStringHash,
+                     std::equal_to<>>
+      states_;
 };
 
 }  // namespace jsoncdn::stream

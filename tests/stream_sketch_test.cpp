@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "logs/interner.h"
 #include "stats/descriptive.h"
 #include "stats/rng.h"
 #include "stream/countmin.h"
@@ -172,28 +174,40 @@ TEST(QuantileSketch, MergeRejectsMismatchedAlpha) {
 }
 
 // ---- Space-Saving ---------------------------------------------------------
+//
+// The heavy-hitter and triage sketches take dictionary symbols: each test
+// interns its keys first, then offers their symbols between bind() and
+// unbind(), the way StreamingAccumulator::ingest does for one table.
+
+using Symbol = SpaceSaving::Symbol;
 
 TEST(SpaceSaving, TracksEveryKeyAboveTheGuaranteeThreshold) {
   SpaceSaving ss(/*capacity=*/10);
   // Heavy key: 500 of 1000 total; N / capacity = 100, so it must be tracked
   // with estimate in [500, 500 + error].
   stats::Rng rng(5);
-  std::vector<std::string> tail;
-  for (int i = 0; i < 50; ++i) tail.push_back("tail-" + std::to_string(i));
+  logs::StringInterner keys;
+  const Symbol heavy = keys.intern("heavy");
+  std::vector<Symbol> tail;
+  for (int i = 0; i < 50; ++i)
+    tail.push_back(keys.intern("tail-" + std::to_string(i)));
+  SpaceSaving::Scratch scratch;
+  ss.bind(keys, scratch);
   std::size_t heavy_left = 500, tail_left = 500;
   while (heavy_left + tail_left > 0) {
     const bool pick_heavy =
         heavy_left > 0 &&
         (tail_left == 0 || rng.uniform() < 0.5);
     if (pick_heavy) {
-      ss.offer("heavy");
+      ss.offer(scratch, heavy);
       --heavy_left;
     } else {
-      ss.offer(tail[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(tail.size()) - 1))]);
+      ss.offer(scratch, tail[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(tail.size()) - 1))]);
       --tail_left;
     }
   }
+  ss.unbind(scratch);
   ASSERT_TRUE(ss.contains("heavy"));
   const auto top = ss.top(1);
   ASSERT_EQ(top.size(), 1u);
@@ -205,12 +219,20 @@ TEST(SpaceSaving, TracksEveryKeyAboveTheGuaranteeThreshold) {
 
 TEST(SpaceSaving, OfferReportsEvictionsSoCallersCanDropState) {
   SpaceSaving ss(2);
-  EXPECT_FALSE(ss.offer("a").has_value());
-  EXPECT_FALSE(ss.offer("b").has_value());
-  EXPECT_FALSE(ss.offer("a").has_value());  // existing key, no eviction
-  const auto evicted = ss.offer("c");
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, "b");  // the minimum counter
+  logs::StringInterner keys;
+  const Symbol a = keys.intern("a");
+  const Symbol b = keys.intern("b");
+  const Symbol c = keys.intern("c");
+  SpaceSaving::Scratch scratch;
+  ss.bind(keys, scratch);
+  EXPECT_EQ(ss.offer(scratch, a), SpaceSaving::kNoSymbol);
+  EXPECT_EQ(ss.offer(scratch, b), SpaceSaving::kNoSymbol);
+  // Existing key, no eviction.
+  EXPECT_EQ(ss.offer(scratch, a), SpaceSaving::kNoSymbol);
+  const Symbol evicted = ss.offer(scratch, c);
+  ASSERT_NE(evicted, SpaceSaving::kNoSymbol);
+  EXPECT_EQ(keys.view(evicted), "b");  // the minimum counter
+  ss.unbind(scratch);
   EXPECT_TRUE(ss.contains("c"));
   EXPECT_FALSE(ss.contains("b"));
 }
@@ -218,11 +240,24 @@ TEST(SpaceSaving, OfferReportsEvictionsSoCallersCanDropState) {
 TEST(SpaceSaving, MergePreservesCountBounds) {
   SpaceSaving a(8);
   SpaceSaving b(8);
+  logs::StringInterner keys;
+  const Symbol shared = keys.intern("shared");
+  std::vector<Symbol> only_a;
+  std::vector<Symbol> only_b;
+  for (int i = 0; i < 20; ++i) {
+    only_a.push_back(keys.intern("only-a-" + std::to_string(i)));
+    only_b.push_back(keys.intern("only-b-" + std::to_string(i)));
+  }
   // Disjoint streams with one shared heavy key.
-  for (int i = 0; i < 300; ++i) a.offer("shared");
-  for (int i = 0; i < 200; ++i) b.offer("shared");
-  for (int i = 0; i < 400; ++i) a.offer("only-a-" + std::to_string(i % 20));
-  for (int i = 0; i < 400; ++i) b.offer("only-b-" + std::to_string(i % 20));
+  SpaceSaving::Scratch scratch;
+  a.bind(keys, scratch);
+  for (int i = 0; i < 300; ++i) a.offer(scratch, shared);
+  for (int i = 0; i < 400; ++i) a.offer(scratch, only_a[i % 20]);
+  a.unbind(scratch);
+  b.bind(keys, scratch);
+  for (int i = 0; i < 200; ++i) b.offer(scratch, shared);
+  for (int i = 0; i < 400; ++i) b.offer(scratch, only_b[i % 20]);
+  b.unbind(scratch);
   a.merge(b);
   EXPECT_EQ(a.total_weight(), 1300u);
   ASSERT_TRUE(a.contains("shared"));
@@ -232,6 +267,69 @@ TEST(SpaceSaving, MergePreservesCountBounds) {
   ASSERT_FALSE(top.empty());
   EXPECT_EQ(top[0].key, "shared");
   EXPECT_LE(top[0].count - top[0].error, 500u);
+}
+
+TEST(SpaceSaving, RebindingToOtherDictionariesLeavesTheSameSketch) {
+  // One Zipf-ish stream of 60 keys through a 12-counter sketch, offered in
+  // three runs: under a dictionary of the first run's keys, under one of the
+  // second run's keys interned in reverse (other symbol numbers, and no
+  // "early" keys, which only the first run has), then under the first
+  // again. The sketch must end as one bound to a single dictionary for the
+  // whole stream ends.
+  const std::size_t cut1 = 1000;
+  const std::size_t cut2 = 2000;
+  stats::Rng rng(9);
+  std::vector<std::string> stream;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto rank = static_cast<int>(std::exp(rng.uniform(0.0, 4.1)));
+    stream.push_back(i < cut1 && i % 5 == 0
+                         ? "early-" + std::to_string(i % 2)
+                         : "key-" + std::to_string(rank));
+  }
+  logs::StringInterner all;
+  logs::StringInterner first;
+  logs::StringInterner second;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    all.intern(stream[i]);
+    if (i < cut1 || i >= cut2) first.intern(stream[i]);
+  }
+  for (std::size_t i = cut2; i-- > cut1;) second.intern(stream[i]);
+
+  SpaceSaving whole(12);
+  SpaceSaving split(12);
+  SpaceSaving::Scratch scratch;
+  whole.bind(all, scratch);
+  for (const auto& key : stream) whole.offer(scratch, all.find(key));
+  whole.unbind(scratch);
+  const auto run = [&](const logs::StringInterner& dict, std::size_t begin,
+                       std::size_t end) {
+    split.bind(dict, scratch);
+    for (std::size_t i = begin; i < end; ++i)
+      split.offer(scratch, dict.find(stream[i]));
+    split.unbind(scratch);
+  };
+  run(first, 0, cut1);
+  // The early keys are tracked, and the second dictionary lacks them.
+  for (const auto& hit : split.top(12)) {
+    if (hit.key.starts_with("early-")) {
+      EXPECT_EQ(second.find(hit.key), SpaceSaving::kNoSymbol);
+    }
+  }
+  ASSERT_TRUE(split.contains("early-0"));
+  ASSERT_TRUE(split.contains("early-1"));
+  run(second, cut1, cut2);
+  run(first, cut2, stream.size());
+
+  EXPECT_EQ(split.total_weight(), whole.total_weight());
+  EXPECT_EQ(split.memory_bytes(), whole.memory_bytes());
+  const auto want = whole.top(12);
+  const auto got = split.top(12);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key);
+    EXPECT_EQ(got[i].count, want[i].count);
+    EXPECT_EQ(got[i].error, want[i].error);
+  }
 }
 
 // ---- RunningMoments -------------------------------------------------------
@@ -277,20 +375,28 @@ TEST(RunningMoments, MergeMatchesSequentialIngest) {
 
 TEST(InterarrivalTriage, PassesPeriodicFlowsAndScreensOutIneligibleOnes) {
   InterarrivalTriage triage;
+  logs::StringInterner keys;
+  const Symbol periodic = keys.intern("periodic");
+  const Symbol small = keys.intern("small");
+  const Symbol burst = keys.intern("burst");
+  InterarrivalTriage::Scratch scratch;
+  triage.bind(keys, scratch);
   // "periodic": 15 clients polling every 30 s with per-client phase offsets.
   // "small": only 3 clients (fails the >= 10 clients filter).
   // "burst": plenty of clients but every request in the same instant
   // (fails the minimum-span screen).
   for (int tick = 0; tick < 20; ++tick) {
     for (std::uint64_t c = 0; c < 15; ++c) {
-      triage.offer("periodic", c,
+      triage.offer(scratch, periodic, c,
                    30.0 * tick + 2.0 * static_cast<double>(c));
     }
   }
   for (int tick = 0; tick < 20; ++tick)
     for (std::uint64_t c = 0; c < 3; ++c)
-      triage.offer("small", c, 30.0 * tick + static_cast<double>(c));
-  for (std::uint64_t c = 0; c < 20; ++c) triage.offer("burst", c, 100.0);
+      triage.offer(scratch, small, c, 30.0 * tick + static_cast<double>(c));
+  for (std::uint64_t c = 0; c < 20; ++c)
+    triage.offer(scratch, burst, c, 100.0);
+  triage.unbind(scratch);
 
   const auto candidates = triage.candidates();
   ASSERT_EQ(candidates.size(), 1u);
@@ -304,24 +410,40 @@ TEST(InterarrivalTriage, ChunkMergeMatchesSerialIngest) {
   InterarrivalTriage serial;
   InterarrivalTriage first;
   InterarrivalTriage second;
+  logs::StringInterner keys;
   // Two flows; the split point lands mid-flow so merge() must stitch the
   // boundary inter-arrival gap.
-  std::vector<std::tuple<std::string, std::uint64_t, double>> events;
+  std::vector<std::tuple<Symbol, std::uint64_t, double>> events;
+  const Symbol flow_a = keys.intern("flow-a");
+  const Symbol flow_b = keys.intern("flow-b");
   for (int tick = 0; tick < 40; ++tick) {
     for (std::uint64_t c = 0; c < 12; ++c) {
-      events.emplace_back("flow-a", c, 15.0 * tick + static_cast<double>(c));
-      events.emplace_back("flow-b", c,
+      events.emplace_back(flow_a, c, 15.0 * tick + static_cast<double>(c));
+      events.emplace_back(flow_b, c,
                           15.0 * tick + 0.5 * static_cast<double>(c));
     }
   }
   std::sort(events.begin(), events.end(), [](const auto& x, const auto& y) {
     return std::get<2>(x) < std::get<2>(y);
   });
+  InterarrivalTriage::Scratch serial_scratch;
+  InterarrivalTriage::Scratch first_scratch;
+  InterarrivalTriage::Scratch second_scratch;
+  serial.bind(keys, serial_scratch);
+  first.bind(keys, first_scratch);
+  second.bind(keys, second_scratch);
   for (std::size_t i = 0; i < events.size(); ++i) {
     const auto& [key, client, ts] = events[i];
-    serial.offer(key, client, ts);
-    (i < events.size() / 2 ? first : second).offer(key, client, ts);
+    serial.offer(serial_scratch, key, client, ts);
+    if (i < events.size() / 2) {
+      first.offer(first_scratch, key, client, ts);
+    } else {
+      second.offer(second_scratch, key, client, ts);
+    }
   }
+  serial.unbind(serial_scratch);
+  first.unbind(first_scratch);
+  second.unbind(second_scratch);
   first.merge(second);
   const auto expect = serial.candidates();
   const auto got = first.candidates();
@@ -342,11 +464,17 @@ TEST(InterarrivalTriage, FlowTableStaysBounded) {
   // Twice as many distinct flows as the table holds, each offered three
   // times.
   constexpr std::uint64_t kFlows = 2 * TriageConfig::max_flows;
+  logs::StringInterner keys;
+  std::vector<Symbol> flows;
+  for (std::uint64_t i = 0; i < kFlows; ++i)
+    flows.push_back(keys.intern("flow-" + std::to_string(i)));
   InterarrivalTriage triage;
+  InterarrivalTriage::Scratch scratch;
+  triage.bind(keys, scratch);
   for (std::uint64_t i = 0; i < 3 * kFlows; ++i) {
-    triage.offer("flow-" + std::to_string(i % kFlows), i % 37,
-                 static_cast<double>(i));
+    triage.offer(scratch, flows[i % kFlows], i % 37, static_cast<double>(i));
   }
+  triage.unbind(scratch);
   EXPECT_LE(triage.tracked_flows(), TriageConfig::max_flows);
 }
 
