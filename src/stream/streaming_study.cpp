@@ -395,9 +395,15 @@ std::string render_streaming_summary(const StreamingSummary& summary,
   for (std::size_t i = 0; i < summary.periodic_candidates.size() && i < top_n;
        ++i) {
     const auto& c = summary.periodic_candidates[i];
-    out << "    " << std::setw(8) << c.requests << " reqs, ~"
-        << std::setprecision(1) << c.estimated_clients << " clients, gap "
-        << std::setprecision(2) << c.mean_gap << " s (cv "
+    out << "    " << std::setw(8) << c.requests << " reqs, ";
+    if (c.clients_saturated) {
+      out << ">=" << TriageConfig::client_bitmap_bits
+          << " clients (saturated)";
+    } else {
+      out << "~" << std::setprecision(1) << c.estimated_clients
+          << " clients";
+    }
+    out << ", gap " << std::setprecision(2) << c.mean_gap << " s (cv "
         << c.gap_cv << ") " << c.key << "\n";
   }
   return out.str();

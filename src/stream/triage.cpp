@@ -12,17 +12,24 @@ namespace jsoncdn::stream {
 void InterarrivalTriage::FlowState::note_client(
     std::uint64_t client_hash) noexcept {
   const std::uint64_t mixed = stats::splitmix64(client_hash);
-  const std::size_t bit = static_cast<std::size_t>(mixed & 0xff);
+  const auto bit =
+      static_cast<std::size_t>(mixed % TriageConfig::client_bitmap_bits);
   client_bits[bit / 64] |= std::uint64_t{1} << (bit % 64);
 }
 
 double InterarrivalTriage::FlowState::estimated_clients() const noexcept {
   std::size_t set = 0;
   for (const auto word : client_bits) set += std::popcount(word);
-  const double m = 256.0;
-  const auto zeros = static_cast<double>(256 - set);
+  constexpr auto bits = TriageConfig::client_bitmap_bits;
+  const auto m = static_cast<double>(bits);
+  const auto zeros = static_cast<double>(bits - set);
   if (zeros <= 0.0) return m * std::log(m);  // saturated; far above filters
   return m * std::log(m / zeros);
+}
+
+bool InterarrivalTriage::FlowState::clients_saturated() const noexcept {
+  return std::all_of(client_bits.begin(), client_bits.end(),
+                     [](std::uint64_t word) { return word == ~0ULL; });
 }
 
 InterarrivalTriage::InterarrivalTriage() : heavy_(TriageConfig::max_flows) {
@@ -109,6 +116,7 @@ std::vector<CandidateFlow> InterarrivalTriage::candidates() const {
     c.mean_gap = state.gaps.mean();
     c.gap_cv = cv;
     c.estimated_clients = clients;
+    c.clients_saturated = state.clients_saturated();
     out.push_back(std::move(c));
   }
   std::sort(out.begin(), out.end(),

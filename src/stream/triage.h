@@ -47,6 +47,9 @@ struct TriageConfig {
   static constexpr double max_gap_cv = 2.5;
   // Mirrors the detector's "span > 4 * sample_interval" precondition.
   static constexpr double min_span_seconds = 5.0;
+  // Bits of each flow's client-presence bitmap. A full bitmap proves this
+  // many distinct clients and no more.
+  static constexpr std::size_t client_bitmap_bits = 256;
 };
 
 struct CandidateFlow {
@@ -56,6 +59,10 @@ struct CandidateFlow {
   double mean_gap = 0.0;        // estimated period-ish scale
   double gap_cv = 0.0;
   double estimated_clients = 0.0;
+  // Every bitmap bit is set: the flow has at least
+  // TriageConfig::client_bitmap_bits distinct clients, and
+  // estimated_clients is only the bitmap's ceiling.
+  bool clients_saturated = false;
 };
 
 class InterarrivalTriage {
@@ -106,12 +113,14 @@ class InterarrivalTriage {
     double first_ts = 0.0;
     double last_ts = 0.0;
     stats::RunningMoments gaps;
-    // 256-bit client-presence bitmap; distinct clients estimated by linear
-    // counting. Saturates gracefully far above the >= 10 filter.
-    std::array<std::uint64_t, 4> client_bits{};
+    // Client-presence bitmap; distinct clients estimated by linear
+    // counting. Saturates far above the >= 10 filter.
+    std::array<std::uint64_t, TriageConfig::client_bitmap_bits / 64>
+        client_bits{};
 
     void note_client(std::uint64_t client_hash) noexcept;
     [[nodiscard]] double estimated_clients() const noexcept;
+    [[nodiscard]] bool clients_saturated() const noexcept;
   };
 
   SpaceSaving heavy_;  // admission policy over flow keys

@@ -460,6 +460,33 @@ TEST(InterarrivalTriage, ChunkMergeMatchesSerialIngest) {
   }
 }
 
+TEST(InterarrivalTriage, FullClientBitmapIsFlaggedSaturated) {
+  // "crowd": 5,000 distinct clients fill every bitmap bit, so its estimate
+  // is only the bitmap's ceiling; "poll": 15 clients leave it unsaturated.
+  logs::StringInterner keys;
+  const Symbol crowd = keys.intern("crowd");
+  const Symbol poll = keys.intern("poll");
+  InterarrivalTriage triage;
+  InterarrivalTriage::Scratch scratch;
+  triage.bind(keys, scratch);
+  for (std::uint64_t c = 0; c < 5000; ++c) {
+    triage.offer(scratch, crowd, c, static_cast<double>(c));
+    triage.offer(scratch, poll, c % 15, static_cast<double>(c));
+  }
+  triage.unbind(scratch);
+  const auto candidates = triage.candidates();
+  ASSERT_EQ(candidates.size(), 2u);
+  const auto& full = candidates[0].key == "crowd" ? candidates[0] : candidates[1];
+  const auto& partial = candidates[0].key == "poll" ? candidates[0] : candidates[1];
+  ASSERT_EQ(full.key, "crowd");
+  ASSERT_EQ(partial.key, "poll");
+  const double bits = static_cast<double>(TriageConfig::client_bitmap_bits);
+  EXPECT_TRUE(full.clients_saturated);
+  EXPECT_DOUBLE_EQ(full.estimated_clients, bits * std::log(bits));
+  EXPECT_FALSE(partial.clients_saturated);
+  EXPECT_NEAR(partial.estimated_clients, 15.0, 2.0);
+}
+
 TEST(InterarrivalTriage, FlowTableStaysBounded) {
   // Twice as many distinct flows as the table holds, each offered three
   // times.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <span>
 #include <string>
@@ -395,6 +396,33 @@ TEST(StreamingStudy, DictionaryChangesBetweenIngestCallsLeaveNoTrace) {
     EXPECT_EQ(x.estimated_clients, y.estimated_clients);
   }
   EXPECT_EQ(got.memory_bytes, want.memory_bytes);
+}
+
+TEST(StreamingStudy, RenderedSummaryPrintsSaturatedClientCountsAsBounds) {
+  StreamingSummary summary;
+  CandidateFlow saturated;
+  saturated.key = "https://api.test.example/crowd";
+  saturated.requests = 900;
+  saturated.mean_gap = 1.5;
+  saturated.gap_cv = 0.9;
+  saturated.estimated_clients = 256.0 * std::log(256.0);
+  saturated.clients_saturated = true;
+  CandidateFlow counted = saturated;
+  counted.key = "https://api.test.example/poll";
+  counted.requests = 300;
+  counted.estimated_clients = 15.44;
+  counted.clients_saturated = false;
+  summary.periodic_candidates = {saturated, counted};
+  const auto text = render_streaming_summary(summary);
+  EXPECT_NE(text.find("     900 reqs, >=256 clients (saturated), gap 1.50 s "
+                      "(cv 0.90) https://api.test.example/crowd\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("     300 reqs, ~15.4 clients, gap 1.50 s (cv 0.90) "
+                      "https://api.test.example/poll\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("1419.6"), std::string::npos) << text;
 }
 
 TEST(StreamingStudy, RenderedSummaryCarriesHeadlineNumbers) {
