@@ -83,7 +83,11 @@ FaultPlan::FaultPlan(const FaultPlanConfig& config) : config_(config) {
     throw std::invalid_argument(
         "FaultPlan: rates must be in [0,1] and sum <= 1");
   }
-  if (config.horizon_seconds < 0.0 || config.outages_per_origin < 0.0)
+  constexpr auto max_outages =
+      static_cast<double>(FaultPlanConfig::max_outages_per_origin);
+  if (config.horizon_seconds < 0.0 ||
+      !(config.outages_per_origin >= 0.0 &&
+        config.outages_per_origin <= max_outages))
     throw std::invalid_argument("FaultPlan: bad outage parameters");
 }
 

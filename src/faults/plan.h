@@ -12,6 +12,7 @@
 // fault sequences.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -60,10 +61,13 @@ struct FaultPlanConfig {
 
   // Scheduled outages: each origin draws a Poisson-like number of windows
   // over [0, horizon_seconds) with exponential durations. horizon == 0 or
-  // outages_per_origin == 0 disables outage scheduling.
+  // outages_per_origin == 0 disables outage scheduling. More than
+  // max_outages_per_origin windows (at 60 s each, over 16 hours per origin)
+  // is refused: every origin draws its windows up front.
   double horizon_seconds = 0.0;
   double outages_per_origin = 0.0;
   static constexpr double mean_outage_seconds = 60.0;
+  static constexpr std::size_t max_outages_per_origin = 1000;
 };
 
 // The plan jsoncdn-generate's --fault-rate and the benches run: one

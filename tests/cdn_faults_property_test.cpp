@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -190,6 +192,21 @@ TEST(FaultsProperty, BackoffDeterministicAcrossThreadsAndBounded) {
 // absorbed (STALE) or failed fast (ERROR). This is the interaction the two
 // mechanisms were designed to have: negative caching kills the origin round
 // trip, stale-if-error upgrades the response when a usable copy exists.
+TEST(FaultsProperty, OutageCountAboveTheMaximumIsRefused) {
+  auto config = faulty_config(7, 3600.0);
+  const auto max =
+      static_cast<double>(faults::FaultPlanConfig::max_outages_per_origin);
+  config.outages_per_origin = max;
+  const faults::FaultPlan plan(config);
+  const auto windows = plan.outages("origin.example");
+  EXPECT_FALSE(windows.empty());
+  EXPECT_LE(windows.size(), faults::FaultPlanConfig::max_outages_per_origin);
+  for (const double bad : {max + 1.0, 9.3e18, -1.0, std::nan("")}) {
+    config.outages_per_origin = bad;
+    EXPECT_THROW(faults::FaultPlan{config}, std::invalid_argument) << bad;
+  }
+}
+
 TEST(FaultsProperty, StaleWindowDecidesNegativeCacheResponse) {
   workload::ObjectSpec obj;
   obj.url = "https://d/x";

@@ -59,7 +59,7 @@ void usage() {
                "                        [--fault-seed N]    (default: "
                "JSONCDN_FAULT_SEED, else --seed)\n"
                "                        [--fault-outages N] (outage windows "
-               "per origin)\n");
+               "per origin, at most 1000)\n");
 }
 
 }  // namespace
@@ -131,6 +131,11 @@ int main(int argc, char** argv) {
       fault_seed = cli::flag_value<std::uint64_t>(arg, next());
     } else if (arg == "--fault-outages") {
       fault_outages = cli::flag_value<std::size_t>(arg, next());
+      if (fault_outages > faults::FaultPlanConfig::max_outages_per_origin) {
+        std::fprintf(stderr, "--fault-outages must be at most %zu\n",
+                     faults::FaultPlanConfig::max_outages_per_origin);
+        return 2;
+      }
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
