@@ -30,10 +30,8 @@ std::vector<std::string> NgramPrefetcher::candidates(
     if (p.token == served.url) continue;  // already being served
     if (timing_.has_value()) {
       const auto gap = timing_->expected_gap(served.url, p.token);
-      if (gap.has_value() &&
-          (*gap < params_.min_expected_gap_seconds ||
-           (params_.max_expected_gap_seconds > 0.0 &&
-            *gap > params_.max_expected_gap_seconds))) {
+      if (gap.has_value() && params_.max_expected_gap_seconds > 0.0 &&
+          *gap > params_.max_expected_gap_seconds) {
         ++timing_filtered_;
         continue;
       }

@@ -30,9 +30,6 @@ struct PrefetcherParams {
   // candidates expected later than this — they would age out of the cache
   // before use. 0 disables the upper bound.
   double max_expected_gap_seconds = 600.0;
-  // Skip candidates expected sooner than this — the origin fetch cannot
-  // complete before the client asks anyway.
-  static constexpr double min_expected_gap_seconds = 0.0;
 };
 
 class NgramPrefetcher final : public cdn::PrefetchPolicy {
