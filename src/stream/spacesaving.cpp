@@ -8,8 +8,8 @@ namespace jsoncdn::stream {
 namespace {
 
 // Min-heap moves by count, shared by the bound heap and the string-keyed one.
-// `placed(slot)` runs for both slots of every swap, so a caller can keep an
-// index of slots current.
+// `placed(slot)` runs for every slot an element moves into, so a caller can
+// keep an index of slots current.
 template <typename Heap, typename Placed>
 void sift_up(Heap& heap, std::size_t i, Placed placed) {
   while (i > 0) {
@@ -22,21 +22,21 @@ void sift_up(Heap& heap, std::size_t i, Placed placed) {
   }
 }
 
+// Swaps heap[i] down past every smaller child (the left one on ties), but
+// writes each displaced element once and the moving one at its final slot.
 template <typename Heap, typename Placed>
 void sift_down(Heap& heap, std::size_t i, Placed placed) {
   const std::size_t n = heap.size();
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    std::size_t smallest = i;
-    if (l < n && heap[l].count < heap[smallest].count) smallest = l;
-    if (r < n && heap[r].count < heap[smallest].count) smallest = r;
-    if (smallest == i) break;
-    std::swap(heap[smallest], heap[i]);
-    placed(smallest);
+  const auto moving = heap[i];
+  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap[child + 1].count < heap[child].count) ++child;
+    if (!(heap[child].count < moving.count)) break;
+    heap[i] = heap[child];
     placed(i);
-    i = smallest;
+    i = child;
   }
+  heap[i] = moving;
+  placed(i);
 }
 
 }  // namespace
@@ -94,7 +94,6 @@ SpaceSaving::Symbol SpaceSaving::offer(Scratch& scratch, Symbol key) {
   const Symbol evicted = root.key;
   slot_of[evicted] = Scratch::kNoSlot;
   root = {root.count + 1, root.count, key};
-  placed(0);
   sift_down(heap, 0, placed);
   return evicted;
 }
