@@ -36,39 +36,82 @@ InterarrivalTriage::InterarrivalTriage() : heavy_(TriageConfig::max_flows) {
   states_.reserve(TriageConfig::max_flows);
 }
 
+namespace {
+
+constexpr std::uint32_t kNoFlow = 0xffffffffu;
+
+}  // namespace
+
 void InterarrivalTriage::bind(const logs::StringInterner& dict,
                               Scratch& scratch) {
   heavy_.bind(dict, scratch.heavy_);
   if (scratch.flow_of_.size() < scratch.heavy_.symbols())
-    scratch.flow_of_.resize(scratch.heavy_.symbols(), nullptr);
+    scratch.flow_of_.resize(scratch.heavy_.symbols(), kNoFlow);
 }
 
 void InterarrivalTriage::offer(Scratch& scratch, Symbol key,
                                std::uint64_t client_hash, double timestamp) {
   const bool tracked = scratch.heavy_.tracks(key);
   const Symbol evicted = heavy_.offer(scratch.heavy_, key);
-  if (evicted != SpaceSaving::kNoSymbol) {
-    states_.erase(states_.find(scratch.heavy_.key(evicted)));
-    scratch.flow_of_[evicted] = nullptr;
+  if (evicted != SpaceSaving::kNoSymbol) drop(scratch, evicted);
+  std::uint32_t& slot = scratch.flow_of_[key];
+  if (slot == kNoFlow) {
+    if (!scratch.free_.empty()) {
+      slot = scratch.free_.back();
+      scratch.free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(scratch.flows_.size());
+      scratch.flows_.emplace_back();
+      scratch.homes_.emplace_back();
+    }
+    auto& home = scratch.homes_[slot];
+    home = tracked ? states_.find(scratch.heavy_.key(key)) : states_.end();
+    scratch.flows_[slot] = tracked ? home->second : FlowState{};
   }
-  FlowState*& state = scratch.flow_of_[key];
+  FlowState& state = scratch.flows_[slot];
   if (!tracked) {
-    state = &states_.try_emplace(std::string(scratch.heavy_.key(key)))
-                 .first->second;
-    state->first_ts = timestamp;
+    state.first_ts = timestamp;
   } else {
-    if (state == nullptr) state = &states_.find(scratch.heavy_.key(key))->second;
-    const double gap = timestamp - state->last_ts;
-    if (gap >= 0.0) state->gaps.add(gap);
+    const double gap = timestamp - state.last_ts;
+    if (gap >= 0.0) state.gaps.add(gap);
   }
-  state->last_ts = timestamp;
-  ++state->requests;
-  state->note_client(client_hash);
+  state.last_ts = timestamp;
+  ++state.requests;
+  state.note_client(client_hash);
+}
+
+void InterarrivalTriage::drop(Scratch& scratch, Symbol key) {
+  std::uint32_t& slot = scratch.flow_of_[key];
+  if (slot == kNoFlow) {
+    states_.erase(states_.find(scratch.heavy_.key(key)));
+    return;
+  }
+  if (scratch.homes_[slot] != states_.end()) states_.erase(scratch.homes_[slot]);
+  scratch.free_.push_back(slot);
+  slot = kNoFlow;
 }
 
 void InterarrivalTriage::unbind(Scratch& scratch) {
-  for (std::size_t slot = 0; slot < scratch.heavy_.size(); ++slot)
-    scratch.flow_of_[scratch.heavy_.symbol_at(slot)] = nullptr;
+  // states_ only lost entries since bind(), so the homes are still valid:
+  // write them back before inserting the flows admitted since.
+  const auto& heavy = scratch.heavy_;
+  for (std::size_t i = 0; i < heavy.size(); ++i) {
+    const std::uint32_t slot = scratch.flow_of_[heavy.symbol_at(i)];
+    if (slot != kNoFlow && scratch.homes_[slot] != states_.end())
+      scratch.homes_[slot]->second = scratch.flows_[slot];
+  }
+  for (std::size_t i = 0; i < heavy.size(); ++i) {
+    std::uint32_t& slot = scratch.flow_of_[heavy.symbol_at(i)];
+    if (slot == kNoFlow) continue;
+    if (scratch.homes_[slot] == states_.end()) {
+      states_.emplace(std::string(heavy.key(heavy.symbol_at(i))),
+                      scratch.flows_[slot]);
+    }
+    slot = kNoFlow;
+  }
+  scratch.flows_.clear();
+  scratch.homes_.clear();
+  scratch.free_.clear();
   heavy_.unbind(scratch.heavy_);
 }
 

@@ -18,10 +18,10 @@
 // filter, not a detector: the FFT still decides periodicity.
 //
 // Flow keys arrive as dictionary symbols, as in SpaceSaving: bind() puts the
-// admission sketch in a caller-owned Scratch, which also maps each symbol to
-// its flow's state once offer() has looked it up, and unbind() writes the
-// sketch back keyed by string. merge(), candidates() and memory_bytes() read
-// the string-keyed state, so call them only while the triage is unbound.
+// admission sketch in a caller-owned Scratch, offer() keeps the states of the
+// flows it sees there, indexed by symbol, and unbind() writes both back keyed
+// by string. merge(), candidates() and memory_bytes() read the string-keyed
+// state, so call them only while the triage is unbound.
 #pragma once
 
 #include <array>
@@ -66,18 +66,39 @@ struct CandidateFlow {
 };
 
 class InterarrivalTriage {
-  struct FlowState;
+  struct FlowState {
+    std::uint64_t requests = 0;
+    double first_ts = 0.0;
+    double last_ts = 0.0;
+    stats::RunningMoments gaps;
+    // Client-presence bitmap; distinct clients estimated by linear
+    // counting. Saturates far above the >= 10 filter.
+    std::array<std::uint64_t, TriageConfig::client_bitmap_bits / 64>
+        client_bits{};
+
+    void note_client(std::uint64_t client_hash) noexcept;
+    [[nodiscard]] double estimated_clients() const noexcept;
+    [[nodiscard]] bool clients_saturated() const noexcept;
+  };
+  using StateMap = std::unordered_map<std::string, FlowState,
+                                      stats::TransparentStringHash,
+                                      std::equal_to<>>;
 
  public:
   using Symbol = SpaceSaving::Symbol;
 
   // The working state of a triage bound to one dictionary: the admission
-  // sketch's scratch, and each bound symbol's flow state once looked up.
+  // sketch's scratch and the states of the flows offered since bind(). A
+  // flow tracked at bind() is copied in on its first offer and keeps its
+  // entry in states_; a flow admitted since has none until unbind().
   class Scratch {
    private:
     friend class InterarrivalTriage;
     SpaceSaving::Scratch heavy_;
-    std::vector<FlowState*> flow_of_;  // by bound symbol; into states_
+    std::vector<std::uint32_t> flow_of_;  // by bound symbol: slot in flows_
+    std::vector<FlowState> flows_;
+    std::vector<StateMap::iterator> homes_;  // by slot; end() if admitted
+    std::vector<std::uint32_t> free_;        // slots of evicted flows
   };
 
   InterarrivalTriage();
@@ -92,7 +113,7 @@ class InterarrivalTriage {
   void offer(Scratch& scratch, Symbol key, std::uint64_t client_hash,
              double timestamp);
 
-  // Writes the admission sketch back keyed by string.
+  // Writes the bound state back keyed by string.
   void unbind(Scratch& scratch);
 
   // Merges a later shard's state (chunk-ordered: `other` covers records
@@ -108,26 +129,12 @@ class InterarrivalTriage {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  struct FlowState {
-    std::uint64_t requests = 0;
-    double first_ts = 0.0;
-    double last_ts = 0.0;
-    stats::RunningMoments gaps;
-    // Client-presence bitmap; distinct clients estimated by linear
-    // counting. Saturates far above the >= 10 filter.
-    std::array<std::uint64_t, TriageConfig::client_bitmap_bits / 64>
-        client_bits{};
-
-    void note_client(std::uint64_t client_hash) noexcept;
-    [[nodiscard]] double estimated_clients() const noexcept;
-    [[nodiscard]] bool clients_saturated() const noexcept;
-  };
+  // Drops the state of `key`, which heavy_ just evicted.
+  void drop(Scratch& scratch, Symbol key);
 
   SpaceSaving heavy_;  // admission policy over flow keys
   // Keyed like heavy_: a flow has state exactly while heavy_ tracks it.
-  std::unordered_map<std::string, FlowState, stats::TransparentStringHash,
-                     std::equal_to<>>
-      states_;
+  StateMap states_;
 };
 
 }  // namespace jsoncdn::stream
