@@ -9,6 +9,12 @@
 
 namespace jsoncdn::stream {
 
+namespace {
+
+constexpr std::uint32_t kNoFlow = 0xffffffffu;
+
+}  // namespace
+
 void InterarrivalTriage::FlowState::note_client(
     std::uint64_t client_hash) noexcept {
   const std::uint64_t mixed = stats::splitmix64(client_hash);
@@ -35,12 +41,6 @@ bool InterarrivalTriage::FlowState::clients_saturated() const noexcept {
 InterarrivalTriage::InterarrivalTriage() : heavy_(TriageConfig::max_flows) {
   states_.reserve(TriageConfig::max_flows);
 }
-
-namespace {
-
-constexpr std::uint32_t kNoFlow = 0xffffffffu;
-
-}  // namespace
 
 void InterarrivalTriage::bind(const logs::StringInterner& dict,
                               Scratch& scratch) {
@@ -86,7 +86,8 @@ void InterarrivalTriage::drop(Scratch& scratch, Symbol key) {
     states_.erase(states_.find(scratch.heavy_.key(key)));
     return;
   }
-  if (scratch.homes_[slot] != states_.end()) states_.erase(scratch.homes_[slot]);
+  if (scratch.homes_[slot] != states_.end())
+    states_.erase(scratch.homes_[slot]);
   scratch.free_.push_back(slot);
   slot = kNoFlow;
 }

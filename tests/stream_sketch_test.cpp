@@ -329,6 +329,8 @@ TEST(SpaceSaving, RebindingToOtherDictionariesLeavesTheSameSketch) {
     EXPECT_EQ(got[i].key, want[i].key);
     EXPECT_EQ(got[i].count, want[i].count);
     EXPECT_EQ(got[i].error, want[i].error);
+    // The string -> slot index was re-synced too.
+    EXPECT_EQ(split.estimate(got[i].key), got[i].count);
   }
 }
 
