@@ -269,6 +269,26 @@ TEST(SpaceSaving, MergePreservesCountBounds) {
   EXPECT_LE(top[0].count - top[0].error, 500u);
 }
 
+TEST(SpaceSaving, UnbindReindexesKeysThatMoved) {
+  // "a" sits at the root after the first run. Offering it again in a second
+  // run sifts it below "b", so unbind() must re-point both index entries.
+  SpaceSaving ss(4);
+  logs::StringInterner keys;
+  const Symbol a = keys.intern("a");
+  const Symbol b = keys.intern("b");
+  const Symbol c = keys.intern("c");
+  SpaceSaving::Scratch scratch;
+  ss.bind(keys, scratch);
+  for (const Symbol key : {a, b, c}) ss.offer(scratch, key);
+  ss.unbind(scratch);
+  ss.bind(keys, scratch);
+  for (int i = 0; i < 3; ++i) ss.offer(scratch, a);
+  ss.unbind(scratch);
+  EXPECT_EQ(ss.estimate("a"), 4u);
+  EXPECT_EQ(ss.estimate("b"), 1u);
+  EXPECT_EQ(ss.estimate("c"), 1u);
+}
+
 TEST(SpaceSaving, RebindingToOtherDictionariesLeavesTheSameSketch) {
   // One Zipf-ish stream of 60 keys through a 12-counter sketch, offered in
   // three runs: under a dictionary of the first run's keys, under one of the
