@@ -261,9 +261,9 @@ TEST(StreamingStudy, TriageCandidatesDriveTargetedPeriodicityPass) {
   EXPECT_LT(report.periodic_request_share, 1.0);
 }
 
-// Appends `rows` rows of one tenant's traffic over [t0, t0 + span): a few
-// polled JSON flows, a Zipf-ish head, a one-request tail wide enough to
-// overflow the triage's flow table, and some HTML. `prefix` names the
+// Appends one tenant's traffic over [t0, t0 + span): a few polled JSON
+// flows, a Zipf-ish head, a one-request tail wide enough to overflow the
+// triage's flow table, and some HTML. `prefix` names the
 // tenant's URLs and clients, so two tenants' tables give the same symbol
 // numbers to different strings; `shared` URLs are interned after the
 // tenant's own, so they take other symbol numbers in each table.
@@ -280,8 +280,9 @@ void append_tenant_rows(logs::LogTable& table, const std::string& prefix,
     for (int tick = 0; tick * 20.0 < span; ++tick) {
       for (int c = 0; c < 15; ++c) {
         table.append(make_record(
-            t0 + 20.0 * tick + static_cast<double>(c), prefix + "-poller-" +
-            std::to_string(c), url, prefix + ".test.example", true, 700,
+            t0 + 20.0 * tick + static_cast<double>(c),
+            prefix + "-poller-" + std::to_string(c), url,
+            prefix + ".test.example", true, 700,
             logs::CacheStatus::kNotCacheable, http::Method::kPost));
       }
     }
