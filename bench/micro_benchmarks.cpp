@@ -15,6 +15,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -1407,10 +1408,16 @@ int main(int argc, char** argv) {
   }
 
   if (!ingest_only && !scale_only) {
+    // A --benchmark_filter that selects benchmarks times only them; one that
+    // selects none (--benchmark_filter=NONE) leaves the report sections.
+    const bool filtered = std::any_of(argv + 1, argv + argc, [](const char* a) {
+      return std::string_view(a).starts_with("--benchmark_filter");
+    });
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    const std::size_t benchmarks_run = benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
+    if (filtered && benchmarks_run > 0) return 0;
     report_parallel_speedup();
     report_streaming_vs_batch();
     report_fault_resilience();

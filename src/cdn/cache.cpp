@@ -4,14 +4,18 @@ namespace jsoncdn::cdn {
 
 LruCache::LruCache(std::uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-std::optional<std::uint64_t> LruCache::lookup(std::string_view key,
-                                              double now) {
+std::optional<std::uint64_t> LruCache::lookup(
+    std::string_view key, double now, std::optional<StaleEntry>* expired) {
+  if (expired != nullptr) expired->reset();
   const auto it = entries_.find(std::string(key));
   if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
   }
   if (it->second->expires_at <= now) {
+    if (expired != nullptr) {
+      *expired = StaleEntry{it->second->bytes, it->second->expires_at};
+    }
     used_ -= it->second->bytes;
     lru_.erase(it->second);
     entries_.erase(it);
@@ -47,14 +51,6 @@ std::optional<std::uint64_t> LruCache::peek_stale(std::string_view key,
   if (it == entries_.end() || it->second->expires_at > now)
     return std::nullopt;
   return it->second->bytes;
-}
-
-std::optional<LruCache::StaleEntry> LruCache::peek_stale_entry(
-    std::string_view key, double now) const {
-  const auto it = entries_.find(std::string(key));
-  if (it == entries_.end() || it->second->expires_at > now)
-    return std::nullopt;
-  return StaleEntry{it->second->bytes, it->second->expires_at};
 }
 
 void LruCache::restore(std::string_view key, std::uint64_t bytes,

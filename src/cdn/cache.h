@@ -31,10 +31,20 @@ class LruCache {
   // capacity_bytes == 0 disables caching entirely (every lookup misses).
   explicit LruCache(std::uint64_t capacity_bytes);
 
+  // A present-but-expired entry with its expiry time: revalidation needs
+  // the copy, and stale-if-error needs to know *how* stale it is.
+  struct StaleEntry {
+    std::uint64_t bytes = 0;
+    double expires_at = 0.0;
+  };
+
   // Returns the stored size if `key` is present and fresh at `now`;
-  // refreshes recency. Expired entries are erased and counted.
-  [[nodiscard]] std::optional<std::uint64_t> lookup(std::string_view key,
-                                                    double now);
+  // refreshes recency. An expired entry is erased and counted; when
+  // `expired` is given, it receives that entry (and stays empty on a hit
+  // or when the key is absent).
+  [[nodiscard]] std::optional<std::uint64_t> lookup(
+      std::string_view key, double now,
+      std::optional<StaleEntry>* expired = nullptr);
 
   // Inserts/overwrites an entry valid until now + ttl. Objects larger than
   // the whole cache are not admitted. Evicts LRU entries as needed.
@@ -49,17 +59,8 @@ class LruCache {
   [[nodiscard]] std::optional<std::uint64_t> peek_stale(std::string_view key,
                                                         double now) const;
 
-  // Present-but-expired entry with its expiry time — the stale-if-error
-  // case needs to know *how* stale a copy is. Does not erase or touch stats.
-  struct StaleEntry {
-    std::uint64_t bytes = 0;
-    double expires_at = 0.0;
-  };
-  [[nodiscard]] std::optional<StaleEntry> peek_stale_entry(
-      std::string_view key, double now) const;
-
   // Re-admits an entry with an explicit absolute expiry (possibly already in
-  // the past) — used by the stale-if-error path to put back a stale copy
+  // the past) — used by the stale-if-error path to put back the stale copy
   // that lookup() evicted, so later requests during the same origin outage
   // can still be served stale.
   void restore(std::string_view key, std::uint64_t bytes, double expires_at);

@@ -223,14 +223,9 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
 
   double latency = rtt + transfer;
   bool hit = false;
-  // Snapshot any expired copy before lookup() — lookup erases expired
-  // entries, and both revalidation and stale-if-error need the copy.
-  const auto stale_entry = cache_.peek_stale_entry(event.url, now);
-  const bool stale_available =
-      params_.enable_revalidation && stale_entry.has_value();
-  const bool stale_usable_on_error =
-      stale_entry.has_value() &&
-      now - stale_entry->expires_at <= ResilienceParams::stale_if_error_seconds;
+  // The expired copy lookup() erases, if any: revalidation and
+  // stale-if-error serve from it on the miss path.
+  std::optional<LruCache::StaleEntry> stale_entry;
 
   if (!cacheable) {
     // Tunneled to customer infrastructure, exactly as the paper describes
@@ -248,7 +243,7 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
     }
     record.cache_status = logs::CacheStatus::kNotCacheable;
     latency += outcome.latency;
-  } else if (cache_.lookup(event.url, now).has_value()) {
+  } else if (cache_.lookup(event.url, now, &stale_entry).has_value()) {
     hit = true;
     record.cache_status = logs::CacheStatus::kHit;
     if (const auto it = pending_prefetches_.find(event.url);
@@ -261,6 +256,12 @@ logs::LogRecord EdgeServer::serve(const workload::RequestEvent& event,
     // origin, consult the negative cache: a failure observed moments ago is
     // answered without another round trip — stale copy if usable, else the
     // remembered error.
+    const bool stale_available =
+        params_.enable_revalidation && stale_entry.has_value();
+    const bool stale_usable_on_error =
+        stale_entry.has_value() &&
+        now - stale_entry->expires_at <=
+            ResilienceParams::stale_if_error_seconds;
     if (const auto neg = negative_cache_.find(event.url);
         neg != negative_cache_.end()) {
       if (neg->second.expires_at > now) {

@@ -5,17 +5,22 @@
 // arena and stay valid for the interner's lifetime — arena blocks are never
 // moved or freed, so growth invalidates nothing.
 //
+// The symbol table is one flat, power-of-two, linear-probing array. Each
+// slot holds the string's 64-bit hash, its arena bytes and its symbol, so a
+// hit is confirmed from the slot and the string bytes alone. intern(),
+// find() and intern_batch() all go through the same probe.
+//
 // Symbols are assigned in first-intern order, so an interner built by a
 // single-threaded scan over a record stream is a pure function of the
-// distinct-string order of that stream. The interner itself is not
-// thread-safe; parallel consumers share a *built* (const) interner freely.
+// distinct-string order of that stream; the hash only places slots. The
+// interner itself is not thread-safe; parallel consumers share a *built*
+// (const) interner freely.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace jsoncdn::logs {
@@ -29,7 +34,7 @@ class StringInterner {
 
   StringInterner() = default;
 
-  // Not copyable (the map's keys point into the arena); movable.
+  // Not copyable (the slots point into the arena); movable.
   StringInterner(const StringInterner&) = delete;
   StringInterner& operator=(const StringInterner&) = delete;
   StringInterner(StringInterner&&) = default;
@@ -40,11 +45,15 @@ class StringInterner {
   // strings never seen before.
   Symbol intern(std::string_view s);
 
+  // Interns strings[k] into out[k] for every k, in order: the symbols that
+  // one intern() call per string would return. Hashes the whole batch
+  // first, then probes each string with the slot of the string
+  // kPrefetchAhead places later already requested, so the table's cache
+  // misses overlap instead of queueing one behind another.
+  void intern_batch(std::span<const std::string_view> strings, Symbol* out);
+
   // Symbol of `s` if it was ever interned, else kNoSymbol. Never allocates.
-  [[nodiscard]] Symbol find(std::string_view s) const noexcept {
-    const auto it = map_.find(s);
-    return it == map_.end() ? kNoSymbol : it->second;
-  }
+  [[nodiscard]] Symbol find(std::string_view s) const noexcept;
 
   // The interned string for a symbol. Valid for the interner's lifetime.
   [[nodiscard]] std::string_view view(Symbol id) const noexcept {
@@ -56,11 +65,29 @@ class StringInterner {
 
   void reserve(std::size_t symbols);
 
-  // Approximate heap footprint: arena blocks + symbol table + view index.
+  // Approximate heap footprint: arena blocks + slot table + view index.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  // 24 bytes. symbol == kNoSymbol marks an empty slot.
+  struct Slot {
+    std::uint64_t hash = 0;
+    const char* data = nullptr;
+    std::uint32_t size = 0;
+    Symbol symbol = kNoSymbol;
+  };
+
   static constexpr std::size_t kBlockBytes = 1 << 16;  // 64 KiB arena blocks
+  static constexpr std::size_t kPrefetchAhead = 8;
+
+  // Index of the slot holding `s`, or of the empty slot where it belongs.
+  // The table must have at least one empty slot.
+  [[nodiscard]] std::size_t probe(std::uint64_t hash,
+                                  std::string_view s) const noexcept;
+  // intern() of a string whose hash is already known.
+  Symbol intern_hashed(std::uint64_t hash, std::string_view s);
+  // Rebuilds the slot table with `slot_count` (a power of two) slots.
+  void rehash(std::size_t slot_count);
 
   // Copies `s` into the arena, returning a stable view.
   std::string_view arena_store(std::string_view s);
@@ -71,9 +98,7 @@ class StringInterner {
   std::size_t arena_bytes_ = 0;     // total capacity across blocks
 
   std::vector<std::string_view> views_;  // symbol -> arena view
-  // Keys are views into the arena (stable); string_view keying makes every
-  // lookup heterogeneous by construction.
-  std::unordered_map<std::string_view, Symbol> map_;
+  std::vector<Slot> slots_;  // empty, or a power of two at most half full
 };
 
 }  // namespace jsoncdn::logs

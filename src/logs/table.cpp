@@ -1,8 +1,11 @@
 #include "logs/table.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <span>
+#include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "http/mime.h"
@@ -33,7 +36,50 @@ void gather(std::vector<T>& col, const std::vector<std::uint32_t>& perm) {
   col = std::move(out);
 }
 
+// Byte length of a staged string; the dictionaries store u32 lengths.
+std::uint32_t staged_length(std::string_view s) {
+  if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("RowBatch: string longer than 4 GiB");
+  }
+  return static_cast<std::uint32_t>(s.size());
+}
+
 }  // namespace
+
+void RowBatch::push(double timestamp, std::string_view client_id,
+                    std::string_view user_agent, http::Method method,
+                    std::string_view url, std::string_view domain,
+                    std::string_view content_type, int status,
+                    std::uint64_t response_bytes, std::uint64_t request_bytes,
+                    CacheStatus cache_status, std::uint32_t edge_id) {
+  Row row{timestamp, response_bytes, request_bytes, status, edge_id, method,
+          cache_status, {}};
+  const std::string_view strings[kStrings] = {client_id, user_agent, url,
+                                              domain, content_type};
+  for (std::size_t f = 0; f < kStrings; ++f) {
+    row.lengths[f] = staged_length(strings[f]);
+  }
+  for (const auto s : strings) bytes_.append(s);
+  rows_.push_back(row);
+}
+
+void RowBatch::clear() noexcept {
+  rows_.clear();
+  bytes_.clear();
+}
+
+void RowBatch::field_views(std::size_t field,
+                           std::vector<std::string_view>& out) const {
+  out.resize(rows_.size());
+  const char* at = bytes_.data();
+  for (std::size_t k = 0; k < rows_.size(); ++k) {
+    const auto& lengths = rows_[k].lengths;
+    const char* s = at;
+    for (std::size_t f = 0; f < field; ++f) s += lengths[f];
+    out[k] = std::string_view(s, lengths[field]);
+    for (const auto len : lengths) at += len;
+  }
+}
 
 void LogTable::reserve(std::size_t rows) {
   ts_.reserve(rows);
@@ -89,19 +135,53 @@ LogTable::RowIndex LogTable::append_fields(
   ua_.push_back(uas);
   domain_.push_back(domain_dict_.intern(domain));
   ctype_.push_back(ctype_dict_.intern(content_type));
-
-  const std::uint64_t pair =
-      (static_cast<std::uint64_t>(cid) << 32) | static_cast<std::uint64_t>(uas);
-  auto [it, inserted] = client_pair_cache_.try_emplace(pair, Symbol{0});
-  if (inserted) {
-    key_scratch_.clear();
-    key_scratch_.append(client_id);
-    key_scratch_.push_back('|');
-    key_scratch_.append(user_agent);
-    it->second = client_dict_.intern(key_scratch_);
-  }
-  client_.push_back(it->second);
+  client_.push_back(client_symbol(cid, uas));
   return index;
+}
+
+LogTable::Symbol LogTable::client_symbol(Symbol cid, Symbol uas) {
+  if (cid >= client_pairs_.size()) client_pairs_.resize(client_id_dict_.size());
+  ClientPair& pair = client_pairs_[cid];
+  if (pair.user_agent != uas) {
+    key_scratch_.assign(client_id_dict_.view(cid));
+    key_scratch_.push_back('|');
+    key_scratch_.append(ua_dict_.view(uas));
+    pair = ClientPair{uas, client_dict_.intern(key_scratch_)};
+  }
+  return pair.client;
+}
+
+void LogTable::append_batch(const RowBatch& batch) {
+  const std::size_t first = size();
+  const std::size_t n = batch.size();
+  for (const auto& row : batch.rows_) {
+    ts_.push_back(row.timestamp);
+    method_.push_back(row.method);
+    status_.push_back(row.status);
+    resp_bytes_.push_back(row.response_bytes);
+    req_bytes_.push_back(row.request_bytes);
+    cache_.push_back(row.cache_status);
+    edge_.push_back(row.edge_id);
+  }
+
+  // One dictionary at a time, in RowBatch's field order.
+  const std::pair<std::vector<Symbol>*, StringInterner*> columns[] = {
+      {&client_id_, &client_id_dict_}, {&ua_, &ua_dict_},
+      {&url_, &url_dict_},             {&domain_, &domain_dict_},
+      {&ctype_, &ctype_dict_},
+  };
+  std::vector<std::string_view> strings;
+  for (std::size_t f = 0; f < RowBatch::kStrings; ++f) {
+    auto& [column, dict] = columns[f];
+    batch.field_views(f, strings);
+    column->resize(first + n);
+    dict->intern_batch(strings, column->data() + first);
+  }
+
+  client_pairs_.resize(std::max(client_pairs_.size(), client_id_dict_.size()));
+  for (std::size_t k = first; k < first + n; ++k) {
+    client_.push_back(client_symbol(client_id_[k], ua_[k]));
+  }
 }
 
 void LogTable::append(const LogRecord& record) {
@@ -221,8 +301,7 @@ std::size_t LogTable::memory_bytes() const noexcept {
   bytes += url_dict_.memory_bytes() + client_id_dict_.memory_bytes() +
            ua_dict_.memory_bytes() + domain_dict_.memory_bytes() +
            ctype_dict_.memory_bytes() + client_dict_.memory_bytes();
-  bytes += client_pair_cache_.bucket_count() *
-           (sizeof(std::uint64_t) + sizeof(Symbol) + sizeof(void*));
+  bytes += client_pairs_.capacity() * sizeof(ClientPair);
   return bytes;
 }
 

@@ -18,11 +18,11 @@
 // thread counts and ingest paths (TSV, .jlog v2).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "http/method.h"
@@ -34,6 +34,49 @@ class ChunkCodec;  // shard/chunk.h — fills columns directly
 }  // namespace jsoncdn::shard
 
 namespace jsoncdn::logs {
+
+// Rows staged for LogTable::append_batch: append_fields' arguments, with
+// every string copied into one byte buffer, so a batch owns its rows and
+// the strings passed to push() need not outlive the call.
+class RowBatch {
+ public:
+  void push(double timestamp, std::string_view client_id,
+            std::string_view user_agent, http::Method method,
+            std::string_view url, std::string_view domain,
+            std::string_view content_type, int status,
+            std::uint64_t response_bytes, std::uint64_t request_bytes,
+            CacheStatus cache_status, std::uint32_t edge_id);
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
+  // Drops every row; keeps the capacity.
+  void clear() noexcept;
+
+ private:
+  friend class LogTable;
+
+  // The string fields, in push() order: client id, user agent, url,
+  // domain, content type.
+  static constexpr std::size_t kStrings = 5;
+
+  struct Row {
+    double timestamp;
+    std::uint64_t response_bytes;
+    std::uint64_t request_bytes;
+    std::int32_t status;
+    std::uint32_t edge_id;
+    http::Method method;
+    CacheStatus cache_status;
+    std::array<std::uint32_t, kStrings> lengths;  // byte lengths, in order
+  };
+
+  // String field `field` of every row, in row order, as views into bytes_.
+  void field_views(std::size_t field,
+                   std::vector<std::string_view>& out) const;
+
+  std::vector<Row> rows_;
+  std::string bytes_;  // every row's strings, back to back
+};
 
 class LogTable {
  public:
@@ -50,7 +93,7 @@ class LogTable {
   [[nodiscard]] bool empty() const noexcept { return ts_.empty(); }
   void reserve(std::size_t rows);
 
-  // Drops every row but keeps the dictionaries (and the client-pair cache,
+  // Drops every row but keeps the dictionaries (and the client pairs,
   // whose symbols stay valid) and the columns' capacity. This is what makes
   // a LogTable reusable as a decode scratch: the shard reader loads the
   // file dictionaries once, then overwrites the row columns chunk by chunk
@@ -69,6 +112,12 @@ class LogTable {
                          std::uint32_t edge_id);
 
   void append(const LogRecord& record);
+
+  // Appends the batch's rows in order: the same rows and dictionaries as
+  // one append_fields call per row, but each string column goes through
+  // StringInterner::intern_batch, so every dictionary still sees its
+  // strings in row order.
+  void append_batch(const RowBatch& batch);
 
   // Another table's symbols mapped to this table's, filled in lazily by
   // append_row. Reuse one map for every row copied from the same source.
@@ -307,9 +356,18 @@ class LogTable {
   StringInterner ctype_dict_;
   StringInterner client_dict_;
 
-  // (client_id_sym, ua_sym) -> client_sym: skips rebuilding the "id|ua"
-  // string for every row of an already-seen pair.
-  std::unordered_map<std::uint64_t, Symbol> client_pair_cache_;
+  // The client-key symbol of a row whose client id and user agent are
+  // interned as `cid` and `uas`.
+  Symbol client_symbol(Symbol cid, Symbol uas);
+
+  // Indexed by client-id symbol: the user agent last seen with that client
+  // id and the pair's client-key symbol. A row repeating the pair skips
+  // rebuilding the "id|ua" string; any other user agent interns it.
+  struct ClientPair {
+    Symbol user_agent = StringInterner::kNoSymbol;
+    Symbol client = StringInterner::kNoSymbol;
+  };
+  std::vector<ClientPair> client_pairs_;
   std::string key_scratch_;  // reused buffer for new pairs
 
   friend class jsoncdn::shard::ChunkCodec;  // the .jlog v2 chunk codec

@@ -115,13 +115,14 @@ void read_dictionary(BinaryReader& in, logs::StringInterner& dict,
                      const std::string& path) {
   const auto count = in.pod<std::uint32_t>();
   const auto lengths = in.column<std::uint32_t>(count);
-  dict.reserve(count);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    const auto before = dict.size();
-    dict.intern(in.bytes(lengths[s]));
-    if (dict.size() != before + 1) {
-      jlog_corrupt(path, "duplicate dictionary entry");
-    }
+  std::vector<std::string_view> strings(count);
+  for (std::uint32_t s = 0; s < count; ++s) strings[s] = in.bytes(lengths[s]);
+  const auto before = dict.size();
+  std::vector<logs::StringInterner::Symbol> symbols(count);
+  dict.reserve(before + count);
+  dict.intern_batch(strings, symbols.data());
+  if (dict.size() != before + count) {
+    jlog_corrupt(path, "duplicate dictionary entry");
   }
 }
 

@@ -28,13 +28,14 @@ void ShardWriter::append_fields(
     std::string_view content_type, int status, std::uint64_t response_bytes,
     std::uint64_t request_bytes, logs::CacheStatus cache_status,
     std::uint32_t edge_id) {
-  pending_.append_fields(timestamp, client_id, user_agent, method, url, domain,
-                         content_type, status, response_bytes, request_bytes,
-                         cache_status, edge_id);
-  if (pending_.size() >= options_.chunk_rows) flush_chunk();
+  staged_.push(timestamp, client_id, user_agent, method, url, domain,
+               content_type, status, response_bytes, request_bytes,
+               cache_status, edge_id);
+  if (pending_.size() + staged_.size() >= options_.chunk_rows) flush_chunk();
 }
 
 void ShardWriter::append(const logs::LogTable& table) {
+  resolve_staged();
   logs::LogTable::SymbolMap map;
   for (std::size_t i = 0; i < table.size(); ++i) {
     pending_.append_row(table, static_cast<logs::LogTable::RowIndex>(i), map);
@@ -42,7 +43,13 @@ void ShardWriter::append(const logs::LogTable& table) {
   }
 }
 
+void ShardWriter::resolve_staged() {
+  pending_.append_batch(staged_);
+  staged_.clear();
+}
+
 void ShardWriter::flush_chunk() {
+  resolve_staged();
   if (pending_.empty()) return;
   payload_buf_.clear();
   ChunkMeta meta = ChunkCodec::encode(

@@ -3,9 +3,11 @@
 // The writer never holds the table: rows accumulate in one pending chunk
 // (dictionaries are file-global and persist across chunks), each full chunk
 // is compressed and flushed to disk, and finalize() closes the file with
-// the footer (dictionaries + chunk directory) and trailer. Peak writer
-// memory is the dictionaries plus chunk_rows rows — a 100M-record file
-// streams through a few tens of MiB.
+// the footer (dictionaries + chunk directory) and trailer. Rows given one
+// at a time are staged with their strings first and interned a chunk at a
+// time (logs::RowBatch). Peak writer memory is the dictionaries plus
+// chunk_rows rows, staged and interned — a 100M-record file streams through
+// a few tens of MiB.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ class ShardWriter {
   ShardWriter(const ShardWriter&) = delete;
   ShardWriter& operator=(const ShardWriter&) = delete;
 
-  // Appends one row; flushes a chunk whenever chunk_rows accumulate.
+  // Stages one row; a chunk is interned and flushed whenever chunk_rows
+  // accumulate.
   void append_fields(double timestamp, std::string_view client_id,
                      std::string_view user_agent, http::Method method,
                      std::string_view url, std::string_view domain,
@@ -50,7 +53,7 @@ class ShardWriter {
                      std::uint64_t response_bytes, std::uint64_t request_bytes,
                      logs::CacheStatus cache_status, std::uint32_t edge_id);
 
-  // Appends every row of an in-memory table.
+  // Appends every row of an in-memory table, after any staged rows.
   void append(const logs::LogTable& table);
 
   // Flushes the pending chunk, writes footer + trailer, and closes the
@@ -59,10 +62,12 @@ class ShardWriter {
   ShardWriteStats finalize();
 
   [[nodiscard]] std::uint64_t rows_appended() const noexcept {
-    return rows_total_ + pending_.size();
+    return rows_total_ + pending_.size() + staged_.size();
   }
 
  private:
+  // Interns the staged rows into the pending chunk, in one batch.
+  void resolve_staged();
   void flush_chunk();
 
   std::string path_;
@@ -70,6 +75,7 @@ class ShardWriter {
   BinaryWriter out_;
   ShardWriterOptions options_;
   logs::LogTable pending_;  // rows of the open chunk; dicts are file-global
+  logs::RowBatch staged_;   // rows of the open chunk not yet in pending_
   std::vector<ChunkMeta> directory_;
   std::string payload_buf_;
   std::uint64_t rows_total_ = 0;

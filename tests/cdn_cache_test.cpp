@@ -30,6 +30,21 @@ TEST(LruCache, TtlExpiryCountsAsExpirationAndMiss) {
   EXPECT_EQ(cache.size_bytes(), 0u);
 }
 
+TEST(LruCache, LookupHandsBackTheExpiredCopyItErases) {
+  LruCache cache(1024);
+  cache.insert("a", 100, 10.0, 0.0);
+  std::optional<LruCache::StaleEntry> expired = LruCache::StaleEntry{};
+  EXPECT_TRUE(cache.lookup("a", 5.0, &expired).has_value());
+  EXPECT_FALSE(expired.has_value());  // a hit leaves it empty
+  EXPECT_FALSE(cache.lookup("a", 12.0, &expired).has_value());
+  ASSERT_TRUE(expired.has_value());
+  EXPECT_EQ(expired->bytes, 100u);
+  EXPECT_EQ(expired->expires_at, 10.0);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_FALSE(cache.lookup("a", 12.0, &expired).has_value());
+  EXPECT_FALSE(expired.has_value());  // absent: nothing to hand back
+}
+
 TEST(LruCache, EvictsLeastRecentlyUsed) {
   LruCache cache(300);
   cache.insert("a", 100, 100.0, 0.0);

@@ -73,6 +73,93 @@ TEST(StringInterner, HundredThousandSymbolStress) {
   EXPECT_GT(interner.memory_bytes(), 100'000u);  // arena is accounted for
 }
 
+// The keys one-at-a-time and batched interning must agree on: shared-prefix
+// client ids, repeats, the empty string and a string longer than one 64 KiB
+// arena block.
+std::vector<std::string> interner_keys() {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 3000; ++i) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "client-%07d", (i * 7919) % 1200);
+    keys.emplace_back(buf);
+    if (i % 500 == 0) keys.emplace_back();
+    if (i == 1700) keys.emplace_back(70'000, 'x');
+  }
+  keys.emplace_back(70'000, 'x');
+  return keys;
+}
+
+TEST(StringInterner, BatchMatchesOneAtATime) {
+  const auto keys = interner_keys();
+  StringInterner single;
+  std::vector<StringInterner::Symbol> expected;
+  for (const auto& k : keys) expected.push_back(single.intern(k));
+
+  // Uneven batches, starting from an empty table, so the batch path grows
+  // through many rehashes.
+  StringInterner batched;
+  std::vector<StringInterner::Symbol> got(keys.size());
+  std::size_t at = 0;
+  for (const std::size_t len : {1u, 7u, 300u, 5000u}) {
+    const std::size_t end = std::min(keys.size(), at + len);
+    std::vector<std::string_view> views(keys.begin() + at, keys.begin() + end);
+    batched.intern_batch(views, got.data() + at);
+    at = end;
+  }
+  std::vector<std::string_view> rest(keys.begin() + at, keys.end());
+  batched.intern_batch(rest, got.data() + at);
+
+  EXPECT_EQ(got, expected);
+  ASSERT_EQ(batched.size(), single.size());
+  for (StringInterner::Symbol s = 0; s < single.size(); ++s) {
+    ASSERT_EQ(batched.view(s), single.view(s)) << s;
+  }
+  EXPECT_EQ(batched.find(std::string(70'000, 'x')),
+            single.find(std::string(70'000, 'x')));
+  EXPECT_EQ(batched.find(""), single.find(""));
+}
+
+TEST(StringInterner, BatchGrowthKeepsEarlierViews) {
+  StringInterner interner;
+  const std::vector<std::string_view> first = {"client-0000001",
+                                               "client-0000002", ""};
+  std::vector<StringInterner::Symbol> symbols(first.size());
+  interner.intern_batch(first, symbols.data());
+  const char* early = interner.view(symbols[0]).data();
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 50'000; ++i) keys.push_back("client-" + std::to_string(i));
+  std::vector<std::string_view> views(keys.begin(), keys.end());
+  std::vector<StringInterner::Symbol> more(views.size());
+  interner.intern_batch(views, more.data());
+
+  EXPECT_EQ(interner.view(symbols[0]).data(), early);
+  EXPECT_EQ(interner.view(symbols[0]), "client-0000001");
+  EXPECT_EQ(interner.view(symbols[2]), "");
+  for (std::size_t k = 0; k < keys.size(); k += 997) {
+    EXPECT_EQ(interner.view(more[k]), keys[k]);
+    EXPECT_EQ(interner.find(keys[k]), more[k]);
+  }
+  EXPECT_EQ(interner.find("client-0000001"), symbols[0]);
+}
+
+TEST(StringInterner, FindNeverInserts) {
+  StringInterner interner;
+  EXPECT_EQ(interner.find("absent"), StringInterner::kNoSymbol);
+  EXPECT_EQ(interner.find(""), StringInterner::kNoSymbol);
+  EXPECT_TRUE(interner.empty());
+  interner.intern("present");
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(interner.find("absent-" + std::to_string(i)),
+              StringInterner::kNoSymbol);
+  }
+  EXPECT_EQ(interner.find(""), StringInterner::kNoSymbol);
+  EXPECT_EQ(interner.size(), 1u);
+  EXPECT_EQ(interner.find("present"), 0u);
+  // A string first looked up and then interned gets the next symbol.
+  EXPECT_EQ(interner.intern("absent-3"), 1u);
+}
+
 // ---- LogTable -------------------------------------------------------------
 
 std::vector<LogRecord> make_records(std::size_t n, std::uint64_t seed = 99) {
@@ -271,6 +358,87 @@ TEST(LogTable, AppendAfterJlogLoadKeepsInterningConsistent) {
   EXPECT_EQ(table.client_key(static_cast<LogTable::RowIndex>(table.size() - 1)),
             first.client_key());
   std::remove(path.c_str());
+}
+
+RowBatch batch_of(const std::vector<LogRecord>& records, std::size_t begin,
+                  std::size_t end) {
+  RowBatch batch;
+  for (std::size_t i = begin; i < end; ++i) {
+    const auto& r = records[i];
+    batch.push(r.timestamp, r.client_id, r.user_agent, r.method, r.url,
+               r.domain, r.content_type, r.status, r.response_bytes,
+               r.request_bytes, r.cache_status, r.edge_id);
+  }
+  return batch;
+}
+
+void expect_same_dictionary(const StringInterner& a, const StringInterner& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (StringInterner::Symbol s = 0; s < a.size(); ++s) {
+    ASSERT_EQ(a.view(s), b.view(s)) << s;
+  }
+}
+
+void expect_same_symbols(const LogTable& a, const LogTable& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (LogTable::RowIndex i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.url_sym(i), b.url_sym(i)) << i;
+    ASSERT_EQ(a.client_id_sym(i), b.client_id_sym(i)) << i;
+    ASSERT_EQ(a.user_agent_sym(i), b.user_agent_sym(i)) << i;
+    ASSERT_EQ(a.domain_sym(i), b.domain_sym(i)) << i;
+    ASSERT_EQ(a.content_type_sym(i), b.content_type_sym(i)) << i;
+    ASSERT_EQ(a.client_sym(i), b.client_sym(i)) << i;
+  }
+  expect_same_dictionary(a.urls(), b.urls());
+  expect_same_dictionary(a.client_ids(), b.client_ids());
+  expect_same_dictionary(a.user_agents(), b.user_agents());
+  expect_same_dictionary(a.domains(), b.domains());
+  expect_same_dictionary(a.content_types(), b.content_types());
+  expect_same_dictionary(a.client_keys(), b.client_keys());
+}
+
+TEST(LogTable, AppendBatchMatchesAppendFields) {
+  const auto records = make_records(3000);
+  const auto reference = table_of(records);
+  LogTable batched;
+  // Batches of uneven sizes, one of them empty, plus single rows between.
+  std::size_t at = 0;
+  for (const std::size_t len : {0u, 1u, 64u, 1000u}) {
+    batched.append_batch(batch_of(records, at, at + len));
+    at += len;
+    batched.append(records[at++]);
+  }
+  batched.append_batch(batch_of(records, at, records.size()));
+  expect_same_records(records, batched);
+  expect_same_symbols(reference, batched);
+}
+
+TEST(LogTable, ClientIdAlternatingUserAgentsKeepsClientKeys) {
+  std::vector<LogRecord> records;
+  for (int i = 0; i < 6; ++i) {
+    auto r = make(i, "id", "u");
+    r.user_agent = i % 2 == 0 ? "ua-a" : "ua-b";
+    records.push_back(r);
+  }
+  records.push_back(make(6.0, "other", "u"));  // ua "ua"
+  for (const bool batched : {false, true}) {
+    LogTable table;
+    if (batched) {
+      table.append_batch(batch_of(records, 0, records.size()));
+    } else {
+      for (const auto& r : records) table.append(r);
+    }
+    const std::vector<LogTable::Symbol> expected = {0, 1, 0, 1, 0, 1, 2};
+    for (LogTable::RowIndex i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(table.client_sym(i), expected[i]) << i << " batched "
+                                                  << batched;
+      EXPECT_EQ(table.client_key(i), records[i].client_key());
+    }
+    ASSERT_EQ(table.client_keys().size(), 3u);
+    EXPECT_EQ(table.client_keys().view(0), "id|ua-a");
+    EXPECT_EQ(table.client_keys().view(1), "id|ua-b");
+    EXPECT_EQ(table.client_keys().view(2), "other|ua");
+  }
 }
 
 // ---- Zero-copy file ingest ------------------------------------------------

@@ -4,6 +4,7 @@
 // (truncation at every prefix class, bit flips anywhere in the file).
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -351,6 +352,93 @@ TEST_F(TempDir, RejectsEveryBitFlipInSampledPositions) {
         },
         std::runtime_error)
         << "flip at byte " << pos << " of " << bytes.size() << " accepted";
+  }
+}
+
+std::string read_bytes(const std::string& file) {
+  std::ifstream is(file, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(is)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST_F(TempDir, MixedAppendAndAppendFieldsWriteTableBytes) {
+  const LogTable reference = reference_table(small_workload(700));
+  const auto expected_file = path("expected.jlog");
+  ShardWriterOptions options;
+  options.chunk_rows = 256;
+  jsoncdn::shard::write_jlog_v2(expected_file, reference, options);
+
+  // Rows [0, 700) alternate between staged single rows and whole tables,
+  // switching inside chunks and across the chunk boundaries at 256 and 512.
+  const auto mixed_file = path("mixed.jlog");
+  ShardWriter writer(mixed_file, options);
+  std::uint32_t row = 0;
+  const auto append_rows = [&](std::uint32_t end) {
+    for (; row < end; ++row) {
+      writer.append_fields(
+          reference.timestamp(row), reference.client_id(row),
+          reference.user_agent(row), reference.method(row),
+          reference.url(row), reference.domain(row),
+          reference.content_type(row), reference.status(row),
+          reference.response_bytes(row), reference.request_bytes(row),
+          reference.cache_status(row), reference.edge_id(row));
+    }
+  };
+  const auto append_table = [&](std::uint32_t end) {
+    std::vector<LogTable::RowIndex> rows;
+    for (; row < end; ++row) rows.push_back(row);
+    writer.append(reference.select(rows));
+  };
+  append_rows(30);
+  append_table(100);
+  append_rows(250);
+  append_table(300);
+  EXPECT_EQ(writer.rows_appended(), 300u);
+  append_rows(520);
+  append_table(640);
+  append_rows(700);
+  EXPECT_EQ(writer.rows_appended(), 700u);
+  writer.finalize();
+
+  EXPECT_EQ(read_bytes(mixed_file), read_bytes(expected_file));
+}
+
+TEST_F(TempDir, RejectsDuplicateDictionaryEntry) {
+  const auto file = path("store.jlog");
+  write_v2(file, small_workload(300), 100);
+  std::string bytes = read_bytes(file);
+
+  // The footer opens with the url dictionary: count, lengths, bytes. Every
+  // synth url has the same length, so copying the first over the second
+  // makes one string appear twice. The footer checksum is then recomputed,
+  // so only the dictionary check can catch it.
+  const std::size_t trailer = bytes.size() - jsoncdn::shard::kTrailerBytes;
+  std::uint64_t footer = 0;
+  std::memcpy(&footer, bytes.data() + trailer, sizeof(footer));
+  std::uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + footer, sizeof(count));
+  ASSERT_GE(count, 2u);
+  std::uint32_t len[2] = {};
+  std::memcpy(len, bytes.data() + footer + 4, sizeof(len));
+  ASSERT_EQ(len[0], len[1]);
+  const std::size_t strings = footer + 4 + 4 * std::size_t{count};
+  ASSERT_NE(bytes.compare(strings, len[0], bytes, strings + len[0], len[0]),
+            0);
+  bytes.replace(strings + len[0], len[0], bytes, strings, len[0]);
+  const std::uint64_t checksum = jsoncdn::shard::payload_checksum(
+      std::string_view(bytes).substr(footer, trailer - footer));
+  std::memcpy(bytes.data() + trailer + 8, &checksum, sizeof(checksum));
+
+  const auto corrupt = path("duplicate.jlog");
+  std::ofstream(corrupt, std::ios::binary) << bytes;
+  try {
+    ShardReader reader(corrupt);
+    FAIL() << "a dictionary holding one string twice was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("duplicate dictionary entry"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(corrupt), std::string::npos) << what;
   }
 }
 
