@@ -90,8 +90,14 @@ std::size_t StringInterner::probe(std::uint64_t hash,
 
 StringInterner::Symbol StringInterner::intern_hashed(std::uint64_t hash,
                                                      std::string_view s) {
-  std::size_t i = probe(hash, s);
+  const std::size_t i = probe(hash, s);
   if (slots_[i].symbol != kNoSymbol) return slots_[i].symbol;
+  return insert(i, hash, s);
+}
+
+StringInterner::Symbol StringInterner::insert(std::size_t i,
+                                              std::uint64_t hash,
+                                              std::string_view s) {
   if (views_.size() >= static_cast<std::size_t>(kNoSymbol)) {
     throw std::length_error("StringInterner: symbol space exhausted");
   }
@@ -122,9 +128,12 @@ void StringInterner::intern_batch(std::span<const std::string_view> strings,
   for (std::size_t k = 0; k < n; ++k) hashes[k] = hash_string(strings[k]);
   if (slots_.empty()) rehash(kMinSlots);
   for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t mask = slots_.size() - 1;
+    if (k + 2 * kPrefetchAhead < n) {
+      __builtin_prefetch(&slots_[hashes[k + 2 * kPrefetchAhead] & mask]);
+    }
     if (k + kPrefetchAhead < n) {
-      __builtin_prefetch(
-          &slots_[hashes[k + kPrefetchAhead] & (slots_.size() - 1)]);
+      __builtin_prefetch(slots_[hashes[k + kPrefetchAhead] & mask].data);
     }
     out[k] = intern_hashed(hashes[k], strings[k]);
   }

@@ -86,6 +86,9 @@ class StringInterner {
                                   std::string_view s) const noexcept;
   // intern() of a string whose hash is already known.
   Symbol intern_hashed(std::uint64_t hash, std::string_view s);
+  // Adds `s` at slot `i`, the empty slot probe() found for it.
+  [[gnu::noinline]] Symbol insert(std::size_t i, std::uint64_t hash,
+                                  std::string_view s);
   // Rebuilds the slot table with `slot_count` (a power of two) slots.
   void rehash(std::size_t slot_count);
 

@@ -36,6 +36,9 @@ void gather(std::vector<T>& col, const std::vector<std::uint32_t>& perm) {
   col = std::move(out);
 }
 
+// How far ahead append_batch prefetches a row's client pair.
+constexpr std::size_t kPrefetchAhead = 8;
+
 // Byte length of a staged string; the dictionaries store u32 lengths.
 std::uint32_t staged_length(std::string_view s) {
   if (s.size() > std::numeric_limits<std::uint32_t>::max()) {
@@ -52,32 +55,36 @@ void RowBatch::push(double timestamp, std::string_view client_id,
                     std::string_view content_type, int status,
                     std::uint64_t response_bytes, std::uint64_t request_bytes,
                     CacheStatus cache_status, std::uint32_t edge_id) {
-  Row row{timestamp, response_bytes, request_bytes, status, edge_id, method,
-          cache_status, {}};
   const std::string_view strings[kStrings] = {client_id, user_agent, url,
                                               domain, content_type};
+  std::uint32_t lengths[kStrings];
   for (std::size_t f = 0; f < kStrings; ++f) {
-    row.lengths[f] = staged_length(strings[f]);
+    lengths[f] = staged_length(strings[f]);
   }
-  for (const auto s : strings) bytes_.append(s);
-  rows_.push_back(row);
+  for (std::size_t f = 0; f < kStrings; ++f) {
+    strings_[f].bytes.append(strings[f]);
+    strings_[f].lengths.push_back(lengths[f]);
+  }
+  rows_.push_back(Row{timestamp, response_bytes, request_bytes, status,
+                      edge_id, method, cache_status});
 }
 
 void RowBatch::clear() noexcept {
   rows_.clear();
-  bytes_.clear();
+  for (auto& column : strings_) {
+    column.bytes.clear();
+    column.lengths.clear();
+  }
 }
 
 void RowBatch::field_views(std::size_t field,
                            std::vector<std::string_view>& out) const {
-  out.resize(rows_.size());
-  const char* at = bytes_.data();
-  for (std::size_t k = 0; k < rows_.size(); ++k) {
-    const auto& lengths = rows_[k].lengths;
-    const char* s = at;
-    for (std::size_t f = 0; f < field; ++f) s += lengths[f];
-    out[k] = std::string_view(s, lengths[field]);
-    for (const auto len : lengths) at += len;
+  const auto& column = strings_[field];
+  out.resize(column.lengths.size());
+  const char* at = column.bytes.data();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = std::string_view(at, column.lengths[k]);
+    at += column.lengths[k];
   }
 }
 
@@ -179,8 +186,12 @@ void LogTable::append_batch(const RowBatch& batch) {
   }
 
   client_pairs_.resize(std::max(client_pairs_.size(), client_id_dict_.size()));
+  client_.resize(first + n);
   for (std::size_t k = first; k < first + n; ++k) {
-    client_.push_back(client_symbol(client_id_[k], ua_[k]));
+    if (k + kPrefetchAhead < first + n) {
+      __builtin_prefetch(&client_pairs_[client_id_[k + kPrefetchAhead]]);
+    }
+    client_[k] = client_symbol(client_id_[k], ua_[k]);
   }
 }
 

@@ -36,8 +36,8 @@ class ChunkCodec;  // shard/chunk.h — fills columns directly
 namespace jsoncdn::logs {
 
 // Rows staged for LogTable::append_batch: append_fields' arguments, with
-// every string copied into one byte buffer, so a batch owns its rows and
-// the strings passed to push() need not outlive the call.
+// every string copied into its field's byte buffer, so a batch owns its
+// rows and the strings passed to push() need not outlive the call.
 class RowBatch {
  public:
   void push(double timestamp, std::string_view client_id,
@@ -67,15 +67,20 @@ class RowBatch {
     std::uint32_t edge_id;
     http::Method method;
     CacheStatus cache_status;
-    std::array<std::uint32_t, kStrings> lengths;  // byte lengths, in order
+  };
+  // One string field of every row: the bytes back to back and each row's
+  // length, so interning a field reads only that field's bytes.
+  struct StringColumn {
+    std::string bytes;
+    std::vector<std::uint32_t> lengths;
   };
 
-  // String field `field` of every row, in row order, as views into bytes_.
+  // String field `field` of every row, in row order.
   void field_views(std::size_t field,
                    std::vector<std::string_view>& out) const;
 
   std::vector<Row> rows_;
-  std::string bytes_;  // every row's strings, back to back
+  std::array<StringColumn, kStrings> strings_;
 };
 
 class LogTable {
