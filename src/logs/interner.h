@@ -47,9 +47,10 @@ class StringInterner {
 
   // Interns strings[k] into out[k] for every k, in order: the symbols that
   // one intern() call per string would return. Hashes the whole batch
-  // first, then probes each string with the slot of the string
-  // kPrefetchAhead places later already requested, so the table's cache
-  // misses overlap instead of queueing one behind another.
+  // first. Probing string k then prefetches the home slot of string
+  // k + 2 * kPrefetchAhead and the arena bytes behind the home slot of
+  // string k + kPrefetchAhead, so the table's cache misses overlap instead
+  // of queueing one behind another.
   void intern_batch(std::span<const std::string_view> strings, Symbol* out);
 
   // Symbol of `s` if it was ever interned, else kNoSymbol. Never allocates.
@@ -87,8 +88,7 @@ class StringInterner {
   // intern() of a string whose hash is already known.
   Symbol intern_hashed(std::uint64_t hash, std::string_view s);
   // Adds `s` at slot `i`, the empty slot probe() found for it.
-  [[gnu::noinline]] Symbol insert(std::size_t i, std::uint64_t hash,
-                                  std::string_view s);
+  Symbol insert(std::size_t i, std::uint64_t hash, std::string_view s);
   // Rebuilds the slot table with `slot_count` (a power of two) slots.
   void rehash(std::size_t slot_count);
 

@@ -350,7 +350,7 @@ TEST(LogTable, AppendAfterJlogLoadKeepsInterningConsistent) {
   shard::write_jlog_v2(path, table_of(ds));
   auto table = shard::ShardReader(path).read_all();
   // Appending a record whose client pair already exists must reuse its
-  // symbol even though the pair cache was rebuilt from the file.
+  // symbol even though loading the file leaves the client pairs empty.
   const auto& first = ds.front();
   const auto before = table.distinct_clients();
   table.append(first);
